@@ -3,10 +3,10 @@
 Three detector families consume the same per-process stream of
 local-event / send / receive notifications:
 
-* ``SnapshotDetector`` -- scalar snapshot clocks plus per-peer replicas of
-  event and interval queues; a communicating pair (b, c) is reported as
-  concurrent when the send stamp x of b's message lands inside c's final
-  logical interval: ``c.lo <= x < c.hi``.
+* ``SnapshotDetector`` -- one scalar snapshot clock per process; a
+  communicating pair (b, c) is reported as concurrent when the send stamp
+  x of b's message lands inside c's final logical interval:
+  ``c.lo <= x < c.hi``.
 * ``vector_detect`` -- the vector-clock baseline: a quadratic pairwise
   scan reporting pairs whose interval endpoints are mutually ordered by
   happened-before (each start precedes the other's end).
@@ -27,9 +27,8 @@ from .stamps import (
     ClockParams,
     DEFAULT_PARAMS,
     Interval,
-    SnapshotStamp,
-    snapshot_merge,
-    snapshot_tick,
+    MAX_TICK,
+    StampOverflowError,
     vector_lt,
 )
 
@@ -90,42 +89,20 @@ class MessageRecord:
             raise ValueError("message from an event to itself")
 
 
-@dataclass(frozen=True)
-class BroadcastPayload:
-    """What a process announces to all peers when an event occurs.
-
-    Constant-size in the process count: one event id and one scalar tick.
-    """
-
-    origin: int
-    event: EventId
-    stamp: int
-
-
-@dataclass
-class IntervalRecord:
-    """A mutable ``[lo, hi)`` scalar interval for one event; hi only grows."""
-
-    event: EventId
-    lo: int
-    hi: int
-
-    def valid(self) -> bool:
-        return self.lo < self.hi
-
-
 class DuplicateEventError(ValueError):
     pass
 
 
 class SnapshotDetector:
-    """Per-process detector state over scalar snapshot clocks.
+    """Per-process detector state over a scalar snapshot clock.
 
-    Holds the local clock, per-peer event queues (EQ) and interval queues
-    (IQ), the queue of communicating event pairs (EE) and the output set
-    of detected concurrent pairs.  Exactly one logical thread may mutate
-    an instance; all cross-process coupling goes through the notification
-    driver.
+    Keeps only what can change a verdict: the clock as an int, the
+    ``[lo, hi)`` interval of each of this process's own events (a mutable
+    ``[lo, hi]`` list; hi only grows), the set of peer events it has heard
+    of (a message from any other sender is dropped) and EE, the queue of
+    communicating event pairs still to check.
+    Exactly one logical thread may mutate an instance; all cross-process
+    coupling goes through the notification driver.
     """
 
     def __init__(
@@ -138,60 +115,62 @@ class SnapshotDetector:
         if not 0 <= process < n_processes:
             raise IndexError(f"process {process} out of range")
         self.process = process
-        self.n_processes = n_processes
         self.params = params
-        self.clock = SnapshotStamp(0)
-        self.eq: list[list[tuple[EventId, int]]] = [[] for _ in range(n_processes)]
-        self.iq: list[list[IntervalRecord]] = [[] for _ in range(n_processes)]
+        self.clock = 0
+        self.intervals: dict[EventId, list[int]] = {}
+        self.heard: set[EventId] = set()
         self.ee: list[tuple[EventId, EventId, int]] = []
         self.out: set[PairKey] = set()
         self.dropped = 0
         self.counters = counters if counters is not None else OpCounters()
-        self._intervals: dict[EventId, IntervalRecord] = {}
 
-    # -- clock plumbing ------------------------------------------------
+    # -- clock rules (``snapshot_tick`` / ``snapshot_merge`` on ints) ------
 
     def _tick(self) -> int:
-        self.clock = snapshot_tick(self.clock, self.params)
+        tick = self.clock + self.params.d
+        if tick > MAX_TICK:
+            raise StampOverflowError(f"tick out of range: {tick}")
+        self.clock = tick
         self.counters.clock_updates += 1
-        return self.clock.tick
+        return tick
 
     def _merge(self, stamp: int) -> None:
-        self.clock = snapshot_merge(self.clock, SnapshotStamp(stamp), self.params)
+        if not 0 <= stamp <= MAX_TICK:
+            raise StampOverflowError(f"tick out of range: {stamp}")
+        merged = stamp if stamp > self.clock else self.clock
+        if self.params.tick_after_merge:
+            merged += self.params.d
+            if merged > MAX_TICK:
+                raise StampOverflowError(f"tick out of range: {merged}")
+        self.clock = merged
         self.counters.clock_updates += 1
-
-    def _record(self, origin: int, e: EventId, lo: int, hi: int) -> IntervalRecord:
-        if e in self._intervals:
-            raise DuplicateEventError(f"event {e} already recorded")
-        rec = IntervalRecord(e, lo, hi)
-        self.iq[origin].append(rec)
-        self._intervals[e] = rec
-        return rec
 
     # -- notification handlers -----------------------------------------
 
-    def on_local_event(self, e: EventId) -> BroadcastPayload:
+    def on_local_event(self, e: EventId) -> int:
         """An event occurs at this process.
 
         Ticks the clock, opens the event's interval ``[tick, tick + 1)``
-        and returns the payload the driver delivers to every peer.
+        and returns the tick, which the driver announces to every peer.
         """
         if e.process != self.process:
             raise ValueError(f"event {e} does not belong to process {self.process}")
+        if e in self.intervals:
+            raise DuplicateEventError(f"event {e} already recorded")
         tick = self._tick()
-        self.eq[self.process].append((e, tick))
-        self._record(self.process, e, tick, tick + 1)
+        self.intervals[e] = [tick, tick + 1]
         self.counters.events_processed += 1
         self.counters.stamp_words_sent += 1  # one scalar word, any n
-        return BroadcastPayload(self.process, e, tick)
+        return tick
 
-    def on_broadcast(self, origin: int, e: EventId, stamp: int) -> None:
-        """A peer announced an event occurrence; mirror it and merge."""
-        if origin == self.process:
+    def on_broadcast(self, e: EventId, stamp: int) -> None:
+        """A peer announced peer event ``e`` at ``stamp`` (its start or a send).
+
+        Notes ``e`` as heard of and merges the stamp into the clock.
+        """
+        if e.process == self.process:
             raise ValueError("broadcast from own process")
-        self.eq[origin].append((e, stamp))
-        if e not in self._intervals:
-            self._record(origin, e, stamp, stamp + 1)
+        self.heard.add(e)
         self._merge(stamp)
 
     def on_send(self, e: EventId) -> int:
@@ -199,50 +178,37 @@ class SnapshotDetector:
 
         Ticks the clock first, extends the event's own interval past the
         new tick and returns the send stamp x to attach to the message.
-        The driver also announces x to all peers (``on_send_stamp``).
+        The driver also announces x to all peers (``on_broadcast``).
         """
-        rec = self._intervals.get(e)
-        if rec is None or e.process != self.process:
+        own = self.intervals.get(e)
+        if own is None:
             raise ValueError(f"send from unknown local event {e}")
         x = self._tick()
-        self.eq[self.process].append((e, x))
-        rec.hi = max(rec.hi, x + 1)
+        own[1] = max(own[1], x + 1)
         self.counters.events_processed += 1
         self.counters.stamp_words_sent += 2  # message stamp + its broadcast
         return x
 
-    def on_send_stamp(self, origin: int, e: EventId, stamp: int) -> None:
-        """A peer's send stamp arrives; update its replica and merge."""
-        rec = self._intervals.get(e)
-        if rec is None:
-            rec = self._record(origin, e, stamp, stamp + 1)
-        else:
-            rec.hi = max(rec.hi, stamp + 1)
-        self.eq[origin].append((e, stamp))
-        self._merge(stamp)
-
     def on_message(self, m: MessageRecord) -> None:
         """A message is delivered to local event ``m.to_event``.
 
-        Re-stamps the sender's replica, merges the clock, extends the
-        receiving event's interval past the send stamp (the message was
-        handled inside the event, so its end tick must exceed x) and
-        queues the communicating pair for the consistency check.
+        A sender this process has not heard of is a drop.  Otherwise the
+        clock merges the send stamp, the receiving event's interval is
+        extended past it (the message was handled inside the event, so
+        its end tick must exceed x) and the pair is queued in EE.  A
+        receiving event that has not started yet is a drop too.
         """
         self.counters.events_processed += 1
-        sender = self._intervals.get(m.from_event)
-        if sender is None:
+        if m.from_event not in self.heard and m.from_event not in self.intervals:
             self.dropped += 1
             return
         x = m.send_stamp
-        self.eq[m.from_event.process].append((m.from_event, x))
-        sender.hi = max(sender.hi, x + 1)
         self._merge(x)
-        own = self._intervals.get(m.to_event)
+        own = self.intervals.get(m.to_event)
         if own is None:
             self.dropped += 1
             return
-        own.hi = max(own.hi, x + 1)
+        own[1] = max(own[1], x + 1)
         self.ee.append((m.to_event, m.from_event, x))
 
     # -- detection -----------------------------------------------------
@@ -250,22 +216,16 @@ class SnapshotDetector:
     def check_consistency(self) -> set[PairKey]:
         """Drain EE into the output set of detected concurrent pairs.
 
-        A pair passes when both events are valid (present with a
-        well-formed interval) and the send stamp lies inside the
-        receiver's final interval: ``lo <= x < hi``.  The output is
-        deduplicated and the call is idempotent at quiescence.
+        A pair passes when the send stamp lies inside the receiver's
+        final interval: ``lo <= x < hi``.  The output is deduplicated and
+        the call is idempotent at quiescence.
         """
-        while self.ee:
-            receiver, sender, x = self.ee.pop(0)
-            self.counters.pair_checks += 1
-            rec_r = self._intervals.get(receiver)
-            rec_s = self._intervals.get(sender)
-            if rec_r is None or rec_s is None:
-                continue
-            if not (rec_r.valid() and rec_s.valid()):
-                continue
-            if rec_r.lo <= x < rec_r.hi:
+        self.counters.pair_checks += len(self.ee)
+        for receiver, sender, x in self.ee:
+            lo, hi = self.intervals[receiver]
+            if lo <= x < hi:
                 self.out.add(pair_key(receiver, sender))
+        self.ee.clear()
         return set(self.out)
 
 
@@ -305,14 +265,12 @@ def physical_detect(
     starting span with the active set.  O(n log n + output).
     """
     boundaries: list[tuple[int, int, EventId, int]] = []
-    ends: dict[EventId, int] = {}
     for event, start, end in spans:
         if start >= end:
             raise ValueError(f"empty span for {event}: [{start}, {end})")
         # Ends sort before starts at equal times: half-open touch is no overlap.
         boundaries.append((start, 1, event, end))
         boundaries.append((end, 0, event, end))
-        ends[event] = end
     boundaries.sort()
     active: set[EventId] = set()
     found: set[PairKey] = set()

@@ -398,10 +398,11 @@ def summarize(rows: list[dict]) -> dict:
                 }
             )
 
+    cells_by_det = {det: _dedupe_points(rows, det) for det in detectors}
     trends = {}
-    for det in detectors:
-        xs = [p["axis_numeric"] for p in _dedupe_points(rows, det)]
-        ys = [p["mean_recall"] for p in _dedupe_points(rows, det)]
+    for det, cells in cells_by_det.items():
+        xs = [p["axis_numeric"] for p in cells]
+        ys = [p["mean_recall"] for p in cells]
         trends[det] = trend(xs, ys) if len(xs) >= 3 else None
 
     dominance = None
@@ -425,8 +426,7 @@ def summarize(rows: list[dict]) -> dict:
         }
 
     growth = {}
-    for det in detectors:
-        cells = _dedupe_points(rows, det)
+    for det, cells in cells_by_det.items():
         xs = [p["axis_numeric"] for p in cells]
         for counter in ("mean_stamp_words_sent", "mean_pair_checks"):
             key = f"{det}.{counter.removeprefix('mean_')}"

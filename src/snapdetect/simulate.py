@@ -315,19 +315,19 @@ def _replay_snapshot(
 ) -> list[SnapshotDetector]:
     procs = trace.config.n_processes
     dets = [SnapshotDetector(p, procs, params, counters) for p in range(procs)]
+    peers = [[d.on_broadcast for d in dets if d.process != p] for p in range(procs)]
     send_stamps: dict[int, int] = {}
     for _t, kind, proc, sub, payload in _timeline(trace):
         if kind == _START:
-            announce = dets[proc].on_local_event(payload.id)
-            for q in range(procs):
-                if q != proc:
-                    dets[q].on_broadcast(announce.origin, announce.event, announce.stamp)
+            e = payload.id
+            tick = dets[proc].on_local_event(e)
+            for hear in peers[proc]:
+                hear(e, tick)
         elif kind == _SEND:
-            x = dets[proc].on_send(payload.from_event)
-            send_stamps[sub] = x
-            for q in range(procs):
-                if q != proc:
-                    dets[q].on_send_stamp(proc, payload.from_event, x)
+            e = payload.from_event
+            x = send_stamps[sub] = dets[proc].on_send(e)
+            for hear in peers[proc]:
+                hear(e, x)
         elif kind == _DELIVER:
             record = MessageRecord(payload.from_event, payload.to_event, send_stamps[sub])
             dets[proc].on_message(record)
@@ -349,11 +349,7 @@ def snapshot_intervals(
 ) -> dict[EventId, tuple[int, int]]:
     """Final scalar interval of each event, as seen by its owning process."""
     dets = _replay_snapshot(trace, OpCounters(), params)
-    out: dict[EventId, tuple[int, int]] = {}
-    for d in dets:
-        for rec in d.iq[d.process]:
-            out[rec.event] = (rec.lo, rec.hi)
-    return out
+    return {e: (lo, hi) for d in dets for e, (lo, hi) in d.intervals.items()}
 
 
 @dataclass(frozen=True)
