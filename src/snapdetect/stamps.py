@@ -30,9 +30,13 @@ class ClockParams:
     """Tunables for the logical clock update rules.
 
     ``d`` is the tick increment (default 1).  ``tick_after_merge`` adds a
-    classical post-max increment on receive; it is off by default because
-    the merge rule used here takes the plain max, which keeps the
-    lower-bound equality of the concurrency predicate reachable.
+    classical post-max increment on receive; it is off by default, so the
+    receive rule is a plain max.  Neither setting lets a replayed trace
+    reach the lower-bound equality ``x == lo`` of the concurrency
+    predicate: the replay announces every start and send tick to all peers
+    at once, so of a start tick and a send stamp the later one is ticked
+    after merging the earlier and exceeds it.  Only direct calls to the
+    detector's handlers reach the equality.
     """
 
     d: int = 1

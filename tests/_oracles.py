@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 from snapdetect.detectors import pair_key
+from snapdetect.metrics import OpCounters
 from snapdetect.simulate import Trace
+from snapdetect.stamps import vector_lt
 
 # Point kinds, matching the replay tie-break order.
 START, SEND, DELIVER, END = 0, 1, 2, 3
@@ -18,6 +20,27 @@ def brute_force_overlap(trace: Trace) -> set:
             if max(a.start_us, b.start_us) < min(a.end_us, b.end_us):
                 pairs.add(pair_key(a.id, b.id))
     return pairs
+
+
+def scalar_vector_detect(intervals, counters: OpCounters | None = None) -> set:
+    """The vector baseline's pair scan as one ``vector_lt`` call pair per pair.
+
+    The loop ``vector_detect`` replaced; kept as its reference.
+    """
+    items = sorted(intervals.items())
+    lengths = {len(iv.lo.slots) for _, iv in items}
+    if len(lengths) > 1:
+        raise ValueError(f"mixed vector lengths: {sorted(lengths)}")
+    found = set()
+    for i in range(len(items)):
+        ei, vi = items[i]
+        for j in range(i + 1, len(items)):
+            ej, vj = items[j]
+            if counters is not None:
+                counters.pair_checks += 1
+            if vector_lt(vi.lo, vj.hi) and vector_lt(vj.lo, vi.hi):
+                found.add(pair_key(ei, ej))
+    return found
 
 
 def point_nodes(trace: Trace) -> list[tuple]:
