@@ -16,8 +16,10 @@ import enum
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .detectors import (
     ContextReading,
@@ -32,7 +34,14 @@ from .detectors import (
     violation_filter,
 )
 from .metrics import OpCounters
-from .stamps import ClockParams, DEFAULT_PARAMS, Interval, VectorStamp, vector_merge, vector_tick
+from .stamps import (
+    DEFAULT_PARAMS,
+    MAX_TICK,
+    ClockParams,
+    Interval,
+    StampOverflowError,
+    VectorStamp,
+)
 
 #: Delay resamples tried per message before it is dropped at generation.
 MESSAGE_RETRIES = 3
@@ -370,41 +379,53 @@ def _replay_vector(
     params: ClockParams,
     keep_points: bool = False,
 ) -> tuple[dict[EventId, Interval], list[VectorPoint]]:
+    """Replay a trace with the ``vector_tick``/``vector_merge`` rules.
+
+    Process p's clock is row p of one int64 array; a send's stamp is row
+    ``sub`` of ``sends``.  A slot grows only by its owner's tick, which is
+    range-checked before it is written, or by a slot-wise max of rows
+    already in range, so every slot stays in ``0..MAX_TICK`` and int64 is
+    exact.
+    """
     procs = trace.config.n_processes
-    clocks = [VectorStamp.zero(procs) for _ in range(procs)]
+    clocks = np.zeros((procs, procs), dtype=np.int64)
+    rows = list(clocks)  # row views, written in place
+    sends = np.zeros((len(trace.messages), procs), dtype=np.int64)
     lo: dict[EventId, VectorStamp] = {}
     hi: dict[EventId, VectorStamp] = {}
-    send_stamps: dict[int, VectorStamp] = {}
     points: list[VectorPoint] = []
 
-    def note(kind: int, proc: int, t: int, event=None, msg=None) -> None:
+    def stamp(row: np.ndarray) -> VectorStamp:
+        return VectorStamp(tuple(row.tolist()))
+
+    def note(kind: int, proc: int, t: int, event: EventId, msg: Optional[int] = None) -> None:
         if keep_points:
-            points.append(VectorPoint(kind, proc, t, event, msg, clocks[proc]))
+            points.append(VectorPoint(kind, proc, t, event, msg, stamp(rows[proc])))
 
     for t, kind, proc, sub, payload in _timeline(trace):
+        row = rows[proc]
+        if kind == _DELIVER:
+            np.maximum(row, sends[sub], out=row)
+        tick = int(row[proc]) + params.d
+        if tick > MAX_TICK:
+            raise StampOverflowError(f"process {proc} slot out of range: {tick}")
+        row[proc] = tick
+        counters.clock_updates += 1
         if kind == _START:
-            clocks[proc] = vector_tick(clocks[proc], proc, params)
-            counters.clock_updates += 1
             counters.events_processed += 1
-            lo[payload.id] = clocks[proc]
-            note(kind, proc, t, event=payload.id)
+            lo[payload.id] = stamp(row)
+            note(kind, proc, t, payload.id)
         elif kind == _SEND:
-            clocks[proc] = vector_tick(clocks[proc], proc, params)
-            counters.clock_updates += 1
             counters.events_processed += 1
             counters.stamp_words_sent += procs
-            send_stamps[sub] = clocks[proc]
-            note(kind, proc, t, event=payload.from_event, msg=sub)
+            sends[sub] = row
+            note(kind, proc, t, payload.from_event, sub)
         elif kind == _DELIVER:
-            clocks[proc] = vector_merge(clocks[proc], send_stamps[sub], proc, params)
-            counters.clock_updates += 1
             counters.events_processed += 1
-            note(kind, proc, t, event=payload.to_event, msg=sub)
+            note(kind, proc, t, payload.to_event, sub)
         else:
-            clocks[proc] = vector_tick(clocks[proc], proc, params)
-            counters.clock_updates += 1
-            hi[payload.id] = clocks[proc]
-            note(kind, proc, t, event=payload.id)
+            hi[payload.id] = stamp(row)
+            note(kind, proc, t, payload.id)
     intervals = {e: Interval(lo[e], hi[e]) for e in lo}
     return intervals, points
 

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 from snapdetect.detectors import pair_key
 from snapdetect.metrics import OpCounters
-from snapdetect.simulate import Trace
-from snapdetect.stamps import vector_lt
+from snapdetect.simulate import Trace, VectorPoint, _timeline
+from snapdetect.stamps import Interval, VectorStamp, vector_lt, vector_merge, vector_tick
 
 # Point kinds, matching the replay tie-break order.
 START, SEND, DELIVER, END = 0, 1, 2, 3
@@ -41,6 +41,48 @@ def scalar_vector_detect(intervals, counters: OpCounters | None = None) -> set:
             if vector_lt(vi.lo, vj.hi) and vector_lt(vj.lo, vi.hi):
                 found.add(pair_key(ei, ej))
     return found
+
+
+def stamp_replay_vector(trace: Trace, counters: OpCounters, params, keep_points: bool = False):
+    """The vector replay as one frozen ``VectorStamp`` per point.
+
+    The loop ``simulate._replay_vector`` replaced, built on the
+    ``vector_tick`` and ``vector_merge`` rules; kept as its reference.
+    """
+    procs = trace.config.n_processes
+    clocks = [VectorStamp.zero(procs) for _ in range(procs)]
+    lo, hi, send_stamps, points = {}, {}, {}, []
+
+    def note(kind, proc, t, event=None, msg=None):
+        if keep_points:
+            points.append(VectorPoint(kind, proc, t, event, msg, clocks[proc]))
+
+    for t, kind, proc, sub, payload in _timeline(trace):
+        if kind == START:
+            clocks[proc] = vector_tick(clocks[proc], proc, params)
+            counters.clock_updates += 1
+            counters.events_processed += 1
+            lo[payload.id] = clocks[proc]
+            note(kind, proc, t, event=payload.id)
+        elif kind == SEND:
+            clocks[proc] = vector_tick(clocks[proc], proc, params)
+            counters.clock_updates += 1
+            counters.events_processed += 1
+            counters.stamp_words_sent += procs
+            send_stamps[sub] = clocks[proc]
+            note(kind, proc, t, event=payload.from_event, msg=sub)
+        elif kind == DELIVER:
+            clocks[proc] = vector_merge(clocks[proc], send_stamps[sub], proc, params)
+            counters.clock_updates += 1
+            counters.events_processed += 1
+            note(kind, proc, t, event=payload.to_event, msg=sub)
+        else:
+            clocks[proc] = vector_tick(clocks[proc], proc, params)
+            counters.clock_updates += 1
+            hi[payload.id] = clocks[proc]
+            note(kind, proc, t, event=payload.id)
+    intervals = {e: Interval(lo[e], hi[e]) for e in lo}
+    return intervals, points
 
 
 def point_nodes(trace: Trace) -> list[tuple]:
