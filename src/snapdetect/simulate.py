@@ -45,6 +45,9 @@ from .stamps import (
 
 #: Delay resamples tried per message before it is dropped at generation.
 MESSAGE_RETRIES = 3
+#: Most 32-bit words one bulk delay draw takes from its stream: enough to
+#: amortise the draw, few enough that buffered delays stay tens of KB.
+DELAY_CHUNK_WORDS = 1 << 10
 
 
 class ConfigError(ValueError):
@@ -158,8 +161,39 @@ def _stream(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _rand_range(rng: random.Random, bounds: tuple[int, int]) -> int:
-    return rng.randint(bounds[0], bounds[1])
+def _randint(bits, lo: int, hi: int) -> int:
+    """``randint(lo, hi)`` on the stream whose ``getrandbits`` is ``bits``.
+
+    ``random.Random.randint``'s own rejection draw, without the argument
+    handling of ``randrange``: the same values from the same words.
+    """
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return lo + r
+
+
+def _delay_offsets(rng: random.Random, n: int, wanted: int) -> list[int]:
+    """The next ``randint(0, n - 1)`` values of ``rng``, about ``wanted`` of them.
+
+    For ``k = n.bit_length() <= 32``, ``getrandbits(k)`` is one MT19937
+    word shifted right by ``32 - k``, and ``getrandbits(32 * c)`` is ``c``
+    words, least significant first.  So one bulk draw, shifted and kept
+    where below ``n``, is randint's rejection loop over ``c`` words.  At
+    most ``DELAY_CHUNK_WORDS`` words are drawn, so fewer values than
+    wanted, even none, may come back.  Wider spans draw one value at a
+    time, at most ``DELAY_CHUNK_WORDS`` of them.
+    """
+    k = n.bit_length()
+    if k > 32:
+        bits = rng.getrandbits
+        return [_randint(bits, 0, n - 1) for _ in range(min(wanted, DELAY_CHUNK_WORDS))]
+    words = min(DELAY_CHUNK_WORDS, (wanted << k) // n + 1)
+    raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
+    raw = raw >> (32 - k)
+    return raw[raw < n].tolist()
 
 
 class _Trajectories:
@@ -198,13 +232,16 @@ def generate_trace(config: SimConfig) -> Trace:
     user_rng = _stream(config.seed, "users")
 
     procs = config.n_processes
+    layout_bits = layout.getrandbits
+    gap_lo, gap_hi = config.inter_event_gap_us
+    life_lo, life_hi = config.event_lifespan_us
     per_proc: list[list[tuple[int, int]]] = []
     for p in range(procs):
-        t = layout.randint(0, config.start_jitter_us)
+        t = _randint(layout_bits, 0, config.start_jitter_us)
         spans = []
         for _ in range(config.events_per_process):
-            start = t + _rand_range(layout, config.inter_event_gap_us)
-            end = start + _rand_range(layout, config.event_lifespan_us)
+            start = t + _randint(layout_bits, gap_lo, gap_hi)
+            end = start + _randint(layout_bits, life_lo, life_hi)
             spans.append((start, end))
             t = end
         per_proc.append(spans)
@@ -242,17 +279,36 @@ def generate_trace(config: SimConfig) -> Trace:
             return EventId(q, i)
         return None
 
+    # A delivery at or after a process's last end finds no live event.
+    last_end = [spans[-1][1] for spans in per_proc]
+    msg_bits = msg_rng.getrandbits
+    delay_lo, delay_hi = config.message_delay_us
+    delay_n = delay_hi - delay_lo + 1
+    delays: list[int] = []  # delay_rng's randint values, minus delay_lo, from delays[pos]
+    pos = 0
+
     messages: list[TraceMessage] = []
     dropped = 0
-    for ev in events:
+    for i, ev in enumerate(events):
         p = ev.process
         peers = [q for q in range(procs) if q != p]
         if config.peer_fanout is not None and config.peer_fanout < len(peers):
             peers = sorted(msg_rng.sample(peers, config.peer_fanout))
         for q in peers:
-            send_us = msg_rng.randint(ev.start_us, ev.end_us - 1)
+            send_us = _randint(msg_bits, ev.start_us, ev.end_us - 1)
+            while pos + MESSAGE_RETRIES > len(delays):
+                wanted = (len(events) - i) * len(peers) * MESSAGE_RETRIES
+                delays = delays[pos:] + _delay_offsets(delay_rng, delay_n, wanted)
+                pos = 0
+            earliest = send_us + delay_lo
+            if earliest >= last_end[q]:
+                # Every try lands after q's last event: drop it unlooked.
+                pos += MESSAGE_RETRIES
+                dropped += 1
+                continue
             for _ in range(MESSAGE_RETRIES):
-                deliver_us = send_us + _rand_range(delay_rng, config.message_delay_us)
+                deliver_us = earliest + delays[pos]
+                pos += 1
                 target = live_event(q, deliver_us)
                 if target is not None:
                     messages.append(TraceMessage(ev.id, target, send_us, deliver_us))
@@ -315,7 +371,7 @@ def _timeline(trace: Trace) -> list[tuple[int, int, int, int, object]]:
     for idx, m in enumerate(trace.messages):
         entries.append((m.send_us, _SEND, m.from_event.process, idx, m))
         entries.append((m.deliver_us, _DELIVER, m.to_event.process, idx, m))
-    entries.sort(key=lambda e: e[:4])
+    entries.sort()  # (time_us, kind, process, sub) is unique, so payloads never compare
     return entries
 
 

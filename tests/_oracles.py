@@ -1,9 +1,22 @@
 """Independent brute-force oracles used only by the test suite."""
 from __future__ import annotations
 
-from snapdetect.detectors import pair_key
+import bisect
+from collections import Counter
+
+from snapdetect.detectors import ContextReading, EventId, pair_key
 from snapdetect.metrics import OpCounters
-from snapdetect.simulate import Trace, VectorPoint, _timeline
+from snapdetect.simulate import (
+    MESSAGE_RETRIES,
+    SimConfig,
+    Trace,
+    TraceEvent,
+    TraceMessage,
+    VectorPoint,
+    _stream,
+    _timeline,
+    _Trajectories,
+)
 from snapdetect.stamps import Interval, VectorStamp, vector_lt, vector_merge, vector_tick
 
 # Point kinds, matching the replay tie-break order.
@@ -41,6 +54,22 @@ def scalar_vector_detect(intervals, counters: OpCounters | None = None) -> set:
             if vector_lt(vi.lo, vj.hi) and vector_lt(vj.lo, vi.hi):
                 found.add(pair_key(ei, ej))
     return found
+
+
+def keyed_timeline(trace: Trace) -> list[tuple]:
+    """The replay order sorted on ``(time_us, kind, process, sub)`` alone.
+
+    The keyed sort ``simulate._timeline`` replaced; kept as its reference.
+    """
+    entries = []
+    for ev in trace.events:
+        entries.append((ev.start_us, START, ev.process, ev.id.seq, ev))
+        entries.append((ev.end_us, END, ev.process, ev.id.seq, ev))
+    for idx, m in enumerate(trace.messages):
+        entries.append((m.send_us, SEND, m.from_event.process, idx, m))
+        entries.append((m.deliver_us, DELIVER, m.to_event.process, idx, m))
+    entries.sort(key=lambda e: e[:4])
+    return entries
 
 
 def stamp_replay_vector(trace: Trace, counters: OpCounters, params, keep_points: bool = False):
@@ -146,3 +175,88 @@ def causal_closure(trace: Trace) -> dict:
     """node -> set of strictly later nodes, by brute-force DFS."""
     edges = causal_edges(trace)
     return {node: reachable_from(edges, node) for node in edges}
+
+
+def randint_generate_trace(config: SimConfig, tally: Counter | None = None) -> Trace:
+    """Trace generation with one ``randint`` call per layout, send and delay draw.
+
+    The loop ``simulate.generate_trace`` replaced; kept as its reference.
+    With ``tally``, it also counts each message attempt's fate:
+    ``hopeless`` (its earliest delivery is at or after the receiver's
+    last end), ``hit_try_1`` to ``hit_try_3`` and ``dropped``.
+    """
+    config.validate()
+    layout = _stream(config.seed, "layout")
+    msg_rng = _stream(config.seed, "messages")
+    delay_rng = _stream(config.seed, "delays")
+    err_rng = _stream(config.seed, "errors")
+    user_rng = _stream(config.seed, "users")
+    tally = Counter() if tally is None else tally
+
+    procs = config.n_processes
+    per_proc = []
+    for p in range(procs):
+        t = layout.randint(0, config.start_jitter_us)
+        spans = []
+        for _ in range(config.events_per_process):
+            start = t + layout.randint(*config.inter_event_gap_us)
+            end = start + layout.randint(*config.event_lifespan_us)
+            spans.append((start, end))
+            t = end
+        per_proc.append(spans)
+
+    horizon = max(end for spans in per_proc for _, end in spans)
+    traj = _Trajectories(user_rng, config.n_users, config.rooms, config.stay_mean_us, horizon)
+
+    events = []
+    for p in range(procs):
+        for s, (start, end) in enumerate(per_proc[p]):
+            user = user_rng.randrange(config.n_users)
+            true_loc = traj.location(user, start)
+            if err_rng.random() < config.error_rate:
+                reading = ContextReading(
+                    user=f"u{user}",
+                    location=traj.wrong_room(err_rng, true_loc),
+                    true_location=true_loc,
+                    erroneous=True,
+                )
+            else:
+                reading = ContextReading(
+                    user=f"u{user}", location=true_loc, true_location=true_loc, erroneous=False
+                )
+            events.append(TraceEvent(EventId(p, s), p, start, end, reading))
+
+    starts_by_proc = [[start for start, _ in spans] for spans in per_proc]
+
+    def live_event(q, at_us):
+        i = bisect.bisect_right(starts_by_proc[q], at_us) - 1
+        if i < 0:
+            return None
+        start, end = per_proc[q][i]
+        if start <= at_us < end:
+            return EventId(q, i)
+        return None
+
+    messages = []
+    dropped = 0
+    for ev in events:
+        p = ev.process
+        peers = [q for q in range(procs) if q != p]
+        if config.peer_fanout is not None and config.peer_fanout < len(peers):
+            peers = sorted(msg_rng.sample(peers, config.peer_fanout))
+        for q in peers:
+            send_us = msg_rng.randint(ev.start_us, ev.end_us - 1)
+            if send_us + config.message_delay_us[0] >= per_proc[q][-1][1]:
+                tally["hopeless"] += 1
+            for attempt in range(1, MESSAGE_RETRIES + 1):
+                deliver_us = send_us + delay_rng.randint(*config.message_delay_us)
+                target = live_event(q, deliver_us)
+                if target is not None:
+                    messages.append(TraceMessage(ev.id, target, send_us, deliver_us))
+                    tally[f"hit_try_{attempt}"] += 1
+                    break
+            else:
+                dropped += 1
+                tally["dropped"] += 1
+
+    return Trace(tuple(events), tuple(messages), config, dropped)

@@ -4,13 +4,15 @@
 and ``vector_merge`` that ``simulate._replay_vector`` replaced.  Intervals,
 the four counters and the full ``keep_points`` point list must be
 identical on seeded traces, under a non-default tick and on the scenario
-fixtures; both must fault on the same slot overflow.
+fixtures; both must fault on the same slot overflow.  On the same corpus,
+``simulate._timeline``'s plain tuple sort must give the order of the
+keyed sort it replaced.
 """
 import itertools
 
 import pytest
 
-from _oracles import DELIVER, stamp_replay_vector
+from _oracles import DELIVER, keyed_timeline, stamp_replay_vector
 from snapdetect import scenarios
 from snapdetect.detectors import EventId, vector_detect
 from snapdetect.metrics import OpCounters
@@ -21,6 +23,7 @@ from snapdetect.simulate import (
     TraceEvent,
     TraceMessage,
     _replay_vector,
+    _timeline,
     generate_trace,
     run_trace,
 )
@@ -87,6 +90,14 @@ def test_corpus_matches_reference():
     assert traces >= 500 + PARAM_SEEDS + len(scenarios.FIXTURE_NAMES)
     assert deliveries > 0
     assert pairs > 0
+
+
+def test_timeline_matches_keyed_sort():
+    traces = 0
+    for trace, _ in full_corpus():
+        assert _timeline(trace) == keyed_timeline(trace), trace.config
+        traces += 1
+    assert traces >= 500 + PARAM_SEEDS + len(scenarios.FIXTURE_NAMES)
 
 
 def chain_trace(messages: int) -> Trace:
