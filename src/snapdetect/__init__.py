@@ -28,11 +28,8 @@ from .simulate import (  # noqa: F401
 from .stamps import (  # noqa: F401
     ClockParams,
     Interval,
-    Order,
-    PhysicalStamp,
     SnapshotStamp,
     VectorStamp,
-    interval_compare,
     snapshot_merge,
     snapshot_tick,
     vector_merge,

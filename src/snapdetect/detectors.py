@@ -92,7 +92,6 @@ class MessageRecord:
     from_event: EventId
     to_event: EventId
     send_stamp: int
-    payload: Optional[ContextReading] = None
 
     def __post_init__(self) -> None:
         if self.from_event == self.to_event:

@@ -17,11 +17,14 @@ from typing import Optional, Sequence
 from . import __version__
 from .metrics import complexity_fit, score, trend
 from .simulate import (
+    SPEC_FIELDS,
     ConfigError,
     DetectorFamily,
     SimConfig,
+    config_record,
     generate_trace,
     ground_truth,
+    is_range,
     run_trace,
 )
 
@@ -64,10 +67,33 @@ def _ms_to_us(value: float) -> int:
     return int(round(value * 1000))
 
 
-def _range_us(field: str, value) -> tuple[int, int]:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise SpecError(field, f"expected [lo_ms, hi_ms], got {value!r}")
-    return (_ms_to_us(value[0]), _ms_to_us(value[1]))
+def _base_config(raw: dict) -> SimConfig:
+    for key in raw:
+        if key not in SPEC_FIELDS:
+            raise SpecError(f"base.{key}", "unknown field")
+    if "nodes" not in raw:
+        raise SpecError("base.nodes", "required")
+    kwargs = {}
+    for key, f in SPEC_FIELDS.items():
+        if key not in raw:
+            continue
+        value = raw[key]
+        if is_range(f) and not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise SpecError(f"base.{key}", f"expected [lo_ms, hi_ms], got {value!r}")
+        if key != f.name:  # a time: milliseconds in a spec
+            try:
+                value = tuple(map(_ms_to_us, value)) if is_range(f) else _ms_to_us(value)
+            except (TypeError, ValueError, OverflowError):
+                raise SpecError(f"base.{key}", f"expected milliseconds, got {value!r}") from None
+        kwargs[f.name] = value
+    try:
+        base = SimConfig(**kwargs)
+        base.validate()
+    except ConfigError as exc:
+        raise SpecError(f"base.{exc.field}", str(exc)) from exc
+    except TypeError as exc:
+        raise SpecError("base", str(exc)) from exc
+    return base
 
 
 def parse_spec(data: dict) -> ExperimentSpec:
@@ -76,47 +102,7 @@ def parse_spec(data: dict) -> ExperimentSpec:
     base_raw = data.get("base")
     if not isinstance(base_raw, dict):
         raise SpecError("base", "missing or not an object")
-    known = {
-        "nodes",
-        "instances_per_node",
-        "events_per_process",
-        "event_lifespan_ms",
-        "message_delay_ms",
-        "inter_event_gap_ms",
-        "start_jitter_ms",
-        "error_rate",
-        "stay_mean_ms",
-        "users",
-        "rooms",
-        "peer_fanout",
-    }
-    for key in base_raw:
-        if key not in known:
-            raise SpecError(f"base.{key}", "unknown field")
-    kwargs = {}
-    if "nodes" not in base_raw:
-        raise SpecError("base.nodes", "required")
-    kwargs["nodes"] = base_raw["nodes"]
-    for name in ("instances_per_node", "events_per_process", "error_rate", "users", "rooms", "peer_fanout"):
-        if name in base_raw:
-            kwargs[name] = base_raw[name]
-    if "event_lifespan_ms" in base_raw:
-        kwargs["event_lifespan_us"] = _range_us("base.event_lifespan_ms", base_raw["event_lifespan_ms"])
-    if "message_delay_ms" in base_raw:
-        kwargs["message_delay_us"] = _range_us("base.message_delay_ms", base_raw["message_delay_ms"])
-    if "inter_event_gap_ms" in base_raw:
-        kwargs["inter_event_gap_us"] = _range_us("base.inter_event_gap_ms", base_raw["inter_event_gap_ms"])
-    if "start_jitter_ms" in base_raw:
-        kwargs["start_jitter_us"] = _ms_to_us(base_raw["start_jitter_ms"])
-    if "stay_mean_ms" in base_raw:
-        kwargs["stay_mean_us"] = _ms_to_us(base_raw["stay_mean_ms"])
-    try:
-        base = SimConfig(**kwargs)
-        base.validate()
-    except ConfigError as exc:
-        raise SpecError(f"base.{exc.field}", str(exc)) from exc
-    except TypeError as exc:
-        raise SpecError("base", str(exc)) from exc
+    base = _base_config(base_raw)
 
     sweep = data.get("sweep")
     if not isinstance(sweep, dict):
@@ -129,14 +115,16 @@ def parse_spec(data: dict) -> ExperimentSpec:
         raise SpecError("sweep.points", "must be a non-empty list")
 
     seeds_raw = data.get("seeds", {"count": 30, "base": 1})
-    if isinstance(seeds_raw, list):
-        seeds = tuple(int(s) for s in seeds_raw)
-    elif isinstance(seeds_raw, dict):
-        count = seeds_raw.get("count", 30)
-        base_seed = seeds_raw.get("base", 1)
-        seeds = tuple(range(base_seed, base_seed + count))
-    else:
+    if not isinstance(seeds_raw, (list, dict)):
         raise SpecError("seeds", "must be a list or {count, base}")
+    try:
+        if isinstance(seeds_raw, list):
+            seeds = tuple(int(s) for s in seeds_raw)
+        else:
+            base_seed = seeds_raw.get("base", 1)
+            seeds = tuple(range(base_seed, base_seed + seeds_raw.get("count", 30)))
+    except (TypeError, ValueError) as exc:
+        raise SpecError("seeds", f"must be integers: {exc}") from exc
     if not seeds:
         raise SpecError("seeds", "must be non-empty")
 
@@ -272,7 +260,7 @@ def run_sweep(
         "tool": "snapdetect",
         "version": __version__,
         "csv_schema": CSV_SCHEMA_VERSION,
-        "base_config": _config_echo(spec.base),
+        "base_config": config_record(spec.base, SPEC_FIELDS.values()),
         "sweep": {"axis": spec.axis, "points": list(spec.points)},
         "seeds": list(seeds),
         "detectors": list(det_values),
@@ -289,23 +277,6 @@ def run_sweep(
         failed_jobs=len(results) - completed,
         errors=errors,
     )
-
-
-def _config_echo(config: SimConfig) -> dict:
-    return {
-        "nodes": config.nodes,
-        "instances_per_node": config.instances_per_node,
-        "events_per_process": config.events_per_process,
-        "event_lifespan_us": list(config.event_lifespan_us),
-        "message_delay_us": list(config.message_delay_us),
-        "inter_event_gap_us": list(config.inter_event_gap_us),
-        "start_jitter_us": config.start_jitter_us,
-        "error_rate": config.error_rate,
-        "stay_mean_us": config.stay_mean_us,
-        "users": config.users,
-        "rooms": config.rooms,
-        "peer_fanout": config.peer_fanout,
-    }
 
 
 class ResultsFormatError(ValueError):
@@ -374,6 +345,9 @@ def summarize(rows: list[dict]) -> dict:
             axis_values.append(r["axis_value"])
 
     points = []
+    # Per detector, (axis_numeric, point) in axis order: the cells the
+    # trend and growth fits run over.
+    cells_by_det: dict[str, list[tuple[float, dict]]] = {det: [] for det in detectors}
     by_cell: dict[tuple[str, str], list[dict]] = {}
     for r in rows:
         by_cell.setdefault((r["axis_value"], r["detector"]), []).append(r)
@@ -384,25 +358,24 @@ def summarize(rows: list[dict]) -> dict:
                 continue
             recalls = [r["recall"] for r in cell]
             precisions = [r["precision"] for r in cell]
-            points.append(
-                {
-                    "axis_value": value,
-                    "detector": det,
-                    "runs": len(cell),
-                    "mean_recall": _mean(recalls),
-                    "std_recall": _std(recalls),
-                    "mean_precision": _mean(precisions),
-                    "std_precision": _std(precisions),
-                    "mean_stamp_words_sent": _mean([r["stamp_words_sent"] for r in cell]),
-                    "mean_pair_checks": _mean([r["pair_checks"] for r in cell]),
-                }
-            )
+            point = {
+                "axis_value": value,
+                "detector": det,
+                "runs": len(cell),
+                "mean_recall": _mean(recalls),
+                "std_recall": _std(recalls),
+                "mean_precision": _mean(precisions),
+                "std_precision": _std(precisions),
+                "mean_stamp_words_sent": _mean([r["stamp_words_sent"] for r in cell]),
+                "mean_pair_checks": _mean([r["pair_checks"] for r in cell]),
+            }
+            points.append(point)
+            cells_by_det[det].append((cell[0]["axis_numeric"], point))
 
-    cells_by_det = {det: _dedupe_points(rows, det) for det in detectors}
     trends = {}
     for det, cells in cells_by_det.items():
-        xs = [p["axis_numeric"] for p in cells]
-        ys = [p["mean_recall"] for p in cells]
+        xs = [x for x, _ in cells]
+        ys = [p["mean_recall"] for _, p in cells]
         trends[det] = trend(xs, ys) if len(xs) >= 3 else None
 
     dominance = None
@@ -427,10 +400,10 @@ def summarize(rows: list[dict]) -> dict:
 
     growth = {}
     for det, cells in cells_by_det.items():
-        xs = [p["axis_numeric"] for p in cells]
+        xs = [x for x, _ in cells]
         for counter in ("mean_stamp_words_sent", "mean_pair_checks"):
             key = f"{det}.{counter.removeprefix('mean_')}"
-            ys = [p[counter] for p in cells]
+            ys = [p[counter] for _, p in cells]
             if len(xs) >= 3 and all(y > 0 for y in ys) and len(set(xs)) == len(xs):
                 fit = complexity_fit(xs, ys)
                 growth[key] = {"exponent": fit.exponent, "label": fit.label}
@@ -445,29 +418,3 @@ def summarize(rows: list[dict]) -> dict:
         "dominance": dominance,
         "growth": growth,
     }
-
-
-def _dedupe_points(rows: list[dict], detector: str) -> list[dict]:
-    """Per-axis-point mean cells for one detector, in axis order."""
-    order: list[str] = []
-    cells: dict[str, list[dict]] = {}
-    for r in rows:
-        if r["detector"] != detector:
-            continue
-        if r["axis_value"] not in cells:
-            order.append(r["axis_value"])
-            cells[r["axis_value"]] = []
-        cells[r["axis_value"]].append(r)
-    out = []
-    for value in order:
-        group = cells[value]
-        out.append(
-            {
-                "axis_value": value,
-                "axis_numeric": group[0]["axis_numeric"],
-                "mean_recall": _mean([g["recall"] for g in group]),
-                "mean_stamp_words_sent": _mean([g["stamp_words_sent"] for g in group]),
-                "mean_pair_checks": _mean([g["pair_checks"] for g in group]),
-            }
-        )
-    return out

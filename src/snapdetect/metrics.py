@@ -1,8 +1,8 @@
 """Accuracy scoring, trend statistics and empirical complexity counters."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,21 +28,6 @@ class OpCounters:
     pair_checks: int = 0
     events_processed: int = 0
 
-    def merge(self, other: "OpCounters") -> None:
-        self.clock_updates += other.clock_updates
-        self.stamp_words_sent += other.stamp_words_sent
-        self.pair_checks += other.pair_checks
-        self.events_processed += other.events_processed
-
-
-@dataclass(frozen=True)
-class OverlapMarginStats:
-    """Signed wall-overlap (microseconds) among missed concurrent pairs."""
-
-    min_us: int
-    max_us: int
-    mean_us: float
-
 
 @dataclass(frozen=True)
 class AccuracyReport:
@@ -51,17 +36,15 @@ class AccuracyReport:
     true_pairs: int
     detected_pairs: int
     false_negatives: int
-    overlap_margin_stats: Optional[OverlapMarginStats] = None
 
 
-def score(detected, truth, spans: Optional[Mapping] = None) -> AccuracyReport:
+def score(detected, truth) -> AccuracyReport:
     """Score a detector's output against ground truth.
 
     ``truth`` is either a ``GroundTruth`` (its ``concurrent_pairs`` are
     used) or a plain set of canonical event-id pairs.  Recall over an
     empty truth set, and precision over an empty detection set, are
-    defined as 1.  When ``spans`` maps event ids to ``(start_us,
-    end_us)``, signed overlap margins of missed pairs are reported.
+    defined as 1.
     """
     true_pairs = getattr(truth, "concurrent_pairs", truth)
     detected = set(detected)
@@ -69,23 +52,12 @@ def score(detected, truth, spans: Optional[Mapping] = None) -> AccuracyReport:
     hits = detected & true_pairs
     recall = len(hits) / len(true_pairs) if true_pairs else 1.0
     precision = len(hits) / len(detected) if detected else 1.0
-    missed = true_pairs - detected
-    margins = None
-    if spans is not None and missed:
-        values = []
-        for a, b in missed:
-            (sa, ea), (sb, eb) = spans[a], spans[b]
-            values.append(min(ea, eb) - max(sa, sb))
-        margins = OverlapMarginStats(
-            min_us=min(values), max_us=max(values), mean_us=sum(values) / len(values)
-        )
     return AccuracyReport(
         recall=recall,
         precision=precision,
         true_pairs=len(true_pairs),
         detected_pairs=len(detected),
-        false_negatives=len(missed),
-        overlap_margin_stats=margins,
+        false_negatives=len(true_pairs - detected),
     )
 
 

@@ -16,7 +16,7 @@ import enum
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -110,6 +110,55 @@ class SimConfig:
             raise ConfigError("peer_fanout", "must be >= 1 or null")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed", "must be an unsigned 64-bit integer")
+
+
+#: The config schema: every serialised form of a ``SimConfig`` is built
+#: from this list.  A field whose default is a tuple is an inclusive
+#: ``[lo, hi]`` range; a ``_us`` field is a time in microseconds.
+CONFIG_FIELDS = fields(SimConfig)
+#: Every field but the seed, by its sweep-spec key: a spec gives times in
+#: milliseconds, so a ``_us`` field is written ``_ms`` there.
+SPEC_FIELDS = {
+    f.name[:-3] + "_ms" if f.name.endswith("_us") else f.name: f
+    for f in CONFIG_FIELDS
+    if f.name != "seed"
+}
+
+
+def is_range(f) -> bool:
+    return isinstance(f.default, tuple)
+
+
+def config_record(config: SimConfig, schema=CONFIG_FIELDS) -> dict:
+    """The ``schema`` fields of ``config`` by name, ranges as ``[lo, hi]`` lists."""
+    return {
+        f.name: list(getattr(config, f.name)) if is_range(f) else getattr(config, f.name)
+        for f in schema
+    }
+
+
+def config_from_record(record: dict) -> SimConfig:
+    """Inverse of ``config_record``; the result is validated.
+
+    Every field must be present, defaults included, and no other key may
+    be; ``ConfigError`` names the offending key.
+    """
+    unknown = record.keys() - {f.name for f in CONFIG_FIELDS}
+    if unknown:
+        raise ConfigError(min(unknown), "unknown field")
+    values = {}
+    for f in CONFIG_FIELDS:
+        if f.name not in record:
+            raise ConfigError(f.name, "missing")
+        value = record[f.name]
+        if is_range(f):
+            if not (isinstance(value, list) and len(value) == 2):
+                raise ConfigError(f.name, f"expected [lo, hi], got {value!r}")
+            value = tuple(value)
+        values[f.name] = value
+    config = SimConfig(**values)
+    config.validate()
+    return config
 
 
 @dataclass(frozen=True)
@@ -350,7 +399,6 @@ class RunResult:
     violations: frozenset[Violation]
     counters: OpCounters
     dropped: int
-    degraded: bool
     sim_wall_ms: float
 
 
@@ -496,7 +544,6 @@ def run_trace(
     trace: Trace,
     family: DetectorFamily,
     params: ClockParams = DEFAULT_PARAMS,
-    max_drops: int = 0,
 ) -> RunResult:
     """Replay a trace through one detector family and collect its output."""
     counters = OpCounters()
@@ -518,6 +565,5 @@ def run_trace(
         violations=frozenset(violations),
         counters=counters,
         dropped=dropped,
-        degraded=dropped > max_drops,
         sim_wall_ms=trace.makespan_us() / 1000.0,
     )

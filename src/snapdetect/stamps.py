@@ -1,20 +1,20 @@
-"""Timestamp types and update rules for the three clock families.
+"""Logical timestamp types and their update rules.
 
-Three kinds of stamps are supported:
+Two kinds of stamps are supported:
 
 * ``SnapshotStamp`` -- a scalar logical tick.  An event's lifetime is the
   half-open interval ``[lo, hi)`` of ticks, where ``hi`` is the first tick
   after the event.
 * ``VectorStamp`` -- an n-slot logical timestamp whose slot-wise partial
   order characterises causality exactly.
-* ``PhysicalStamp`` -- simulated microseconds since trace start.
 
-All operations are pure functions on frozen value types.
+Physical time needs no stamp type: it is the simulated microseconds
+since trace start.  All operations are pure functions on frozen value
+types.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Stamps are 64-bit non-negative integers.  Overflow is a hard fault,
 #: never wraparound; desk-scale traces cannot approach this bound.
@@ -73,15 +73,6 @@ class VectorStamp:
 
     def __len__(self) -> int:
         return len(self.slots)
-
-
-@dataclass(frozen=True)
-class PhysicalStamp:
-    micros: int
-
-    def __post_init__(self) -> None:
-        if self.micros < 0:
-            raise ValueError(f"negative physical stamp: {self.micros}")
 
 
 def snapshot_tick(clock: SnapshotStamp, params: ClockParams = DEFAULT_PARAMS) -> SnapshotStamp:
@@ -147,19 +138,13 @@ def vector_lt(a: VectorStamp, b: VectorStamp) -> bool:
     return vector_leq(a, b) and a.slots != b.slots
 
 
-class Order(enum.Enum):
-    BEFORE = "before"
-    AFTER = "after"
-    CONCURRENT = "concurrent"
-
-
 @dataclass(frozen=True)
 class Interval:
     """An event's ``[lo, hi)`` timestamp interval.
 
-    ``lo`` and ``hi`` must be the same stamp kind.  Scalar and physical
-    intervals are non-empty (``lo < hi``); vector intervals satisfy
-    ``lo <= hi`` slot-wise.
+    ``lo`` and ``hi`` must be the same stamp kind.  Scalar intervals are
+    non-empty (``lo < hi``); vector intervals satisfy ``lo <= hi``
+    slot-wise.
     """
 
     lo: object
@@ -173,51 +158,8 @@ class Interval:
         if isinstance(self.lo, SnapshotStamp):
             if not self.lo.tick < self.hi.tick:
                 raise ValueError(f"empty scalar interval [{self.lo.tick}, {self.hi.tick})")
-        elif isinstance(self.lo, PhysicalStamp):
-            if not self.lo.micros < self.hi.micros:
-                raise ValueError(
-                    f"empty physical interval [{self.lo.micros}, {self.hi.micros})"
-                )
         elif isinstance(self.lo, VectorStamp):
             if not vector_leq(self.lo, self.hi):
                 raise ValueError("vector interval endpoints not slot-wise ordered")
         else:
             raise TypeError(f"unsupported stamp type {type(self.lo).__name__}")
-
-
-def interval_compare(a: Interval, b: Interval) -> Order:
-    """Order two timestamp intervals.
-
-    ``BEFORE`` means every stamp in ``a`` is <= every stamp in ``b`` with
-    at least one strict inequality; ``AFTER`` is the mirror image, and
-    everything else is ``CONCURRENT``.  For half-open scalar intervals the
-    BEFORE test reduces to ``a.hi <= b.lo``; for vector intervals the
-    stamp comparison is the slot-wise partial order.
-    """
-    if type(a.lo) is not type(b.lo):
-        raise TypeError("cannot compare intervals over different stamp kinds")
-    if isinstance(a.lo, SnapshotStamp):
-        if a.hi.tick <= b.lo.tick:
-            return Order.BEFORE
-        if b.hi.tick <= a.lo.tick:
-            return Order.AFTER
-        return Order.CONCURRENT
-    if isinstance(a.lo, PhysicalStamp):
-        if a.hi.micros <= b.lo.micros:
-            return Order.BEFORE
-        if b.hi.micros <= a.lo.micros:
-            return Order.AFTER
-        return Order.CONCURRENT
-    if _vector_interval_before(a, b):
-        return Order.BEFORE
-    if _vector_interval_before(b, a):
-        return Order.AFTER
-    return Order.CONCURRENT
-
-
-def _vector_interval_before(a: Interval, b: Interval) -> bool:
-    # a.hi <= b.lo slot-wise implies every endpoint of a precedes every
-    # endpoint of b; a strict pair exists unless all four coincide.
-    if not vector_leq(a.hi, b.lo):
-        return False
-    return not (a.lo == a.hi == b.lo == b.hi)

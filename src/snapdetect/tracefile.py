@@ -10,54 +10,25 @@ import json
 from pathlib import Path
 
 from .detectors import ContextReading, EventId
-from .simulate import SimConfig, Trace, TraceEvent, TraceMessage
+from .simulate import (
+    ConfigError,
+    Trace,
+    TraceEvent,
+    TraceMessage,
+    config_from_record,
+    config_record,
+)
 
 
 class TraceFormatError(ValueError):
     pass
 
 
-def _config_record(config: SimConfig) -> dict:
-    return {
-        "type": "config",
-        "nodes": config.nodes,
-        "instances_per_node": config.instances_per_node,
-        "events_per_process": config.events_per_process,
-        "event_lifespan_us": list(config.event_lifespan_us),
-        "message_delay_us": list(config.message_delay_us),
-        "inter_event_gap_us": list(config.inter_event_gap_us),
-        "start_jitter_us": config.start_jitter_us,
-        "error_rate": config.error_rate,
-        "stay_mean_us": config.stay_mean_us,
-        "users": config.users,
-        "rooms": config.rooms,
-        "peer_fanout": config.peer_fanout,
-        "seed": config.seed,
-    }
-
-
-def _parse_config(rec: dict) -> SimConfig:
-    return SimConfig(
-        nodes=rec["nodes"],
-        instances_per_node=rec["instances_per_node"],
-        events_per_process=rec["events_per_process"],
-        event_lifespan_us=tuple(rec["event_lifespan_us"]),
-        message_delay_us=tuple(rec["message_delay_us"]),
-        inter_event_gap_us=tuple(rec["inter_event_gap_us"]),
-        start_jitter_us=rec["start_jitter_us"],
-        error_rate=rec["error_rate"],
-        stay_mean_us=rec["stay_mean_us"],
-        users=rec["users"],
-        rooms=rec["rooms"],
-        peer_fanout=rec["peer_fanout"],
-        seed=rec["seed"],
-    )
-
-
 def save_trace(trace: Trace, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_config_record(trace.config), sort_keys=True) + "\n")
+        config = {"type": "config", **config_record(trace.config)}
+        fh.write(json.dumps(config, sort_keys=True) + "\n")
         for ev in trace.events:
             rec = {
                 "type": "event",
@@ -106,7 +77,11 @@ def load_trace(path: str | Path) -> Trace:
                 raise TraceFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
             kind = rec.get("type")
             if kind == "config":
-                config = _parse_config(rec)
+                del rec["type"]
+                try:
+                    config = config_from_record(rec)
+                except ConfigError as exc:
+                    raise TraceFormatError(f"{path}:{lineno}: config {exc}") from exc
             elif kind == "event":
                 reading = rec.get("reading")
                 events.append(

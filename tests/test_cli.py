@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from snapdetect import scenarios
@@ -93,6 +94,24 @@ class TestSweepCommand:
         result = CliRunner().invoke(main, ["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "error_rate" in result.output
+
+    @pytest.mark.parametrize(
+        "part, key, value",
+        [
+            ("base", "start_jitter_ms", "5"),
+            ("base", "message_delay_ms", [1, None]),
+            (None, "seeds", ["x"]),
+            (None, "seeds", {"count": "3"}),
+        ],
+        ids=["scalar-time-string", "range-time-null", "seed-list-string", "seed-count-string"],
+    )
+    def test_malformed_spec_value_exits_2_naming_field(self, tmp_path, part, key, value):
+        bad = json.loads(json.dumps(SMALL_SPEC))
+        (bad[part] if part else bad)[key] = value
+        spec = write_spec(tmp_path, bad)
+        result = CliRunner().invoke(main, ["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"invalid spec: {part + '.' if part else ''}{key}:" in result.output
 
     def test_seed_override_runs_single_seed(self, tmp_path):
         spec = write_spec(tmp_path)

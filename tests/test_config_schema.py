@@ -1,0 +1,116 @@
+"""The one SimConfig schema: sweep-spec ``base``, manifest echo, trace record."""
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+import snapdetect
+from snapdetect.experiment import SpecError, parse_spec, run_sweep
+from snapdetect.simulate import SimConfig, generate_trace
+from snapdetect.tracefile import load_trace, save_trace
+
+FIXTURES = sorted((Path(snapdetect.__file__).parent / "fixtures").glob("scenario_*.jsonl"))
+
+#: Every field but the seed, off its default, under its spec name.
+SPEC_BASE = {
+    "nodes": 3,
+    "instances_per_node": 3,
+    "events_per_process": 7,
+    "event_lifespan_ms": [1.5, 2.2504],
+    "message_delay_ms": [0.0004, 3],
+    "inter_event_gap_ms": [2, 4.0006],
+    "start_jitter_ms": 0.0016,
+    "error_rate": 0.25,
+    "stay_mean_ms": 1234.5678,
+    "users": 5,
+    "rooms": 3,
+    "peer_fanout": 2,
+}
+
+#: What ``SPEC_BASE`` converts to: times as ``int(round(ms * 1000))``.
+SPEC_CONFIG = SimConfig(
+    nodes=3,
+    instances_per_node=3,
+    events_per_process=7,
+    event_lifespan_us=(1500, 2250),
+    message_delay_us=(0, 3000),
+    inter_event_gap_us=(2000, 4001),
+    start_jitter_us=2,
+    error_rate=0.25,
+    stay_mean_us=1234568,
+    users=5,
+    rooms=3,
+    peer_fanout=2,
+)
+
+#: Every field off its default, seed included.
+OFF_DEFAULT = dataclasses.replace(
+    SPEC_CONFIG, event_lifespan_us=(1000, 2000), message_delay_us=(100, 900), seed=7
+)
+
+
+def spec(**base):
+    return {"base": base, "sweep": {"axis": "nodes", "points": [2]}, "seeds": [1]}
+
+
+def test_spec_base_names_every_field_but_seed():
+    names = {f.name for f in dataclasses.fields(SimConfig)} - {"seed"}
+    assert {k.replace("_ms", "_us") for k in SPEC_BASE} == names
+
+
+def test_spec_base_converts_every_field_exactly():
+    base = parse_spec(spec(**SPEC_BASE)).base
+    assert base == SPEC_CONFIG
+    for f in dataclasses.fields(SimConfig):
+        got, want = getattr(base, f.name), getattr(SPEC_CONFIG, f.name)
+        assert type(got) is type(want), f.name
+        if isinstance(want, tuple):
+            assert [type(v) for v in got] == [int, int], f.name
+
+
+def test_spec_values_other_than_times_pass_through_raw():
+    base = parse_spec(spec(nodes=2, error_rate=0)).base
+    assert base.error_rate == 0 and type(base.error_rate) is int
+
+
+def test_spec_base_nodes_is_required():
+    with pytest.raises(SpecError) as err:
+        parse_spec(spec(instances_per_node=2))
+    assert err.value.field == "base.nodes"
+
+
+@pytest.mark.parametrize("key", ["colour", "seed", "event_lifespan_us", "start_jitter_us"])
+def test_spec_base_rejects_unknown_keys(key):
+    with pytest.raises(SpecError, match="unknown field") as err:
+        parse_spec(spec(nodes=2, **{key: 1}))
+    assert err.value.field == f"base.{key}"
+
+
+def test_every_field_round_trips_through_a_trace_file(tmp_path):
+    trace = generate_trace(OFF_DEFAULT)
+    for f in dataclasses.fields(SimConfig):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(OFF_DEFAULT, f.name) != f.default, f.name
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    loaded = load_trace(path)
+    assert loaded == trace
+    assert loaded.config == OFF_DEFAULT
+
+
+def test_manifest_echo_is_the_trace_record_without_seed(tmp_path):
+    sweep = parse_spec(spec(**dict(SPEC_BASE, error_rate=0)))
+    manifest = json.loads(run_sweep(sweep, tmp_path / "out").manifest.read_text())
+    path = tmp_path / "trace.jsonl"
+    save_trace(generate_trace(dataclasses.replace(sweep.base, seed=4)), path)
+    record = json.loads(path.read_text().splitlines()[0])
+    assert record.pop("type") == "config" and record.pop("seed") == 4
+    assert manifest["base_config"] == record
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda p: p.stem)
+def test_fixture_save_load_is_byte_identical(fixture, tmp_path):
+    path = tmp_path / fixture.name
+    save_trace(load_trace(fixture), path)
+    assert path.read_bytes() == fixture.read_bytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snapdetect.detectors import EventId, pair_key
-from snapdetect.metrics import OpCounters, complexity_fit, score, trend
+from snapdetect.metrics import complexity_fit, score, trend
 
 
 def pairs(*specs):
@@ -37,13 +37,6 @@ class TestScore:
             report = score(detected, truth)
             hand = sum(1 for p in detected if p in truth) / len(truth)
             assert math.isclose(report.recall, hand)
-
-    def test_overlap_margins_of_missed_pairs(self):
-        truth = pairs((0, 0, 1, 0))
-        spans = {EventId(0, 0): (0, 30), EventId(1, 0): (20, 50)}
-        report = score(set(), truth, spans=spans)
-        assert report.overlap_margin_stats.min_us == 10
-        assert report.overlap_margin_stats.mean_us == 10.0
 
     @given(st.sets(st.integers(0, 20), max_size=10), st.sets(st.integers(0, 20), max_size=10))
     def test_recall_monotone_in_detection(self, detected_idx, extra_idx):
@@ -139,10 +132,3 @@ class TestComplexityFit:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             complexity_fit([4, 8], [1, 2])
-
-
-class TestOpCounters:
-    def test_merge_accumulates(self):
-        a = OpCounters(1, 2, 3, 4)
-        a.merge(OpCounters(10, 20, 30, 40))
-        assert a == OpCounters(11, 22, 33, 44)

@@ -5,12 +5,9 @@ from snapdetect.stamps import (
     ClockParams,
     Interval,
     MAX_TICK,
-    Order,
-    PhysicalStamp,
     SnapshotStamp,
     StampOverflowError,
     VectorStamp,
-    interval_compare,
     snapshot_merge,
     snapshot_tick,
     vector_leq,
@@ -101,51 +98,13 @@ class TestVectorRules:
 
 
 class TestIntervalCompare:
-    def test_disjoint_scalar_intervals(self):
-        assert interval_compare(scalar_interval(1, 3), scalar_interval(5, 9)) is Order.BEFORE
-
-    def test_overlapping_scalar_intervals(self):
-        assert interval_compare(scalar_interval(1, 6), scalar_interval(4, 9)) is Order.CONCURRENT
-
-    def test_identical_scalar_intervals(self):
-        assert interval_compare(scalar_interval(2, 4), scalar_interval(2, 4)) is Order.CONCURRENT
-
-    def test_touching_half_open_intervals_are_ordered(self):
-        assert interval_compare(scalar_interval(2, 3), scalar_interval(3, 4)) is Order.BEFORE
-
-    def test_physical_intervals(self):
-        a = Interval(PhysicalStamp(10_000), PhysicalStamp(30_000))
-        b = Interval(PhysicalStamp(30_000), PhysicalStamp(40_000))
-        assert interval_compare(a, b) is Order.BEFORE
-        assert interval_compare(b, a) is Order.AFTER
-
-    def test_vector_intervals(self):
-        a = Interval(VectorStamp((1, 0)), VectorStamp((2, 0)))
-        b = Interval(VectorStamp((2, 1)), VectorStamp((2, 2)))
-        c = Interval(VectorStamp((0, 1)), VectorStamp((0, 2)))
-        assert interval_compare(a, b) is Order.BEFORE
-        assert interval_compare(b, a) is Order.AFTER
-        assert interval_compare(a, c) is Order.CONCURRENT
-
     def test_empty_scalar_interval_rejected(self):
         with pytest.raises(ValueError):
             scalar_interval(4, 4)
 
     def test_mixed_stamp_kinds_rejected(self):
         with pytest.raises(TypeError):
-            Interval(SnapshotStamp(1), PhysicalStamp(2))
-
-    @given(
-        st.tuples(st.integers(0, 30), st.integers(1, 10)),
-        st.tuples(st.integers(0, 30), st.integers(1, 10)),
-    )
-    def test_antisymmetry(self, a, b):
-        ia = scalar_interval(a[0], a[0] + a[1])
-        ib = scalar_interval(b[0], b[0] + b[1])
-        forward = interval_compare(ia, ib)
-        backward = interval_compare(ib, ia)
-        flipped = {Order.BEFORE: Order.AFTER, Order.AFTER: Order.BEFORE, Order.CONCURRENT: Order.CONCURRENT}
-        assert backward is flipped[forward]
+            Interval(SnapshotStamp(1), VectorStamp((2,)))
 
 
 class TestMonotonicity:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from snapdetect.simulate import SimConfig, generate_trace
@@ -33,4 +35,40 @@ def test_unknown_record_type(tmp_path):
     save_trace(trace, path)
     path.write_text(path.read_text() + '{"type": "surprise"}\n')
     with pytest.raises(TraceFormatError, match="unknown record type"):
+        load_trace(path)
+
+
+def _with_config(tmp_path, edit):
+    """A saved trace whose config record has gone through ``edit``."""
+    trace = generate_trace(SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=1))
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    edit(record)
+    path.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("key", ["rooms", "nodes", "seed"])
+def test_config_missing_key_is_named(tmp_path, key):
+    # A missing key is an error even where SimConfig has a default.
+    path = _with_config(tmp_path, lambda rec: rec.pop(key))
+    with pytest.raises(TraceFormatError, match=f":1: .*{key}"):
+        load_trace(path)
+
+
+def test_config_unknown_key_is_named(tmp_path):
+    path = _with_config(tmp_path, lambda rec: rec.update(colour="red"))
+    with pytest.raises(TraceFormatError, match=":1: .*colour"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("nodes", 1), ("error_rate", 1.5), ("message_delay_us", [5, 1]), ("message_delay_us", 5)],
+)
+def test_invalid_config_is_a_format_error(tmp_path, key, value):
+    path = _with_config(tmp_path, lambda rec: rec.update({key: value}))
+    with pytest.raises(TraceFormatError, match=f":1: .*{key}"):
         load_trace(path)
