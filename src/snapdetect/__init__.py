@@ -26,7 +26,6 @@ from .simulate import (  # noqa: F401
     run_trace,
 )
 from .stamps import (  # noqa: F401
-    ClockParams,
     Interval,
     SnapshotStamp,
     VectorStamp,

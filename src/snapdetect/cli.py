@@ -15,6 +15,7 @@ from . import __version__, scenarios as scen
 from .experiment import (
     ResultsFormatError,
     SpecError,
+    check_seeds,
     load_spec,
     read_results,
     run_sweep,
@@ -79,6 +80,11 @@ def cmd_sweep(spec_path: Path, out_dir: Path, jobs: int, seed_override: int | No
     except SpecError as exc:
         click.echo(f"invalid spec: {exc}", err=True)
         sys.exit(2)
+    if seed_override is not None:
+        try:
+            check_seeds(spec.base, (seed_override,))
+        except SpecError as exc:
+            raise click.BadParameter(str(exc), param_hint="'--seed-override'") from exc
     outcome = run_sweep(spec, out_dir, jobs=jobs, seed_override=seed_override)
     if verbose:
         for line in outcome.errors:

@@ -27,13 +27,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .metrics import OpCounters
-from .stamps import (
-    ClockParams,
-    DEFAULT_PARAMS,
-    Interval,
-    MAX_TICK,
-    StampOverflowError,
-)
+from .stamps import Interval, MAX_TICK, StampOverflowError
 
 PairKey = tuple["EventId", "EventId"]
 
@@ -118,13 +112,11 @@ class SnapshotDetector:
         self,
         process: int,
         n_processes: int,
-        params: ClockParams = DEFAULT_PARAMS,
         counters: Optional[OpCounters] = None,
     ):
         if not 0 <= process < n_processes:
             raise IndexError(f"process {process} out of range")
         self.process = process
-        self.params = params
         self.clock = 0
         self.intervals: dict[EventId, list[int]] = {}
         self.heard: set[EventId] = set()
@@ -136,7 +128,7 @@ class SnapshotDetector:
     # -- clock rules (``snapshot_tick`` / ``snapshot_merge`` on ints) ------
 
     def _tick(self) -> int:
-        tick = self.clock + self.params.d
+        tick = self.clock + 1
         if tick > MAX_TICK:
             raise StampOverflowError(f"tick out of range: {tick}")
         self.clock = tick
@@ -146,12 +138,8 @@ class SnapshotDetector:
     def _merge(self, stamp: int) -> None:
         if not 0 <= stamp <= MAX_TICK:
             raise StampOverflowError(f"tick out of range: {stamp}")
-        merged = stamp if stamp > self.clock else self.clock
-        if self.params.tick_after_merge:
-            merged += self.params.d
-            if merged > MAX_TICK:
-                raise StampOverflowError(f"tick out of range: {merged}")
-        self.clock = merged
+        if stamp > self.clock:
+            self.clock = stamp
         self.counters.clock_updates += 1
 
     # -- notification handlers -----------------------------------------

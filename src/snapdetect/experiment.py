@@ -127,6 +127,12 @@ def parse_spec(data: dict) -> ExperimentSpec:
         raise SpecError("seeds", f"must be integers: {exc}") from exc
     if not seeds:
         raise SpecError("seeds", "must be non-empty")
+    check_seeds(base, seeds)
+    for point in points:
+        try:
+            config_for_point(base, axis, point, seeds[0]).validate()
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise SpecError("sweep.points", f"bad point {point!r}: {exc}") from exc
 
     det_names = data.get("detectors", ["snapshot", "vector"])
     if not isinstance(det_names, list) or not det_names:
@@ -137,6 +143,15 @@ def parse_spec(data: dict) -> ExperimentSpec:
         raise SpecError("detectors", str(exc)) from exc
 
     return ExperimentSpec(base=base, axis=axis, points=tuple(points), seeds=seeds, detectors=detectors)
+
+
+def check_seeds(base: SimConfig, seeds: Sequence[int]) -> None:
+    """Raise ``SpecError("seeds")`` unless ``SimConfig`` accepts every seed."""
+    for seed in seeds:
+        try:
+            replace(base, seed=seed).validate()
+        except ConfigError as exc:
+            raise SpecError("seeds", str(exc)) from exc
 
 
 def load_spec(path: str | Path) -> ExperimentSpec:

@@ -34,14 +34,7 @@ from .detectors import (
     violation_filter,
 )
 from .metrics import OpCounters
-from .stamps import (
-    DEFAULT_PARAMS,
-    MAX_TICK,
-    ClockParams,
-    Interval,
-    StampOverflowError,
-    VectorStamp,
-)
+from .stamps import MAX_TICK, Interval, StampOverflowError, VectorStamp
 
 #: Delay resamples tried per message before it is dropped at generation.
 MESSAGE_RETRIES = 3
@@ -423,11 +416,9 @@ def _timeline(trace: Trace) -> list[tuple[int, int, int, int, object]]:
     return entries
 
 
-def _replay_snapshot(
-    trace: Trace, counters: OpCounters, params: ClockParams
-) -> list[SnapshotDetector]:
+def _replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetector]:
     procs = trace.config.n_processes
-    dets = [SnapshotDetector(p, procs, params, counters) for p in range(procs)]
+    dets = [SnapshotDetector(p, procs, counters) for p in range(procs)]
     peers = [[d.on_broadcast for d in dets if d.process != p] for p in range(procs)]
     send_stamps: dict[int, int] = {}
     for _t, kind, proc, sub, payload in _timeline(trace):
@@ -447,21 +438,17 @@ def _replay_snapshot(
     return dets
 
 
-def _run_snapshot(
-    trace: Trace, counters: OpCounters, params: ClockParams
-) -> tuple[set[PairKey], int]:
-    dets = _replay_snapshot(trace, counters, params)
+def _run_snapshot(trace: Trace, counters: OpCounters) -> tuple[set[PairKey], int]:
+    dets = _replay_snapshot(trace, counters)
     detected: set[PairKey] = set()
     for d in dets:
         detected |= d.check_consistency()
     return detected, sum(d.dropped for d in dets)
 
 
-def snapshot_intervals(
-    trace: Trace, params: ClockParams = DEFAULT_PARAMS
-) -> dict[EventId, tuple[int, int]]:
+def snapshot_intervals(trace: Trace) -> dict[EventId, tuple[int, int]]:
     """Final scalar interval of each event, as seen by its owning process."""
-    dets = _replay_snapshot(trace, OpCounters(), params)
+    dets = _replay_snapshot(trace, OpCounters())
     return {e: (lo, hi) for d in dets for e, (lo, hi) in d.intervals.items()}
 
 
@@ -478,10 +465,7 @@ class VectorPoint:
 
 
 def _replay_vector(
-    trace: Trace,
-    counters: OpCounters,
-    params: ClockParams,
-    keep_points: bool = False,
+    trace: Trace, counters: OpCounters, keep_points: bool = False
 ) -> tuple[dict[EventId, Interval], list[VectorPoint]]:
     """Replay a trace with the ``vector_tick``/``vector_merge`` rules.
 
@@ -510,7 +494,7 @@ def _replay_vector(
         row = rows[proc]
         if kind == _DELIVER:
             np.maximum(row, sends[sub], out=row)
-        tick = int(row[proc]) + params.d
+        tick = int(row[proc]) + 1
         if tick > MAX_TICK:
             raise StampOverflowError(f"process {proc} slot out of range: {tick}")
         row[proc] = tick
@@ -534,24 +518,20 @@ def _replay_vector(
     return intervals, points
 
 
-def vector_point_stamps(trace: Trace, params: ClockParams = DEFAULT_PARAMS) -> list[VectorPoint]:
+def vector_point_stamps(trace: Trace) -> list[VectorPoint]:
     """Vector stamps of every replay point, for causality audits."""
-    intervals, points = _replay_vector(trace, OpCounters(), params, keep_points=True)
+    _, points = _replay_vector(trace, OpCounters(), keep_points=True)
     return points
 
 
-def run_trace(
-    trace: Trace,
-    family: DetectorFamily,
-    params: ClockParams = DEFAULT_PARAMS,
-) -> RunResult:
+def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
     """Replay a trace through one detector family and collect its output."""
     counters = OpCounters()
     dropped = 0
     if family is DetectorFamily.SNAPSHOT:
-        detected, dropped = _run_snapshot(trace, counters, params)
+        detected, dropped = _run_snapshot(trace, counters)
     elif family is DetectorFamily.VECTOR:
-        intervals, _ = _replay_vector(trace, counters, params)
+        intervals, _ = _replay_vector(trace, counters)
         detected = vector_detect(intervals, counters)
     else:
         counters.events_processed += len(trace.events)

@@ -8,9 +8,12 @@ Two kinds of stamps are supported:
 * ``VectorStamp`` -- an n-slot logical timestamp whose slot-wise partial
   order characterises causality exactly.
 
-Physical time needs no stamp type: it is the simulated microseconds
-since trace start.  All operations are pure functions on frozen value
-types.
+The rules are fixed: a tick adds 1 and a scalar receive is a plain max.
+Under the replay's instant broadcast no other increment or merge can
+change a pair, counter or byte (README, "Verdict under instant
+broadcast").  Physical time needs no stamp type: it is the simulated
+microseconds since trace start.  All operations are pure functions on
+frozen value types.
 """
 from __future__ import annotations
 
@@ -23,31 +26,6 @@ MAX_TICK = 2**63 - 1
 
 class StampOverflowError(OverflowError):
     """A logical tick left the 64-bit non-negative domain."""
-
-
-@dataclass(frozen=True)
-class ClockParams:
-    """Tunables for the logical clock update rules.
-
-    ``d`` is the tick increment (default 1).  ``tick_after_merge`` adds a
-    classical post-max increment on receive; it is off by default, so the
-    receive rule is a plain max.  Neither setting lets a replayed trace
-    reach the lower-bound equality ``x == lo`` of the concurrency
-    predicate: the replay announces every start and send tick to all peers
-    at once, so of a start tick and a send stamp the later one is ticked
-    after merging the earlier and exceeds it.  Only direct calls to the
-    detector's handlers reach the equality.
-    """
-
-    d: int = 1
-    tick_after_merge: bool = False
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"clock increment d must be >= 1, got {self.d}")
-
-
-DEFAULT_PARAMS = ClockParams()
 
 
 @dataclass(frozen=True)
@@ -75,49 +53,33 @@ class VectorStamp:
         return len(self.slots)
 
 
-def snapshot_tick(clock: SnapshotStamp, params: ClockParams = DEFAULT_PARAMS) -> SnapshotStamp:
-    """Advance a scalar clock by ``d`` for a local occurrence or a send."""
-    return SnapshotStamp(clock.tick + params.d)
+def snapshot_tick(clock: SnapshotStamp) -> SnapshotStamp:
+    """Advance a scalar clock by 1 for a local occurrence or a send."""
+    return SnapshotStamp(clock.tick + 1)
 
 
-def snapshot_merge(
-    local: SnapshotStamp,
-    incoming: SnapshotStamp,
-    params: ClockParams = DEFAULT_PARAMS,
-) -> SnapshotStamp:
-    """Fold an incoming scalar stamp into the local clock.
-
-    The receive rule is a plain max; no post-max increment unless
-    ``params.tick_after_merge`` is set.
-    """
-    merged = max(local.tick, incoming.tick)
-    if params.tick_after_merge:
-        merged += params.d
-    return SnapshotStamp(merged)
+def snapshot_merge(local: SnapshotStamp, incoming: SnapshotStamp) -> SnapshotStamp:
+    """Fold an incoming scalar stamp into the local clock: a plain max."""
+    return SnapshotStamp(max(local.tick, incoming.tick))
 
 
-def vector_tick(clock: VectorStamp, owner: int, params: ClockParams = DEFAULT_PARAMS) -> VectorStamp:
-    """Increment the owner's slot by ``d``; other slots are unchanged."""
+def vector_tick(clock: VectorStamp, owner: int) -> VectorStamp:
+    """Increment the owner's slot by 1; other slots are unchanged."""
     if not 0 <= owner < len(clock.slots):
         raise IndexError(f"owner {owner} out of range for {len(clock.slots)} slots")
     slots = list(clock.slots)
-    slots[owner] += params.d
+    slots[owner] += 1
     return VectorStamp(tuple(slots))
 
 
-def vector_merge(
-    local: VectorStamp,
-    incoming: VectorStamp,
-    owner: int,
-    params: ClockParams = DEFAULT_PARAMS,
-) -> VectorStamp:
+def vector_merge(local: VectorStamp, incoming: VectorStamp, owner: int) -> VectorStamp:
     """Slot-wise max of both stamps, then tick the owner's slot."""
     if len(local.slots) != len(incoming.slots):
         raise ValueError(
             f"vector length mismatch: {len(local.slots)} vs {len(incoming.slots)}"
         )
     merged = tuple(max(a, b) for a, b in zip(local.slots, incoming.slots))
-    return vector_tick(VectorStamp(merged), owner, params)
+    return vector_tick(VectorStamp(merged), owner)
 
 
 def vector_leq(a: VectorStamp, b: VectorStamp) -> bool:

@@ -15,13 +15,7 @@ from typing import Optional
 from snapdetect.detectors import DuplicateEventError, EventId, MessageRecord, PairKey, pair_key
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import _DELIVER, _SEND, _START, Trace, _timeline
-from snapdetect.stamps import (
-    ClockParams,
-    DEFAULT_PARAMS,
-    SnapshotStamp,
-    snapshot_merge,
-    snapshot_tick,
-)
+from snapdetect.stamps import SnapshotStamp, snapshot_merge, snapshot_tick
 
 
 @dataclass(frozen=True)
@@ -46,14 +40,12 @@ class LegacySnapshotDetector:
         self,
         process: int,
         n_processes: int,
-        params: ClockParams = DEFAULT_PARAMS,
         counters: Optional[OpCounters] = None,
     ):
         if not 0 <= process < n_processes:
             raise IndexError(f"process {process} out of range")
         self.process = process
         self.n_processes = n_processes
-        self.params = params
         self.clock = SnapshotStamp(0)
         self.eq: list[list[tuple[EventId, int]]] = [[] for _ in range(n_processes)]
         self.iq: list[list[IntervalRecord]] = [[] for _ in range(n_processes)]
@@ -64,12 +56,12 @@ class LegacySnapshotDetector:
         self._intervals: dict[EventId, IntervalRecord] = {}
 
     def _tick(self) -> int:
-        self.clock = snapshot_tick(self.clock, self.params)
+        self.clock = snapshot_tick(self.clock)
         self.counters.clock_updates += 1
         return self.clock.tick
 
     def _merge(self, stamp: int) -> None:
-        self.clock = snapshot_merge(self.clock, SnapshotStamp(stamp), self.params)
+        self.clock = snapshot_merge(self.clock, SnapshotStamp(stamp))
         self.counters.clock_updates += 1
 
     def _record(self, origin: int, e: EventId, lo: int, hi: int) -> IntervalRecord:
@@ -150,11 +142,9 @@ class LegacySnapshotDetector:
         return set(self.out)
 
 
-def legacy_replay(
-    trace: Trace, counters: OpCounters, params: ClockParams = DEFAULT_PARAMS
-) -> list[LegacySnapshotDetector]:
+def legacy_replay(trace: Trace, counters: OpCounters) -> list[LegacySnapshotDetector]:
     procs = trace.config.n_processes
-    dets = [LegacySnapshotDetector(p, procs, params, counters) for p in range(procs)]
+    dets = [LegacySnapshotDetector(p, procs, counters) for p in range(procs)]
     send_stamps: dict[int, int] = {}
     for _t, kind, proc, sub, payload in _timeline(trace):
         if kind == _START:
@@ -174,12 +164,10 @@ def legacy_replay(
     return dets
 
 
-def legacy_snapshot(
-    trace: Trace, params: ClockParams = DEFAULT_PARAMS
-) -> tuple[set[PairKey], OpCounters, int, dict[EventId, tuple[int, int]]]:
+def legacy_snapshot(trace: Trace) -> tuple[set[PairKey], OpCounters, int, dict[EventId, tuple[int, int]]]:
     """Detected pairs, counters, drops and final own-process intervals."""
     counters = OpCounters()
-    dets = legacy_replay(trace, counters, params)
+    dets = legacy_replay(trace, counters)
     detected: set[PairKey] = set()
     for d in dets:
         detected |= d.check_consistency()

@@ -56,6 +56,28 @@ def scalar_vector_detect(intervals, counters: OpCounters | None = None) -> set:
     return found
 
 
+def replay_order_snapshot(trace: Trace) -> tuple[set, int, int]:
+    """Snapshot pairs and drops read off the replay order, with no clock.
+
+    Under the instant broadcast a message from b to c is dropped when c
+    has not started before the delivery, and otherwise reported exactly
+    when c started before the send.  Each point is keyed by the replay
+    tie-break ``(time_us, kind, process, sub)``; ``_timeline`` is not used.
+    Returns the pairs, the drops and the delivered messages not reported.
+    """
+    starts = {ev.id: (ev.start_us, START, ev.process, ev.id.seq) for ev in trace.events}
+    pairs, dropped, late = set(), 0, 0
+    for idx, m in enumerate(trace.messages):
+        start = starts[m.to_event]
+        if not start < (m.deliver_us, DELIVER, m.to_event.process, idx):
+            dropped += 1
+        elif start < (m.send_us, SEND, m.from_event.process, idx):
+            pairs.add(pair_key(m.to_event, m.from_event))
+        else:
+            late += 1
+    return pairs, dropped, late
+
+
 def keyed_timeline(trace: Trace) -> list[tuple]:
     """The replay order sorted on ``(time_us, kind, process, sub)`` alone.
 
@@ -72,7 +94,7 @@ def keyed_timeline(trace: Trace) -> list[tuple]:
     return entries
 
 
-def stamp_replay_vector(trace: Trace, counters: OpCounters, params, keep_points: bool = False):
+def stamp_replay_vector(trace: Trace, counters: OpCounters, keep_points: bool = False):
     """The vector replay as one frozen ``VectorStamp`` per point.
 
     The loop ``simulate._replay_vector`` replaced, built on the
@@ -88,25 +110,25 @@ def stamp_replay_vector(trace: Trace, counters: OpCounters, params, keep_points:
 
     for t, kind, proc, sub, payload in _timeline(trace):
         if kind == START:
-            clocks[proc] = vector_tick(clocks[proc], proc, params)
+            clocks[proc] = vector_tick(clocks[proc], proc)
             counters.clock_updates += 1
             counters.events_processed += 1
             lo[payload.id] = clocks[proc]
             note(kind, proc, t, event=payload.id)
         elif kind == SEND:
-            clocks[proc] = vector_tick(clocks[proc], proc, params)
+            clocks[proc] = vector_tick(clocks[proc], proc)
             counters.clock_updates += 1
             counters.events_processed += 1
             counters.stamp_words_sent += procs
             send_stamps[sub] = clocks[proc]
             note(kind, proc, t, event=payload.from_event, msg=sub)
         elif kind == DELIVER:
-            clocks[proc] = vector_merge(clocks[proc], send_stamps[sub], proc, params)
+            clocks[proc] = vector_merge(clocks[proc], send_stamps[sub], proc)
             counters.clock_updates += 1
             counters.events_processed += 1
             note(kind, proc, t, event=payload.to_event, msg=sub)
         else:
-            clocks[proc] = vector_tick(clocks[proc], proc, params)
+            clocks[proc] = vector_tick(clocks[proc], proc)
             counters.clock_updates += 1
             hi[payload.id] = clocks[proc]
             note(kind, proc, t, event=payload.id)

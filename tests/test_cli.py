@@ -102,8 +102,23 @@ class TestSweepCommand:
             ("base", "message_delay_ms", [1, None]),
             (None, "seeds", ["x"]),
             (None, "seeds", {"count": "3"}),
+            ("sweep", "points", ["x", 2]),
+            ("sweep", "points", [2, 1]),
+            ("sweep", "points", [2, [3]]),
+            (None, "seeds", [-1]),
+            (None, "seeds", [1, 2**64]),
         ],
-        ids=["scalar-time-string", "range-time-null", "seed-list-string", "seed-count-string"],
+        ids=[
+            "scalar-time-string",
+            "range-time-null",
+            "seed-list-string",
+            "seed-count-string",
+            "point-string",
+            "point-out-of-range",
+            "point-list",
+            "seed-negative",
+            "seed-too-big",
+        ],
     )
     def test_malformed_spec_value_exits_2_naming_field(self, tmp_path, part, key, value):
         bad = json.loads(json.dumps(SMALL_SPEC))
@@ -112,6 +127,17 @@ class TestSweepCommand:
         result = CliRunner().invoke(main, ["sweep", "--spec", str(spec), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         assert f"invalid spec: {part + '.' if part else ''}{key}:" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_seed_override_is_a_usage_error(self, tmp_path):
+        spec = write_spec(tmp_path)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["sweep", "--spec", str(spec), "--out", str(out), "--seed-override", "-1"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "--seed-override" in result.output
+        assert not out.exists()
 
     def test_seed_override_runs_single_seed(self, tmp_path):
         spec = write_spec(tmp_path)

@@ -19,7 +19,6 @@ from snapdetect.simulate import (
 )
 from snapdetect.stamps import (
     MAX_TICK,
-    ClockParams,
     SnapshotStamp,
     StampOverflowError,
     snapshot_merge,
@@ -75,15 +74,15 @@ class TestLocalEvent:
             SnapshotDetector(2, 2)
 
     @pytest.mark.parametrize(
-        "params, step",
+        "step",
         [
-            (ClockParams(), lambda det: det.on_local_event(EventId(0, 1))),
-            (ClockParams(d=5), lambda det: det.on_send(EventId(0, 0))),
-            (ClockParams(tick_after_merge=True), lambda det: det.on_broadcast(EventId(1, 0), 3)),
+            lambda det: det.on_local_event(EventId(0, 1)),
+            lambda det: det.on_send(EventId(0, 0)),
         ],
+        ids=["local-event", "send"],
     )
-    def test_tick_past_max_tick_overflows(self, params, step):
-        det = SnapshotDetector(0, 2, params)
+    def test_tick_past_max_tick_overflows(self, step):
+        det = SnapshotDetector(0, 2)
         det.intervals[EventId(0, 0)] = [MAX_TICK - 1, MAX_TICK]
         det.clock = MAX_TICK
         with pytest.raises(StampOverflowError):
@@ -100,17 +99,10 @@ class TestClockRules:
         except StampOverflowError:
             return "overflow"
 
-    @given(
-        st.integers(1, 4),
-        st.booleans(),
-        st.integers(0, MAX_TICK),
-        st.integers(0, MAX_TICK),
-    )
-    def test_int_rules_equal_stamp_rules(self, d, after_merge, clock, stamp):
-        params = ClockParams(d=d, tick_after_merge=after_merge)
-
+    @given(st.integers(0, MAX_TICK), st.integers(0, MAX_TICK))
+    def test_int_rules_equal_stamp_rules(self, clock, stamp):
         def detector_at(c):
-            det = SnapshotDetector(0, 2, params)
+            det = SnapshotDetector(0, 2)
             det.clock = c
             return det
 
@@ -123,12 +115,12 @@ class TestClockRules:
             det.on_broadcast(EventId(1, 0), stamp)
             return det.clock
 
-        want_tick = self.outcome(lambda: snapshot_tick(SnapshotStamp(clock), params).tick)
+        want_tick = self.outcome(lambda: snapshot_tick(SnapshotStamp(clock)).tick)
         assert self.outcome(tick) == (
             want_tick if want_tick == "overflow" else (want_tick, want_tick)
         )
         want_merge = self.outcome(
-            lambda: snapshot_merge(SnapshotStamp(clock), SnapshotStamp(stamp), params).tick
+            lambda: snapshot_merge(SnapshotStamp(clock), SnapshotStamp(stamp)).tick
         )
         assert self.outcome(merge) == want_merge
 

@@ -1,14 +1,18 @@
-"""The snapshot detector against a frozen copy of its replica-queue form.
+"""The snapshot detector against a frozen copy of its replica-queue form
+and against a brute-force oracle.
 
 Every trace is replayed through ``run_trace`` / ``snapshot_intervals``
 and through ``_legacy_snapshot``; detected pairs, the four counters,
-drops, violations and final intervals must all be identical.
+drops, violations and final intervals must all be identical.  Pairs and
+drops must also equal ``_oracles.replay_order_snapshot``, which reads
+them off the replay order without running a clock.
 """
 import itertools
 
 from hypothesis import given, strategies as st
 
 from _legacy_snapshot import LegacySnapshotDetector, legacy_snapshot
+from _oracles import replay_order_snapshot
 from snapdetect import scenarios
 from snapdetect.detectors import EventId, MessageRecord, SnapshotDetector, violation_filter
 from snapdetect.simulate import (
@@ -21,17 +25,11 @@ from snapdetect.simulate import (
     run_trace,
     snapshot_intervals,
 )
-from snapdetect.stamps import DEFAULT_PARAMS, ClockParams
 
 MS = 1000
 DELAYS_US = ((1_000, 5_000), (100, 40_000), (250_000, 8_000_000))
 SEEDS_PER_POINT = 5
-PARAM_VARIANTS = (
-    ClockParams(d=3),
-    ClockParams(tick_after_merge=True),
-    ClockParams(d=2, tick_after_merge=True),
-)
-PARAM_SEEDS = 40
+DENSE_SEEDS = 120
 
 
 def generated_corpus():
@@ -47,12 +45,12 @@ def generated_corpus():
                 peer_fanout=fanout,
                 seed=1 + i * SEEDS_PER_POINT + k,
             )
-            yield generate_trace(config), DEFAULT_PARAMS
+            yield generate_trace(config)
 
 
-def params_corpus():
-    """Dense traces replayed under non-default clock parameters."""
-    for params, seed in itertools.product(PARAM_VARIANTS, range(PARAM_SEEDS)):
+def dense_corpus():
+    """Dense traces: nodes 2-5, instances 1-3, 1-5 ms and 0.1-40 ms delays."""
+    for seed in range(DENSE_SEEDS):
         config = SimConfig(
             nodes=2 + seed % 4,
             instances_per_node=1 + seed % 3,
@@ -61,7 +59,7 @@ def params_corpus():
             peer_fanout=None if seed % 2 else 1,
             seed=1000 + seed,
         )
-        yield generate_trace(config), params
+        yield generate_trace(config)
 
 
 def drop_trace() -> Trace:
@@ -82,29 +80,34 @@ def drop_trace() -> Trace:
 
 def full_corpus():
     yield from generated_corpus()
-    yield from params_corpus()
+    yield from dense_corpus()
     for name in scenarios.FIXTURE_NAMES:
-        yield scenarios.build_scenario(name), DEFAULT_PARAMS
-    yield drop_trace(), DEFAULT_PARAMS
+        yield scenarios.build_scenario(name)
+    yield drop_trace()
 
 
 def test_corpus_matches_reference():
-    traces = pairs = drops = 0
-    for trace, params in full_corpus():
-        want_pairs, want_counters, want_dropped, want_intervals = legacy_snapshot(trace, params)
-        got = run_trace(trace, DetectorFamily.SNAPSHOT, params)
-        where = (trace.config, params)
+    traces = pairs = drops = late = 0
+    for trace in full_corpus():
+        want_pairs, want_counters, want_dropped, want_intervals = legacy_snapshot(trace)
+        got = run_trace(trace, DetectorFamily.SNAPSHOT)
+        where = trace.config
         assert got.detected_pairs == want_pairs, where
         assert got.counters == want_counters, where
         assert got.dropped == want_dropped, where
         assert got.violations == violation_filter(want_pairs, trace.readings()), where
-        assert snapshot_intervals(trace, params) == want_intervals, where
+        assert snapshot_intervals(trace) == want_intervals, where
+        oracle_pairs, oracle_dropped, oracle_late = replay_order_snapshot(trace)
+        assert got.detected_pairs == oracle_pairs, where
+        assert got.dropped == oracle_dropped, where
         traces += 1
         pairs += len(want_pairs)
         drops += want_dropped
-    assert traces >= 500 + len(PARAM_VARIANTS) * PARAM_SEEDS
+        late += oracle_late
+    assert traces == 664
     assert pairs > 0
     assert drops > 0
+    assert late > 0  # delivered messages the oracle rejects: receiver started after the send
 
 
 def _state(det):
@@ -149,9 +152,9 @@ OPS = st.lists(
 )
 
 
-@given(OPS, st.sampled_from((DEFAULT_PARAMS,) + PARAM_VARIANTS))
-def test_handler_sequences_match_reference(ops, params):
-    old, new = LegacySnapshotDetector(1, 3, params), SnapshotDetector(1, 3, params)
+@given(OPS)
+def test_handler_sequences_match_reference(ops):
+    old, new = LegacySnapshotDetector(1, 3), SnapshotDetector(1, 3)
     for op, p, seq, stamp, target in ops:
         if op == "start":
             e = EventId(1, seq)

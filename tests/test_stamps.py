@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from snapdetect.stamps import (
-    ClockParams,
     Interval,
     MAX_TICK,
     SnapshotStamp,
@@ -28,9 +27,6 @@ class TestSnapshotRules:
     def test_tick_base_case(self):
         assert snapshot_tick(SnapshotStamp(0)).tick == 1
 
-    def test_tick_custom_increment(self):
-        assert snapshot_tick(SnapshotStamp(7), ClockParams(d=3)).tick == 10
-
     def test_merge_takes_max(self):
         assert snapshot_merge(SnapshotStamp(7), SnapshotStamp(10)).tick == 10
         assert snapshot_merge(SnapshotStamp(10), SnapshotStamp(7)).tick == 10
@@ -38,26 +34,15 @@ class TestSnapshotRules:
     def test_merge_equal_operands(self):
         assert snapshot_merge(SnapshotStamp(4), SnapshotStamp(4)).tick == 4
 
-    def test_merge_optional_post_tick(self):
-        params = ClockParams(tick_after_merge=True)
-        assert snapshot_merge(SnapshotStamp(4), SnapshotStamp(9), params).tick == 10
-
     def test_overflow_is_a_hard_fault(self):
         with pytest.raises(StampOverflowError):
             snapshot_tick(SnapshotStamp(MAX_TICK))
-
-    def test_increment_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ClockParams(d=0)
 
 
 class TestVectorRules:
     def test_tick_single_slot(self):
         assert vector_tick(VectorStamp((0, 0, 0)), 1).slots == (0, 1, 0)
         assert vector_tick(VectorStamp((2, 5, 1)), 0).slots == (3, 5, 1)
-
-    def test_tick_custom_increment(self):
-        assert vector_tick(VectorStamp((2, 5, 1)), 2, ClockParams(d=2)).slots == (2, 5, 3)
 
     def test_tick_owner_out_of_range(self):
         with pytest.raises(IndexError):

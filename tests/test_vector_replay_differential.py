@@ -3,17 +3,16 @@
 ``_oracles.stamp_replay_vector`` is the replay built on ``vector_tick``
 and ``vector_merge`` that ``simulate._replay_vector`` replaced.  Intervals,
 the four counters and the full ``keep_points`` point list must be
-identical on seeded traces, under a non-default tick and on the scenario
-fixtures; both must fault on the same slot overflow.  On the same corpus,
+identical on seeded traces, on dense traces and on the scenario fixtures;
+both must fault on the same slot overflow.  On the same corpus,
 ``simulate._timeline``'s plain tuple sort must give the order of the
 keyed sort it replaced.
 """
-import itertools
-
 import pytest
 
+from _corpora import DELAYS_US, vector_corpus
 from _oracles import DELIVER, keyed_timeline, stamp_replay_vector
-from snapdetect import scenarios
+from snapdetect import scenarios, simulate, stamps
 from snapdetect.detectors import EventId, vector_detect
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
@@ -27,33 +26,14 @@ from snapdetect.simulate import (
     generate_trace,
     run_trace,
 )
-from snapdetect.stamps import DEFAULT_PARAMS, MAX_TICK, ClockParams, StampOverflowError
+from snapdetect.stamps import StampOverflowError
 
-NODES = (2, 3, 4, 5, 6, 8, 10, 12, 16, 20)
-DELAYS_US = ((1_000, 5_000), (100, 40_000), SimConfig(nodes=2).message_delay_us)
-SEEDS_PER_POINT = 9
-PARAM_SEEDS = 100
+DENSE_SEEDS = 100
 
 
-def seeded_corpus():
-    """540 seeded traces: nodes 2-20, three delay regimes, fan-out None/1."""
-    grid = itertools.product(NODES, DELAYS_US, (None, 1))
-    for i, (nodes, delay, fanout) in enumerate(grid):
-        for k in range(SEEDS_PER_POINT):
-            config = SimConfig(
-                nodes=nodes,
-                instances_per_node=1 + k % 2,
-                events_per_process=max(1, 24 // nodes),
-                message_delay_us=delay,
-                peer_fanout=fanout,
-                seed=1 + i * SEEDS_PER_POINT + k,
-            )
-            yield generate_trace(config), DEFAULT_PARAMS
-
-
-def params_corpus():
-    """Dense traces replayed with tick increment 3."""
-    for seed in range(PARAM_SEEDS):
+def dense_corpus():
+    """Dense traces: nodes 2-7, instances 1-2, 1-5 ms and 0.1-40 ms delays."""
+    for seed in range(DENSE_SEEDS):
         config = SimConfig(
             nodes=2 + seed % 6,
             instances_per_node=1 + seed % 2,
@@ -62,42 +42,42 @@ def params_corpus():
             peer_fanout=None if seed % 3 else 1,
             seed=5000 + seed,
         )
-        yield generate_trace(config), ClockParams(d=3)
+        yield generate_trace(config)
 
 
 def full_corpus():
-    yield from seeded_corpus()
-    yield from params_corpus()
+    yield from vector_corpus()
+    yield from dense_corpus()
     for name in scenarios.FIXTURE_NAMES:
-        yield scenarios.build_scenario(name), DEFAULT_PARAMS
+        yield scenarios.build_scenario(name)
 
 
 def test_corpus_matches_reference():
     traces = deliveries = pairs = 0
-    for trace, params in full_corpus():
-        where = (trace.config, params)
+    for trace in full_corpus():
+        where = trace.config
         want_counters = OpCounters()
-        want_intervals, want_points = stamp_replay_vector(trace, want_counters, params, True)
+        want_intervals, want_points = stamp_replay_vector(trace, want_counters, True)
         for keep_points in (False, True):
             counters = OpCounters()
-            intervals, points = _replay_vector(trace, counters, params, keep_points)
+            intervals, points = _replay_vector(trace, counters, keep_points)
             assert intervals == want_intervals, where
             assert counters == want_counters, where
             assert points == (want_points if keep_points else []), where
         traces += 1
         deliveries += sum(p.kind == DELIVER for p in want_points)
         pairs += len(vector_detect(want_intervals))
-    assert traces >= 500 + PARAM_SEEDS + len(scenarios.FIXTURE_NAMES)
+    assert traces == 643
     assert deliveries > 0
     assert pairs > 0
 
 
 def test_timeline_matches_keyed_sort():
     traces = 0
-    for trace, _ in full_corpus():
+    for trace in full_corpus():
         assert _timeline(trace) == keyed_timeline(trace), trace.config
         traces += 1
-    assert traces >= 500 + PARAM_SEEDS + len(scenarios.FIXTURE_NAMES)
+    assert traces == 643
 
 
 def chain_trace(messages: int) -> Trace:
@@ -120,26 +100,32 @@ def overflow_corpus():
     yield pytest.param(generate_trace(config), id="generated")
 
 
+def cap_ticks(monkeypatch, cap: int) -> None:
+    """Lower ``MAX_TICK`` where the vector replay and ``VectorStamp`` read it."""
+    monkeypatch.setattr(simulate, "MAX_TICK", cap)
+    monkeypatch.setattr(stamps, "MAX_TICK", cap)
+
+
 @pytest.mark.parametrize("trace", overflow_corpus())
-def test_second_tick_of_max_tick_overflows(trace):
+def test_second_tick_of_max_tick_overflows(trace, monkeypatch):
     # Every process with an event has at least its start and end points.
-    params = ClockParams(d=MAX_TICK)
+    run_trace(trace, DetectorFamily.VECTOR)
+    cap_ticks(monkeypatch, 1)
     with pytest.raises(StampOverflowError):
-        run_trace(trace, DetectorFamily.VECTOR, params)
+        run_trace(trace, DetectorFamily.VECTOR)
     with pytest.raises(StampOverflowError):
-        stamp_replay_vector(trace, OpCounters(), params)
-    run_trace(trace, DetectorFamily.VECTOR, ClockParams(d=1))
+        stamp_replay_vector(trace, OpCounters())
 
 
-def test_tick_reaching_max_tick_is_kept():
-    # 2**63 - 1 is divisible by 7: five messages give each process seven
-    # points, so the last tick lands exactly on MAX_TICK and one more overflows.
-    params = ClockParams(d=MAX_TICK // 7)
-    intervals, _ = _replay_vector(chain_trace(5), OpCounters(), params)
-    assert intervals == stamp_replay_vector(chain_trace(5), OpCounters(), params)[0]
-    assert intervals[EventId(0, 0)].hi.slots == (MAX_TICK, 0)
-    assert intervals[EventId(1, 0)].hi.slots == (MAX_TICK - params.d, MAX_TICK)
+def test_tick_reaching_max_tick_is_kept(monkeypatch):
+    # Five messages give each process seven points, so with a cap of 7 the
+    # last tick lands exactly on it and a sixth message overflows.
+    cap_ticks(monkeypatch, 7)
+    intervals, _ = _replay_vector(chain_trace(5), OpCounters())
+    assert intervals == stamp_replay_vector(chain_trace(5), OpCounters())[0]
+    assert intervals[EventId(0, 0)].hi.slots == (7, 0)
+    assert intervals[EventId(1, 0)].hi.slots == (6, 7)
     with pytest.raises(StampOverflowError):
-        _replay_vector(chain_trace(6), OpCounters(), params)
+        _replay_vector(chain_trace(6), OpCounters())
     with pytest.raises(StampOverflowError):
-        stamp_replay_vector(chain_trace(6), OpCounters(), params)
+        stamp_replay_vector(chain_trace(6), OpCounters())

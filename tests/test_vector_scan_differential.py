@@ -6,39 +6,18 @@ replayed traces and on hand-built interval maps, with the default block
 size, with one-row blocks and with blocks whose row count leaves a
 ragged last block.  A separate test bounds the scan's peak allocation.
 """
-import itertools
 import tracemalloc
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
+from _corpora import vector_corpus
 from _oracles import scalar_vector_detect
 from snapdetect import detectors
 from snapdetect.detectors import EventId, vector_detect
 from snapdetect.metrics import OpCounters
-from snapdetect.simulate import SimConfig, _replay_vector, generate_trace
-from snapdetect.stamps import DEFAULT_PARAMS, Interval, VectorStamp
-
-NODES = (2, 3, 4, 5, 6, 8, 10, 12, 16, 20)
-DELAYS_US = ((1_000, 5_000), (100, 40_000), SimConfig(nodes=2).message_delay_us)
-SEEDS_PER_POINT = 9
-
-
-def replayed_intervals():
-    """Vector intervals of 540 seeded traces: nodes 2-20, three delay regimes, fan-out None/1."""
-    grid = itertools.product(NODES, DELAYS_US, (None, 1))
-    for i, (nodes, delay, fanout) in enumerate(grid):
-        for k in range(SEEDS_PER_POINT):
-            config = SimConfig(
-                nodes=nodes,
-                instances_per_node=1 + k % 2,
-                events_per_process=max(1, 24 // nodes),
-                message_delay_us=delay,
-                peer_fanout=fanout,
-                seed=1 + i * SEEDS_PER_POINT + k,
-            )
-            intervals, _ = _replay_vector(generate_trace(config), OpCounters(), DEFAULT_PARAMS)
-            yield intervals
+from snapdetect.simulate import _replay_vector
+from snapdetect.stamps import Interval, VectorStamp
 
 
 def ragged_cells(intervals) -> int:
@@ -75,14 +54,15 @@ def vec_interval(lo, hi):
 
 def test_replayed_traces_match_scalar_loop():
     traces = pairs = rejected = 0
-    for intervals in replayed_intervals():
+    for trace in vector_corpus():
+        intervals, _ = _replay_vector(trace, OpCounters())
         found, checks = assert_same(intervals)
         m = len(intervals)
         assert checks == m * (m - 1) // 2
         traces += 1
         pairs += len(found)
         rejected += checks - len(found)
-    assert traces >= 500
+    assert traces == 540
     assert pairs > 0 and rejected > 0
 
 
