@@ -170,12 +170,32 @@ class SnapshotDetector:
         self.heard.add(e)
         self._merge(stamp)
 
+    def on_broadcasts(self, k: int, low: int, high: int) -> None:
+        """Fold ``k`` peer announcements whose stamps lie in ``[low, high]``.
+
+        ``high`` must be the largest of the k stamps.  The clock and
+        counters end as after k ``on_broadcast`` calls, and
+        ``StampOverflowError`` is raised when ``low`` or ``high`` is out
+        of range; no event is noted as heard of.  With ``k == 0`` the
+        stamps are not read.
+        """
+        if k < 0:
+            raise ValueError(f"negative announcement count: {k}")
+        if k == 0:
+            return
+        if not (0 <= low and high <= MAX_TICK):
+            raise StampOverflowError(f"tick out of range: {low if low < 0 else high}")
+        if high > self.clock:
+            self.clock = high
+        self.counters.clock_updates += k
+
     def on_send(self, e: EventId) -> int:
         """This process sends a message from live event ``e``.
 
         Ticks the clock first, extends the event's own interval past the
         new tick and returns the send stamp x to attach to the message.
-        The driver also announces x to all peers (``on_broadcast``).
+        The driver also announces x to all peers (``on_broadcast`` or
+        ``on_broadcasts``).
         """
         own = self.intervals.get(e)
         if own is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -333,10 +334,16 @@ def read_results(csv_path: str | Path) -> list[dict]:
     return rows
 
 
+#: The ``-`` between a range point's bounds: not leading, not an exponent sign
+#: (``_axis_repr`` writes floats with ``"g"``, so ``1e-05-1`` is a range).
+_RANGE_SEP = re.compile(r"(?<=[^eE])-")
+
+
 def _axis_numeric(value: str) -> float:
-    if "-" in value.lstrip("-"):  # range points like "250-8000"
-        lo, hi = value.split("-", 1)
-        return (float(lo) + float(hi)) / 2.0
+    """A point's number; a range point like ``250-8000`` reads as its midpoint."""
+    bounds = _RANGE_SEP.split(value, maxsplit=1)
+    if len(bounds) == 2:
+        return (float(bounds[0]) + float(bounds[1])) / 2.0
     return float(value)
 
 

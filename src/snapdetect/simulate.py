@@ -417,24 +417,54 @@ def _timeline(trace: Trace) -> list[tuple[int, int, int, int, object]]:
 
 
 def _replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetector]:
+    """Replay a trace with every start and send tick broadcast instantly.
+
+    An announcement is not pushed to the n - 1 peers.  The driver counts
+    announcements and keeps their running min and max; before process p
+    ticks or takes a delivery, and once at the end, p folds the
+    ``announced - cursor[p]`` it has not seen in one ``on_broadcasts``
+    call.  That equals one ``on_broadcast`` each: p folds before it
+    announces, so none of its own announcements is pending, and after a
+    fold its clock covers every stamp before its cursor, so the pending
+    stamps' max can be read as the running max.  Broadcast is FIFO per
+    sender, so p has heard of sender (q, s) exactly when ``started[q]``,
+    the highest seq q has started, is at least s.
+    """
     procs = trace.config.n_processes
     dets = [SnapshotDetector(p, procs, counters) for p in range(procs)]
-    peers = [[d.on_broadcast for d in dets if d.process != p] for p in range(procs)]
+    announced = 0
+    low, high = MAX_TICK, 0  # running min and max of the announced stamps
+    cursor = [0] * procs
+    started = [-1] * procs
     send_stamps: dict[int, int] = {}
     for _t, kind, proc, sub, payload in _timeline(trace):
+        if kind == _END:
+            continue
+        d = dets[proc]
+        if announced > cursor[proc]:
+            d.on_broadcasts(announced - cursor[proc], low, high)
+            cursor[proc] = announced
         if kind == _START:
             e = payload.id
-            tick = dets[proc].on_local_event(e)
-            for hear in peers[proc]:
-                hear(e, tick)
+            x = d.on_local_event(e)
+            started[proc] = e.seq
         elif kind == _SEND:
-            e = payload.from_event
-            x = send_stamps[sub] = dets[proc].on_send(e)
-            for hear in peers[proc]:
-                hear(e, x)
-        elif kind == _DELIVER:
-            record = MessageRecord(payload.from_event, payload.to_event, send_stamps[sub])
-            dets[proc].on_message(record)
+            x = send_stamps[sub] = d.on_send(payload.from_event)
+        else:
+            sender = payload.from_event
+            q = sender.process
+            if q != proc and started[q] >= sender.seq:
+                d.heard.add(sender)
+            d.on_message(MessageRecord(sender, payload.to_event, send_stamps[sub]))
+            continue
+        announced += 1
+        cursor[proc] = announced
+        if x < low:
+            low = x
+        if x > high:
+            high = x
+    for p, d in enumerate(dets):
+        d.on_broadcasts(announced - cursor[p], low, high)
     return dets
 
 

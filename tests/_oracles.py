@@ -4,7 +4,13 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 
-from snapdetect.detectors import ContextReading, EventId, pair_key
+from snapdetect.detectors import (
+    ContextReading,
+    EventId,
+    MessageRecord,
+    SnapshotDetector,
+    pair_key,
+)
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     MESSAGE_RETRIES,
@@ -134,6 +140,33 @@ def stamp_replay_vector(trace: Trace, counters: OpCounters, keep_points: bool = 
             note(kind, proc, t, event=payload.id)
     intervals = {e: Interval(lo[e], hi[e]) for e in lo}
     return intervals, points
+
+
+def per_peer_replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetector]:
+    """The snapshot replay with one ``on_broadcast`` call per peer per tick.
+
+    The driver ``simulate._replay_snapshot`` replaced with lazy folds;
+    kept as its reference.
+    """
+    procs = trace.config.n_processes
+    dets = [SnapshotDetector(p, procs, counters) for p in range(procs)]
+    peers = [[d.on_broadcast for d in dets if d.process != p] for p in range(procs)]
+    send_stamps: dict[int, int] = {}
+    for _t, kind, proc, sub, payload in _timeline(trace):
+        if kind == START:
+            e = payload.id
+            tick = dets[proc].on_local_event(e)
+            for hear in peers[proc]:
+                hear(e, tick)
+        elif kind == SEND:
+            e = payload.from_event
+            x = send_stamps[sub] = dets[proc].on_send(e)
+            for hear in peers[proc]:
+                hear(e, x)
+        elif kind == DELIVER:
+            record = MessageRecord(payload.from_event, payload.to_event, send_stamps[sub])
+            dets[proc].on_message(record)
+    return dets
 
 
 def point_nodes(trace: Trace) -> list[tuple]:

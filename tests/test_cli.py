@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from snapdetect import scenarios
 from snapdetect.cli import main
+from snapdetect.experiment import read_results
 
 SMALL_SPEC = {
     "base": {
@@ -180,6 +181,25 @@ class TestReportCommand:
         result = CliRunner().invoke(main, ["report", str(broken)])
         assert result.exit_code == 2
         assert "line 3" in result.output
+
+    @pytest.mark.parametrize(
+        "axis, points, numeric",
+        [
+            ("error_rate", [0.00001, 0.1], {"1e-05": 1e-05, "0.1": 0.1}),
+            ("delay_ms", [[0.00001, 1], [1, 10]], {"1e-05-1": (1e-05 + 1) / 2, "1-10": 5.5}),
+        ],
+        ids=["exponent-point", "exponent-range"],
+    )
+    def test_exponent_axis_values_are_read_back(self, tmp_path, axis, points, numeric):
+        # format(p, "g") writes 0.00001 as 1e-05, whose "-" is not a range separator.
+        spec = write_spec(tmp_path, dict(SMALL_SPEC, sweep={"axis": axis, "points": points}))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["sweep", "--spec", str(spec), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        result = CliRunner().invoke(main, ["report", str(out / "results.csv")])
+        assert result.exit_code == 0, result.output
+        rows = read_results(out / "results.csv")
+        assert {r["axis_value"]: r["axis_numeric"] for r in rows} == numeric
 
     def test_missing_file_exits_2(self, tmp_path):
         result = CliRunner().invoke(main, ["report", str(tmp_path / "nope.csv")])

@@ -1,30 +1,40 @@
-"""The snapshot detector against a frozen copy of its replica-queue form
-and against a brute-force oracle.
+"""The snapshot detector against a frozen copy of its replica-queue form,
+its replay against the per-peer driver it replaced, and both against a
+brute-force oracle.
 
 Every trace is replayed through ``run_trace`` / ``snapshot_intervals``
 and through ``_legacy_snapshot``; detected pairs, the four counters,
 drops, violations and final intervals must all be identical.  Pairs and
 drops must also equal ``_oracles.replay_order_snapshot``, which reads
-them off the replay order without running a clock.
+them off the replay order without running a clock.  The lazily folding
+``_replay_snapshot`` must leave every detector as
+``_oracles.per_peer_replay_snapshot`` does, and fault on the same tick
+cap.
 """
+import functools
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
+from _corpora import vector_corpus
 from _legacy_snapshot import LegacySnapshotDetector, legacy_snapshot
-from _oracles import replay_order_snapshot
-from snapdetect import scenarios
+from _oracles import per_peer_replay_snapshot, replay_order_snapshot
+from snapdetect import detectors, scenarios
 from snapdetect.detectors import EventId, MessageRecord, SnapshotDetector, violation_filter
+from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
     SimConfig,
     Trace,
     TraceEvent,
     TraceMessage,
+    _replay_snapshot,
     generate_trace,
     run_trace,
     snapshot_intervals,
 )
+from snapdetect.stamps import StampOverflowError
 
 MS = 1000
 DELAYS_US = ((1_000, 5_000), (100, 40_000), (250_000, 8_000_000))
@@ -78,12 +88,28 @@ def drop_trace() -> Trace:
     return Trace(events, messages, config)
 
 
-def full_corpus():
-    yield from generated_corpus()
-    yield from dense_corpus()
-    for name in scenarios.FIXTURE_NAMES:
-        yield scenarios.build_scenario(name)
-    yield drop_trace()
+@functools.cache
+def full_corpus() -> tuple[Trace, ...]:
+    """The 664-trace snapshot corpus, generated once per test session."""
+    return (
+        *generated_corpus(),
+        *dense_corpus(),
+        *(scenarios.build_scenario(name) for name in scenarios.FIXTURE_NAMES),
+        drop_trace(),
+    )
+
+
+def scale_dense_corpus():
+    """Message-heavy traces: 5, 10 and 20 nodes, 1-5 ms, 20 events per process."""
+    for nodes in (5, 10, 20):
+        config = SimConfig(
+            nodes=nodes,
+            instances_per_node=2,
+            events_per_process=20,
+            message_delay_us=(1_000, 5_000),
+            seed=3,
+        )
+        yield generate_trace(config)
 
 
 def test_corpus_matches_reference():
@@ -178,3 +204,54 @@ def test_handler_sequences_match_reference(ops):
         assert _state(new) == _state(old)
     assert new.check_consistency() == old.check_consistency()
     assert _state(new) == _state(old)
+
+
+def replay_outcome(replay, trace):
+    """Pairs, counters, drops, final intervals and final clocks of a replay."""
+    counters = OpCounters()
+    dets = replay(trace, counters)
+    pairs = set().union(*(d.check_consistency() for d in dets))
+    intervals = {e: tuple(iv) for d in dets for e, iv in d.intervals.items()}
+    return pairs, counters, sum(d.dropped for d in dets), intervals, [d.clock for d in dets]
+
+
+def test_replay_matches_per_peer_driver():
+    traces = pairs = drops = 0
+    for trace in (*full_corpus(), *vector_corpus(), *scale_dense_corpus()):
+        want = replay_outcome(per_peer_replay_snapshot, trace)
+        assert replay_outcome(_replay_snapshot, trace) == want, trace.config
+        traces += 1
+        pairs += len(want[0])
+        drops += want[2]
+    assert traces == 664 + 540 + 3
+    assert pairs > 0
+    assert drops > 0
+
+
+def overflow_corpus():
+    for name in scenarios.FIXTURE_NAMES:
+        yield pytest.param(scenarios.build_scenario(name), id=f"scenario-{name}")
+    yield pytest.param(drop_trace(), id="drop-trace")
+    config = SimConfig(nodes=3, events_per_process=3, message_delay_us=(1_000, 5_000), seed=7)
+    yield pytest.param(generate_trace(config), id="generated")
+
+
+@pytest.mark.parametrize("trace", overflow_corpus())
+def test_tick_cap_faults_like_per_peer_driver(trace, monkeypatch):
+    # Under the instant broadcast the highest final clock is the number of
+    # announcements, so a cap one below it must fault and the cap itself not.
+    top = max(replay_outcome(_replay_snapshot, trace)[4])
+    assert top > 0
+
+    def faults(run) -> bool:
+        try:
+            run()
+        except StampOverflowError:
+            return True
+        return False
+
+    for cap in range(top + 1):
+        monkeypatch.setattr(detectors, "MAX_TICK", cap)
+        new = faults(lambda: run_trace(trace, DetectorFamily.SNAPSHOT))
+        old = faults(lambda: per_peer_replay_snapshot(trace, OpCounters()))
+        assert new == old == (cap < top), cap
