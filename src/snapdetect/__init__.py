@@ -11,6 +11,7 @@ from .detectors import (  # noqa: F401
     Violation,
     pair_key,
     physical_detect,
+    vector_arrays,
     vector_detect,
     violation_filter,
 )

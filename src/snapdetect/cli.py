@@ -22,7 +22,7 @@ from .experiment import (
     summarize,
 )
 from .simulate import snapshot_intervals
-from .tracefile import load_trace
+from .tracefile import TraceFormatError, load_trace
 
 
 @click.group()
@@ -48,10 +48,16 @@ def cmd_scenarios(fixture_dir: Path | None, verbose: bool) -> None:
             click.echo(f"missing fixture: {path}", err=True)
             sys.exit(2)
 
+    try:
+        results = scen.run_all_scenarios(fixture_dir)
+    except TraceFormatError as exc:
+        click.echo(f"malformed fixture: {exc}", err=True)
+        sys.exit(2)
+
     failed = []
     click.echo(f"{'scenario':<10} {'snapshot':<10} {'vector':<10} status")
-    for name in scen.FIXTURE_NAMES:
-        result = scen.run_scenario(name, fixture_dir)
+    for result in results:
+        name = result.name
         snap_mark = "pair" if result.snapshot_pairs else "-"
         vec_mark = "pair" if result.vector_pairs else "-"
         status = "ok" if result.ok else "FAIL"

@@ -34,7 +34,7 @@ from .detectors import (
     violation_filter,
 )
 from .metrics import OpCounters
-from .stamps import MAX_TICK, Interval, StampOverflowError, VectorStamp
+from .stamps import MAX_TICK, StampOverflowError, VectorStamp
 
 #: Delay resamples tried per message before it is dropped at generation.
 MESSAGE_RETRIES = 3
@@ -496,61 +496,90 @@ class VectorPoint:
 
 def _replay_vector(
     trace: Trace, counters: OpCounters, keep_points: bool = False
-) -> tuple[dict[EventId, Interval], list[VectorPoint]]:
+) -> tuple[list[EventId], np.ndarray, np.ndarray, list[VectorPoint]]:
     """Replay a trace with the ``vector_tick``/``vector_merge`` rules.
 
-    Process p's clock is row p of one int64 array; a send's stamp is row
-    ``sub`` of ``sends``.  A slot grows only by its owner's tick, which is
-    range-checked before it is written, or by a slot-wise max of rows
-    already in range, so every slot stays in ``0..MAX_TICK`` and int64 is
-    exact.
+    Returns the sorted event ids, their ``lo`` and ``hi`` stamps as int64
+    (m, n) arrays (row i for ``ids[i]``; ``vector_detect``'s input) and,
+    with ``keep_points``, every point's stamp.
+
+    Between two deliveries a process's clock changes only in its own
+    slot, which always equals the count of its points so far: every
+    point ticks it by one, and a merge never raises it past that count,
+    since no other clock has seen a later point of the process.  So rows
+    of ``known`` are written only at deliveries.  Row p starts as p's
+    zero clock; a delivery writes one new row, the slot-wise max of the
+    receiver's current row and the sender's row at the send, with the
+    sender's slot raised to the send's count.  A point's stamp is its
+    process's current row with the own slot set to its count.  Every
+    slot is some process's count, so the largest count bounds them all
+    and int64 is exact.  The shortcut needs each process to own its slot.
     """
     procs = trace.config.n_processes
-    clocks = np.zeros((procs, procs), dtype=np.int64)
-    rows = list(clocks)  # row views, written in place
-    sends = np.zeros((len(trace.messages), procs), dtype=np.int64)
-    lo: dict[EventId, VectorStamp] = {}
-    hi: dict[EventId, VectorStamp] = {}
-    points: list[VectorPoint] = []
-
-    def stamp(row: np.ndarray) -> VectorStamp:
-        return VectorStamp(tuple(row.tolist()))
-
-    def note(kind: int, proc: int, t: int, event: EventId, msg: Optional[int] = None) -> None:
-        if keep_points:
-            points.append(VectorPoint(kind, proc, t, event, msg, stamp(rows[proc])))
-
-    for t, kind, proc, sub, payload in _timeline(trace):
-        row = rows[proc]
+    timeline = _timeline(trace)
+    ids = sorted({ev.id for ev in trace.events})
+    where = {e: i for i, e in enumerate(ids)}
+    m, n_msgs = len(ids), len(trace.messages)
+    known = np.zeros((procs + n_msgs, procs), dtype=np.int64)
+    row = list(range(procs))  # each process's current row of ``known``
+    count = [0] * procs  # each process's points so far: its own slot
+    lo_at, hi_at = [None] * m, [None] * m  # (row, count) of each start and end
+    send_at = [None] * n_msgs  # (row, count) of each send, once replayed
+    point_at: list[tuple[int, int]] = []
+    written = procs
+    for _t, kind, proc, sub, payload in timeline:
+        c = count[proc] = count[proc] + 1
         if kind == _DELIVER:
-            np.maximum(row, sends[sub], out=row)
-        tick = int(row[proc]) + 1
-        if tick > MAX_TICK:
-            raise StampOverflowError(f"process {proc} slot out of range: {tick}")
-        row[proc] = tick
-        counters.clock_updates += 1
-        if kind == _START:
-            counters.events_processed += 1
-            lo[payload.id] = stamp(row)
-            note(kind, proc, t, payload.id)
+            sent_row, sent_count = send_at[sub]
+            merged = known[written]
+            np.maximum(known[row[proc]], known[sent_row], out=merged)
+            q = payload.from_event.process
+            if merged[q] < sent_count:
+                merged[q] = sent_count
+            row[proc] = written
+            written += 1
         elif kind == _SEND:
-            counters.events_processed += 1
-            counters.stamp_words_sent += procs
-            sends[sub] = row
-            note(kind, proc, t, payload.from_event, sub)
-        elif kind == _DELIVER:
-            counters.events_processed += 1
-            note(kind, proc, t, payload.to_event, sub)
+            send_at[sub] = (row[proc], c)
+        elif kind == _START:
+            lo_at[where[payload.id]] = (row[proc], c)
         else:
-            hi[payload.id] = stamp(row)
-            note(kind, proc, t, payload.id)
-    intervals = {e: Interval(lo[e], hi[e]) for e in lo}
-    return intervals, points
+            hi_at[where[payload.id]] = (row[proc], c)
+        if keep_points:
+            point_at.append((row[proc], c))
+    top = max(count, default=0)
+    if top > MAX_TICK:
+        raise StampOverflowError(f"slot out of range: {top}")
+    counters.clock_updates += len(timeline)
+    counters.events_processed += len(trace.events) + 2 * n_msgs
+    counters.stamp_words_sent += procs * n_msgs
+    owner = np.array([e.process for e in ids], dtype=np.intp)
+    lo, hi = _stamps(known, lo_at, owner), _stamps(known, hi_at, owner)
+    points: list[VectorPoint] = []
+    if keep_points:
+        owner = np.array([proc for _t, _k, proc, _s, _p in timeline], dtype=np.intp)
+        stamps = _stamps(known, point_at, owner).tolist()
+        for (t, kind, proc, sub, payload), slots in zip(timeline, stamps):
+            if kind == _SEND:
+                event, msg = payload.from_event, sub
+            elif kind == _DELIVER:
+                event, msg = payload.to_event, sub
+            else:
+                event, msg = payload.id, None
+            points.append(VectorPoint(kind, proc, t, event, msg, VectorStamp(tuple(slots))))
+    return ids, lo, hi, points
+
+
+def _stamps(known: np.ndarray, at: list[tuple[int, int]], owner: np.ndarray) -> np.ndarray:
+    """Stamps of the points at ``(row, count)``: the row with the owner's slot set."""
+    rows, counts = np.array(at, dtype=np.int64).reshape(len(at), 2).T
+    out = known[rows]
+    out[np.arange(len(at)), owner] = counts
+    return out
 
 
 def vector_point_stamps(trace: Trace) -> list[VectorPoint]:
     """Vector stamps of every replay point, for causality audits."""
-    _, points = _replay_vector(trace, OpCounters(), keep_points=True)
+    *_, points = _replay_vector(trace, OpCounters(), keep_points=True)
     return points
 
 
@@ -561,8 +590,8 @@ def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
     if family is DetectorFamily.SNAPSHOT:
         detected, dropped = _run_snapshot(trace, counters)
     elif family is DetectorFamily.VECTOR:
-        intervals, _ = _replay_vector(trace, counters)
-        detected = vector_detect(intervals, counters)
+        ids, lo, hi, _ = _replay_vector(trace, counters)
+        detected = vector_detect(ids, lo, hi, counters)
     else:
         counters.events_processed += len(trace.events)
         detected = physical_detect(

@@ -101,14 +101,20 @@ def load_trace(path: str | Path) -> Trace:
                     )
                 )
             elif kind == "message":
-                messages.append(
-                    TraceMessage(
-                        from_event=EventId(*rec["from"]),
-                        to_event=EventId(*rec["to"]),
-                        send_us=rec["send_us"],
-                        deliver_us=rec["deliver_us"],
-                    )
+                message = TraceMessage(
+                    from_event=EventId(*rec["from"]),
+                    to_event=EventId(*rec["to"]),
+                    send_us=rec["send_us"],
+                    deliver_us=rec["deliver_us"],
                 )
+                # The replays read a send's stamp at its delivery; at equal
+                # times the send is replayed first.
+                if message.deliver_us < message.send_us:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: message delivered before it is sent: "
+                        f"deliver_us {message.deliver_us} < send_us {message.send_us}"
+                    )
+                messages.append(message)
             elif kind == "meta":
                 dropped = rec.get("dropped_messages", 0)
             else:

@@ -8,6 +8,7 @@ from snapdetect.detectors import (
     EventId,
     pair_key,
     physical_detect,
+    vector_arrays,
     vector_detect,
     violation_filter,
 )
@@ -27,7 +28,7 @@ class TestVectorDetect:
             EventId(0, 0): vec_interval([1, 0], [3, 2]),
             EventId(1, 0): vec_interval([0, 1], [2, 3]),
         }
-        assert vector_detect(intervals) == {pair_key(EventId(0, 0), EventId(1, 0))}
+        assert vector_detect(*vector_arrays(intervals)) == {pair_key(EventId(0, 0), EventId(1, 0))}
 
     def test_one_directional_order_is_a_false_negative(self):
         # Only lo_j -> hi_k holds; the pair is truly concurrent but the
@@ -36,14 +37,14 @@ class TestVectorDetect:
             EventId(0, 0): vec_interval([1, 0], [3, 0]),
             EventId(1, 0): vec_interval([0, 1], [2, 3]),
         }
-        assert vector_detect(intervals) == set()
+        assert vector_detect(*vector_arrays(intervals)) == set()
 
     def test_causally_ordered_intervals_not_reported(self):
         intervals = {
             EventId(0, 0): vec_interval([1, 0], [2, 0]),
             EventId(0, 1): vec_interval([3, 0], [4, 0]),
         }
-        assert vector_detect(intervals) == set()
+        assert vector_detect(*vector_arrays(intervals)) == set()
 
     def test_mixed_vector_lengths_rejected(self):
         intervals = {
@@ -51,7 +52,7 @@ class TestVectorDetect:
             EventId(1, 0): vec_interval([0, 1, 0], [0, 2, 0]),
         }
         with pytest.raises(ValueError):
-            vector_detect(intervals)
+            vector_arrays(intervals)
 
 
 class TestPhysicalDetect:

@@ -55,6 +55,22 @@ class TestScenariosCommand:
         assert "b" in result.output.split("scenario(s):")[-1]
 
 
+    def test_delivery_before_send_exits_2_naming_line(self, tmp_path):
+        scenarios.write_fixtures(tmp_path)
+        path = tmp_path / "scenario_a.jsonl"
+        lines = path.read_text().splitlines()
+        k = next(i for i, l in enumerate(lines) if '"message"' in l)
+        record = json.loads(lines[k])
+        record["deliver_us"] = record["send_us"] - 1
+        lines[k] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(main, ["scenarios", "--fixtures", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{path}:{k + 1}:" in result.output
+        assert "delivered before it is sent" in result.output
+
+
 class TestSweepCommand:
     def test_row_cardinality(self, tmp_path):
         spec = write_spec(tmp_path)

@@ -72,3 +72,24 @@ def test_invalid_config_is_a_format_error(tmp_path, key, value):
     path = _with_config(tmp_path, lambda rec: rec.update({key: value}))
     with pytest.raises(TraceFormatError, match=f":1: .*{key}"):
         load_trace(path)
+
+
+@pytest.mark.parametrize("lag_us", [-1, 0])
+def test_delivery_before_send_is_named(tmp_path, lag_us):
+    # At equal times the send replays first, so only deliver < send is bad.
+    config = SimConfig(nodes=2, events_per_process=4, message_delay_us=(1_000, 5_000), seed=3)
+    trace = generate_trace(config)
+    assert trace.messages
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    lines = path.read_text().splitlines()
+    k = next(i for i, l in enumerate(lines) if '"message"' in l)
+    record = json.loads(lines[k])
+    record["deliver_us"] = record["send_us"] + lag_us
+    lines[k] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    if lag_us < 0:
+        with pytest.raises(TraceFormatError, match=f":{k + 1}: message delivered before it is sent"):
+            load_trace(path)
+    else:
+        assert load_trace(path).messages[0].deliver_us == record["send_us"]

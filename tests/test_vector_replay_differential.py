@@ -1,19 +1,21 @@
-"""The int64-row vector replay against its one-``VectorStamp``-per-point form.
+"""The merge-at-deliveries vector replay against its one-``VectorStamp``-per-point form.
 
 ``_oracles.stamp_replay_vector`` is the replay built on ``vector_tick``
-and ``vector_merge`` that ``simulate._replay_vector`` replaced.  Intervals,
-the four counters and the full ``keep_points`` point list must be
-identical on seeded traces, on dense traces and on the scenario fixtures;
-both must fault on the same slot overflow.  On the same corpus,
+and ``vector_merge`` that ``simulate._replay_vector`` replaced.  The ids
+and the ``lo``/``hi`` stamp arrays (against ``vector_arrays`` of the
+reference's intervals), the four counters and the full ``keep_points``
+point list must be identical on seeded traces, on dense traces and on the
+scenario fixtures; both must fault on the same slot overflow.  On the same corpus,
 ``simulate._timeline``'s plain tuple sort must give the order of the
 keyed sort it replaced.
 """
+import numpy as np
 import pytest
 
 from _corpora import DELAYS_US, vector_corpus
 from _oracles import DELIVER, keyed_timeline, stamp_replay_vector
 from snapdetect import scenarios, simulate, stamps
-from snapdetect.detectors import EventId, vector_detect
+from snapdetect.detectors import EventId, vector_arrays, vector_detect
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
@@ -58,15 +60,18 @@ def test_corpus_matches_reference():
         where = trace.config
         want_counters = OpCounters()
         want_intervals, want_points = stamp_replay_vector(trace, want_counters, True)
+        want_ids, want_lo, want_hi = vector_arrays(want_intervals)
         for keep_points in (False, True):
             counters = OpCounters()
-            intervals, points = _replay_vector(trace, counters, keep_points)
-            assert intervals == want_intervals, where
+            ids, lo, hi, points = _replay_vector(trace, counters, keep_points)
+            assert ids == want_ids, where
+            assert lo.dtype == hi.dtype == np.int64, where
+            assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi), where
             assert counters == want_counters, where
             assert points == (want_points if keep_points else []), where
         traces += 1
         deliveries += sum(p.kind == DELIVER for p in want_points)
-        pairs += len(vector_detect(want_intervals))
+        pairs += len(vector_detect(want_ids, want_lo, want_hi))
     assert traces == 643
     assert deliveries > 0
     assert pairs > 0
@@ -121,10 +126,11 @@ def test_tick_reaching_max_tick_is_kept(monkeypatch):
     # Five messages give each process seven points, so with a cap of 7 the
     # last tick lands exactly on it and a sixth message overflows.
     cap_ticks(monkeypatch, 7)
-    intervals, _ = _replay_vector(chain_trace(5), OpCounters())
-    assert intervals == stamp_replay_vector(chain_trace(5), OpCounters())[0]
-    assert intervals[EventId(0, 0)].hi.slots == (7, 0)
-    assert intervals[EventId(1, 0)].hi.slots == (6, 7)
+    ids, lo, hi, _ = _replay_vector(chain_trace(5), OpCounters())
+    want_ids, want_lo, want_hi = vector_arrays(stamp_replay_vector(chain_trace(5), OpCounters())[0])
+    assert ids == want_ids == [EventId(0, 0), EventId(1, 0)]
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    assert hi.tolist() == [[7, 0], [6, 7]]
     with pytest.raises(StampOverflowError):
         _replay_vector(chain_trace(6), OpCounters())
     with pytest.raises(StampOverflowError):

@@ -1,37 +1,38 @@
-"""The blocked numpy pair scan of ``vector_detect`` against its scalar loop.
+"""The slot-major blocked pair scan of ``vector_detect`` against its scalar loop.
 
 ``_oracles.scalar_vector_detect`` is the per-pair ``vector_lt`` loop the
 scan replaced.  Detected pairs and ``pair_checks`` must be identical on
 replayed traces and on hand-built interval maps, with the default block
 size, with one-row blocks and with blocks whose row count leaves a
-ragged last block.  A separate test bounds the scan's peak allocation.
+ragged last block.  Separate tests bound the scan's peak allocation.
 """
 import tracemalloc
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _corpora import vector_corpus
 from _oracles import scalar_vector_detect
 from snapdetect import detectors
-from snapdetect.detectors import EventId, vector_detect
+from snapdetect.detectors import EventId, vector_arrays, vector_detect
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import _replay_vector
-from snapdetect.stamps import Interval, VectorStamp
+from snapdetect.stamps import MAX_TICK, Interval, VectorStamp
 
 
 def ragged_cells(intervals) -> int:
     """Block cells giving a row count that does not divide m (when m > 2)."""
     m = len(intervals)
-    n = len(next(iter(intervals.values())).lo.slots) if intervals else 0
     rows = next((k for k in range(2, m) if m % k), 2)
-    return rows * m * max(1, n)
+    return rows * m
 
 
 def scan(intervals, cells):
     counters = OpCounters()
     with mock.patch.object(detectors, "VECTOR_SCAN_BLOCK_CELLS", cells):
-        pairs = vector_detect(intervals, counters)
+        pairs = vector_detect(*vector_arrays(intervals), counters)
     return pairs, counters.pair_checks
 
 
@@ -55,7 +56,8 @@ def vec_interval(lo, hi):
 def test_replayed_traces_match_scalar_loop():
     traces = pairs = rejected = 0
     for trace in vector_corpus():
-        intervals, _ = _replay_vector(trace, OpCounters())
+        ids, lo, hi, _ = _replay_vector(trace, OpCounters())
+        intervals = {e: vec_interval(a, b) for e, a, b in zip(ids, lo.tolist(), hi.tolist())}
         found, checks = assert_same(intervals)
         m = len(intervals)
         assert checks == m * (m - 1) // 2
@@ -68,8 +70,13 @@ def test_replayed_traces_match_scalar_loop():
 
 @st.composite
 def interval_maps(draw):
-    """Small slot values, so equal stamps and ``lo == hi`` are common."""
+    """Few slot values, so equal stamps and ``lo == hi`` are common.
+
+    The values sit just above 0, around the int16 limit the scan narrows
+    to, or just below ``MAX_TICK``.
+    """
     n = draw(st.integers(1, 3))
+    base = draw(st.sampled_from([0, 2**15 - 3, MAX_TICK - 4]))
     ids = draw(
         st.lists(st.builds(EventId, st.integers(0, 3), st.integers(0, 5)), unique=True, max_size=9)
     )
@@ -77,7 +84,7 @@ def interval_maps(draw):
     intervals = {}
     for e in ids:
         lo, grow = draw(slots), draw(slots)
-        intervals[e] = vec_interval(lo, [a + b for a, b in zip(lo, grow)])
+        intervals[e] = vec_interval([base + a for a in lo], [base + a + b for a, b in zip(lo, grow)])
     return intervals
 
 
@@ -91,22 +98,44 @@ _A, _B, _C = EventId(0, 0), EventId(1, 0), EventId(1, 1)
 @example({_A: vec_interval([1], [1]), _B: vec_interval([1], [1])})  # equal stamps, lo == hi
 @example({_A: vec_interval([0], [2]), _B: vec_interval([1], [3])})  # one slot, concurrent
 @example({_A: vec_interval([0], [1]), _B: vec_interval([1], [2]), _C: vec_interval([1], [1])})
+@example({_A: vec_interval([MAX_TICK - 1], [MAX_TICK]), _B: vec_interval([MAX_TICK - 1], [MAX_TICK])})
 def test_interval_maps_match_scalar_loop(intervals):
     assert_same(intervals)
 
 
-def test_scan_peak_allocation_is_bounded():
-    """1,600 events x 80 slots: the (m, m, n) comparison cube would be ~200 MB."""
-    m, n = 1600, 80
-    # Start stamps 2k in every slot, ends 2k + 3: only neighbours are concurrent.
-    ids = [EventId(k // 20, k % 20) for k in range(m)]
-    intervals = {e: vec_interval((2 * k,) * n, (2 * k + 3,) * n) for k, e in enumerate(ids)}
-    cap_bytes = 8 * 2**20
+def peak_scan(ids, lo, hi, cells):
+    """The scan's pairs and its peak traced allocation, in bytes."""
     tracemalloc.start()
     try:
-        pairs = vector_detect(intervals)
+        with mock.patch.object(detectors, "VECTOR_SCAN_BLOCK_CELLS", cells):
+            pairs = vector_detect(ids, lo, hi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pairs == {(ids[k], ids[k + 1]) for k in range(m - 1)}
-    assert peak < cap_bytes, f"peak {peak / 2**20:.1f} MiB"
+    return pairs, peak
+
+
+# 1,600 events x 80 slots: the (m, m, n) comparison cube would be ~200 MB.
+SCAN_M, SCAN_N = 1600, 80
+SCAN_CAP_BYTES = 8 * 2**20
+SCAN_IDS = [EventId(k // 20, k % 20) for k in range(SCAN_M)]
+
+
+def test_scan_peak_allocation_is_bounded():
+    # Start stamps 2k in every slot, ends 2k + 3: only neighbours are concurrent.
+    intervals = {
+        e: vec_interval((2 * k,) * SCAN_N, (2 * k + 3,) * SCAN_N) for k, e in enumerate(SCAN_IDS)
+    }
+    pairs, peak = peak_scan(*vector_arrays(intervals), detectors.VECTOR_SCAN_BLOCK_CELLS)
+    assert pairs == {(SCAN_IDS[k], SCAN_IDS[k + 1]) for k in range(SCAN_M - 1)}
+    assert peak < SCAN_CAP_BYTES, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("slot", [5, MAX_TICK], ids=["int16", "int64"])
+@pytest.mark.parametrize("cells", [detectors.VECTOR_SCAN_BLOCK_CELLS, 7 * SCAN_M], ids=["default", "ragged"])
+def test_equal_stamps_scan_peak_allocation_is_bounded(cells, slot):
+    """Every lo and hi is one vector: all pairs pass ``<=``, none passes ``<``."""
+    stamps = np.full((SCAN_M, SCAN_N), slot, dtype=np.int64)
+    pairs, peak = peak_scan(SCAN_IDS, stamps, stamps.copy(), cells)
+    assert pairs == set()
+    assert peak < SCAN_CAP_BYTES, f"peak {peak / 2**20:.1f} MiB"
