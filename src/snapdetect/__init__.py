@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .detectors import (  # noqa: F401
     ContextReading,
     EventId,
-    MessageRecord,
     SnapshotDetector,
     Violation,
     pair_key,

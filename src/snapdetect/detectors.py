@@ -1,12 +1,15 @@
 """Concurrent-event detectors.
 
-Three detector families consume the same per-process stream of
-local-event / send / receive notifications:
+Three detector families read the same trace.  The snapshot and vector
+families replay it in one order, the columnar timeline that
+``simulate.Trace.timeline`` builds once per trace:
 
 * ``SnapshotDetector`` -- one scalar snapshot clock per process; a
   communicating pair (b, c) is reported as concurrent when the send stamp
   x of b's message lands inside c's final logical interval:
-  ``c.lo <= x < c.hi``.
+  ``c.lo <= x < c.hi``.  The replay drives it through ``on_local_event``,
+  ``on_send``, ``on_broadcasts`` and ``on_message(sender, receiver,
+  send_stamp)``; a delivery is three plain arguments, not a record.
 * ``vector_detect`` -- the vector-clock baseline: a quadratic pairwise
   scan reporting pairs whose interval endpoints are mutually ordered by
   happened-before (each start precedes the other's end).  It takes the
@@ -80,23 +83,6 @@ class Violation:
     pair: PairKey
     user: str
     locations: tuple[str, str]
-
-
-@dataclass(frozen=True)
-class MessageRecord:
-    """A delivered point-to-point message.
-
-    ``send_stamp`` is the sender's scalar tick at send time, carried
-    inline so the receiver never depends on broadcast arrival order.
-    """
-
-    from_event: EventId
-    to_event: EventId
-    send_stamp: int
-
-    def __post_init__(self) -> None:
-        if self.from_event == self.to_event:
-            raise ValueError("message from an event to itself")
 
 
 class DuplicateEventError(ValueError):
@@ -213,27 +199,31 @@ class SnapshotDetector:
         self.counters.stamp_words_sent += 2  # message stamp + its broadcast
         return x
 
-    def on_message(self, m: MessageRecord) -> None:
-        """A message is delivered to local event ``m.to_event``.
+    def on_message(self, sender: EventId, receiver: EventId, send_stamp: int) -> None:
+        """A message from peer event ``sender`` is delivered to local event ``receiver``.
 
-        A sender this process has not heard of is a drop.  Otherwise the
-        clock merges the send stamp, the receiving event's interval is
-        extended past it (the message was handled inside the event, so
-        its end tick must exceed x) and the pair is queued in EE.  A
-        receiving event that has not started yet is a drop too.
+        ``send_stamp`` is the sender's tick at the send, carried inline so
+        the receiver never depends on broadcast arrival order.  A message
+        from an event to itself raises ``ValueError``.  A sender this
+        process has not heard of is a drop.  Otherwise the clock merges the
+        send stamp, the receiving event's interval is extended past it (the
+        message was handled inside the event, so its end tick must exceed
+        x) and the pair is queued in EE.  A receiving event that has not
+        started yet is a drop too.
         """
+        if sender == receiver:
+            raise ValueError(f"message from event {sender} to itself")
         self.counters.events_processed += 1
-        if m.from_event not in self.heard and m.from_event not in self.intervals:
+        if sender not in self.heard and sender not in self.intervals:
             self.dropped += 1
             return
-        x = m.send_stamp
-        self._merge(x)
-        own = self.intervals.get(m.to_event)
+        self._merge(send_stamp)
+        own = self.intervals.get(receiver)
         if own is None:
             self.dropped += 1
             return
-        own[1] = max(own[1], x + 1)
-        self.ee.append((m.to_event, m.from_event, x))
+        own[1] = max(own[1], send_stamp + 1)
+        self.ee.append((receiver, sender, send_stamp))
 
     # -- detection -----------------------------------------------------
 

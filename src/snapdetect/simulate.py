@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import hashlib
 import heapq
 import random
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .detectors import (
     ContextReading,
     EventId,
-    MessageRecord,
     PairKey,
     SnapshotDetector,
     Violation,
@@ -189,6 +189,11 @@ class Trace:
         if self.messages:
             last = max(last, max(m.deliver_us for m in self.messages))
         return last
+
+    @functools.cached_property
+    def timeline(self) -> Timeline:
+        """The replay order, built on first use and kept with the trace."""
+        return _timeline(self)
 
 
 @dataclass(frozen=True)
@@ -399,21 +404,69 @@ class RunResult:
 _START, _SEND, _DELIVER, _END = 0, 1, 2, 3
 
 
-def _timeline(trace: Trace) -> list[tuple[int, int, int, int, object]]:
-    """Deterministic total replay order.
+class Timeline(NamedTuple):
+    """A trace's replay points as parallel columns, in replay order.
 
-    Entries are ``(time_us, kind, process, sub, payload)``; ties in wall
-    time break by kind, then process, then per-process sequence.
+    Point i happens at ``time_us[i]`` (int64) on ``process[i]``, and
+    ``kind[i]`` (int8) is ``_START``, ``_SEND``, ``_DELIVER`` or ``_END``.
+    ``sub[i]`` is the event's seq for a start or end and the message index
+    for a send or delivery; ``item[i]`` is the point's index into
+    ``trace.events`` (start, end) or ``trace.messages`` (send, delivery).
+    The index columns are int32.
     """
-    entries: list[tuple[int, int, int, int, object]] = []
-    for ev in trace.events:
-        entries.append((ev.start_us, _START, ev.process, ev.id.seq, ev))
-        entries.append((ev.end_us, _END, ev.process, ev.id.seq, ev))
-    for idx, m in enumerate(trace.messages):
-        entries.append((m.send_us, _SEND, m.from_event.process, idx, m))
-        entries.append((m.deliver_us, _DELIVER, m.to_event.process, idx, m))
-    entries.sort()  # (time_us, kind, process, sub) is unique, so payloads never compare
-    return entries
+
+    time_us: np.ndarray
+    kind: np.ndarray
+    process: np.ndarray
+    sub: np.ndarray
+    item: np.ndarray
+
+
+def _timeline(trace: Trace) -> Timeline:
+    """Deterministic total replay order, as ``Trace.timeline`` keeps it.
+
+    Ties in wall time break by kind, then process, then ``sub``.  The four
+    keys are unique per point, so the order does not depend on how
+    ``trace.events`` and ``trace.messages`` are listed.  A message whose
+    delivery sorts before its send (``deliver_us < send_us``) raises
+    ``ValueError``; at equal times the send comes first.
+    """
+    events, messages = trace.events, trace.messages
+    e, n = len(events), len(messages)
+    sent = np.fromiter((m.send_us for m in messages), np.int64, n)
+    delivered = np.fromiter((m.deliver_us for m in messages), np.int64, n)
+    late = np.flatnonzero(delivered < sent)
+    if late.size:
+        i = int(late[0])
+        raise ValueError(
+            f"message {i}: delivered at {messages[i].deliver_us} us,"
+            f" before its send at {messages[i].send_us} us"
+        )
+    owner = np.fromiter((ev.process for ev in events), np.int32, e)
+    seq = np.fromiter((ev.id.seq for ev in events), np.int32, e)
+    event = np.arange(e, dtype=np.int32)
+    msg = np.arange(n, dtype=np.int32)
+    time_us = np.concatenate(
+        (
+            np.fromiter((ev.start_us for ev in events), np.int64, e),
+            np.fromiter((ev.end_us for ev in events), np.int64, e),
+            sent,
+            delivered,
+        )
+    )
+    kind = np.repeat(np.array([_START, _END, _SEND, _DELIVER], dtype=np.int8), (e, e, n, n))
+    process = np.concatenate(
+        (
+            owner,
+            owner,
+            np.fromiter((m.from_event.process for m in messages), np.int32, n),
+            np.fromiter((m.to_event.process for m in messages), np.int32, n),
+        )
+    )
+    sub = np.concatenate((seq, seq, msg, msg))
+    item = np.concatenate((event, event, msg, msg))
+    order = np.lexsort((sub, process, kind, time_us))
+    return Timeline(time_us[order], kind[order], process[order], sub[order], item[order])
 
 
 def _replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetector]:
@@ -428,7 +481,8 @@ def _replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetecto
     fold its clock covers every stamp before its cursor, so the pending
     stamps' max can be read as the running max.  Broadcast is FIFO per
     sender, so p has heard of sender (q, s) exactly when ``started[q]``,
-    the highest seq q has started, is at least s.
+    the highest seq q has started, is at least s.  End points change no
+    snapshot state, so the driver walks only the other points.
     """
     procs = trace.config.n_processes
     dets = [SnapshotDetector(p, procs, counters) for p in range(procs)]
@@ -436,26 +490,33 @@ def _replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetecto
     low, high = MAX_TICK, 0  # running min and max of the announced stamps
     cursor = [0] * procs
     started = [-1] * procs
-    send_stamps: dict[int, int] = {}
-    for _t, kind, proc, sub, payload in _timeline(trace):
-        if kind == _END:
-            continue
+    events, messages = trace.events, trace.messages
+    send_stamps = [0] * len(messages)  # each send's stamp, once replayed
+    timeline = trace.timeline
+    live = timeline.kind != _END
+    points = zip(
+        timeline.kind[live].tolist(),
+        timeline.process[live].tolist(),
+        timeline.item[live].tolist(),
+    )
+    for kind, proc, i in points:
         d = dets[proc]
         if announced > cursor[proc]:
             d.on_broadcasts(announced - cursor[proc], low, high)
             cursor[proc] = announced
         if kind == _START:
-            e = payload.id
+            e = events[i].id
             x = d.on_local_event(e)
             started[proc] = e.seq
         elif kind == _SEND:
-            x = send_stamps[sub] = d.on_send(payload.from_event)
+            x = send_stamps[i] = d.on_send(messages[i].from_event)
         else:
-            sender = payload.from_event
+            m = messages[i]
+            sender = m.from_event
             q = sender.process
             if q != proc and started[q] >= sender.seq:
                 d.heard.add(sender)
-            d.on_message(MessageRecord(sender, payload.to_event, send_stamps[sub]))
+            d.on_message(sender, m.to_event, send_stamps[i])
             continue
         announced += 1
         cursor[proc] = announced
@@ -508,72 +569,109 @@ def _replay_vector(
     point ticks it by one, and a merge never raises it past that count,
     since no other clock has seen a later point of the process.  So rows
     of ``known`` are written only at deliveries.  Row p starts as p's
-    zero clock; a delivery writes one new row, the slot-wise max of the
-    receiver's current row and the sender's row at the send, with the
-    sender's slot raised to the send's count.  A point's stamp is its
-    process's current row with the own slot set to its count.  Every
-    slot is some process's count, so the largest count bounds them all
-    and int64 is exact.  The shortcut needs each process to own its slot.
+    zero clock; the k-th delivery of the replay writes row ``procs + k``,
+    the slot-wise max of the receiver's current row and the sender's row
+    at the send, with the sender's slot raised to the send's count.  A
+    point's stamp is its process's current row with the own slot set to
+    its count.  Every slot is some process's count, so the largest count
+    bounds them all and int64 is exact.  The shortcut needs each process
+    to own its slot.
+
+    Counts and rows are array operations over the timeline columns
+    (``_counts_and_rows``); only the merges loop, one per delivery, in
+    replay order.
     """
     procs = trace.config.n_processes
-    timeline = _timeline(trace)
-    ids = sorted({ev.id for ev in trace.events})
-    where = {e: i for i, e in enumerate(ids)}
-    m, n_msgs = len(ids), len(trace.messages)
-    known = np.zeros((procs + n_msgs, procs), dtype=np.int64)
-    row = list(range(procs))  # each process's current row of ``known``
-    count = [0] * procs  # each process's points so far: its own slot
-    lo_at, hi_at = [None] * m, [None] * m  # (row, count) of each start and end
-    send_at = [None] * n_msgs  # (row, count) of each send, once replayed
-    point_at: list[tuple[int, int]] = []
-    written = procs
-    for _t, kind, proc, sub, payload in timeline:
-        c = count[proc] = count[proc] + 1
-        if kind == _DELIVER:
-            sent_row, sent_count = send_at[sub]
-            merged = known[written]
-            np.maximum(known[row[proc]], known[sent_row], out=merged)
-            q = payload.from_event.process
-            if merged[q] < sent_count:
-                merged[q] = sent_count
-            row[proc] = written
-            written += 1
-        elif kind == _SEND:
-            send_at[sub] = (row[proc], c)
-        elif kind == _START:
-            lo_at[where[payload.id]] = (row[proc], c)
-        else:
-            hi_at[where[payload.id]] = (row[proc], c)
-        if keep_points:
-            point_at.append((row[proc], c))
-    top = max(count, default=0)
+    timeline = trace.timeline
+    kind, process, item = timeline.kind, timeline.process, timeline.item
+    n_points, n_msgs = len(kind), len(trace.messages)
+    per_proc = np.bincount(process, minlength=procs)
+    if per_proc.size > procs:
+        raise IndexError(f"process {per_proc.size - 1} out of range")
+    top = int(per_proc.max(initial=0))
     if top > MAX_TICK:
         raise StampOverflowError(f"slot out of range: {top}")
-    counters.clock_updates += len(timeline)
+
+    deliver = kind == _DELIVER
+    count, row, prior = _counts_and_rows(process, deliver, procs)
+    sends = np.flatnonzero(kind == _SEND)
+    send_at = np.empty(n_msgs, dtype=np.intp)  # each message's send point
+    send_at[item[sends]] = sends
+    sent = send_at[item[deliver]]  # _timeline puts every send before its delivery
+    span = procs + n_msgs
+    known = np.zeros((span, procs), dtype=np.int64)
+    merges = zip(
+        range(procs, span),
+        prior.tolist(),
+        row[sent].tolist(),
+        process[sent].tolist(),
+        count[sent].tolist(),
+    )
+    for w, a, b, q, c in merges:
+        merged = known[w]
+        np.maximum(known[a], known[b], out=merged)
+        if merged[q] < c:
+            merged[q] = c
+
+    counters.clock_updates += n_points
     counters.events_processed += len(trace.events) + 2 * n_msgs
     counters.stamp_words_sent += procs * n_msgs
-    owner = np.array([e.process for e in ids], dtype=np.intp)
-    lo, hi = _stamps(known, lo_at, owner), _stamps(known, hi_at, owner)
+    ids = sorted({ev.id for ev in trace.events})
+    where = {e: i for i, e in enumerate(ids)}
+    rank = np.array([where[ev.id] for ev in trace.events], dtype=np.intp)
+
+    def endpoint_stamps(endpoint: int) -> np.ndarray:
+        points = np.flatnonzero(kind == endpoint)
+        at = np.empty(len(ids), dtype=np.intp)  # each id's point, in id order
+        at[rank[item[points]]] = points
+        return _stamps(known, row[at], count[at], process[at])
+
+    lo, hi = endpoint_stamps(_START), endpoint_stamps(_END)
     points: list[VectorPoint] = []
     if keep_points:
-        owner = np.array([proc for _t, _k, proc, _s, _p in timeline], dtype=np.intp)
-        stamps = _stamps(known, point_at, owner).tolist()
-        for (t, kind, proc, sub, payload), slots in zip(timeline, stamps):
-            if kind == _SEND:
-                event, msg = payload.from_event, sub
-            elif kind == _DELIVER:
-                event, msg = payload.to_event, sub
+        stamps = _stamps(known, row, count, process).tolist()
+        events, messages = trace.events, trace.messages
+        columns = zip(timeline.time_us.tolist(), kind.tolist(), process.tolist(), item.tolist())
+        for (t, k, proc, i), slots in zip(columns, stamps):
+            if k == _SEND:
+                event, msg_index = messages[i].from_event, i
+            elif k == _DELIVER:
+                event, msg_index = messages[i].to_event, i
             else:
-                event, msg = payload.id, None
-            points.append(VectorPoint(kind, proc, t, event, msg, VectorStamp(tuple(slots))))
+                event, msg_index = events[i].id, None
+            points.append(VectorPoint(k, proc, t, event, msg_index, VectorStamp(tuple(slots))))
     return ids, lo, hi, points
 
 
-def _stamps(known: np.ndarray, at: list[tuple[int, int]], owner: np.ndarray) -> np.ndarray:
-    """Stamps of the points at ``(row, count)``: the row with the owner's slot set."""
-    rows, counts = np.array(at, dtype=np.int64).reshape(len(at), 2).T
+def _counts_and_rows(
+    process: np.ndarray, deliver: np.ndarray, procs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per point of a timeline, its count and its row of ``known``.
+
+    A point's count is its rank among its process's points, from 1.  The
+    k-th delivery writes row ``procs + k``, and a point's row is its
+    process's latest delivery row up to it, or row p before p's first
+    delivery.  Rows grow along the replay, so that is a running max over
+    each process's points.  Also returns the row each delivery's process
+    had before it, which the delivery merges into.  All three are int32.
+    """
+    count = np.empty(len(process), dtype=np.int32)
+    row = np.where(deliver, procs + np.cumsum(deliver, dtype=np.int32) - 1, process)
+    prior = np.empty_like(row)
+    for p in range(procs):
+        at = np.flatnonzero(process == p)  # p's points, in replay order
+        count[at] = np.arange(1, len(at) + 1)
+        rows = np.maximum.accumulate(row[at])
+        row[at] = rows
+        prior[at[1:]] = rows[:-1]
+        prior[at[:1]] = p
+    return count, row, prior[deliver]
+
+
+def _stamps(known: np.ndarray, rows: np.ndarray, counts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Stamps of the points at ``rows`` of ``known``: each row with its owner's slot set to its count."""
     out = known[rows]
-    out[np.arange(len(at)), owner] = counts
+    out[np.arange(len(rows)), owner] = counts
     return out
 
 

@@ -12,10 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from snapdetect.detectors import DuplicateEventError, EventId, MessageRecord, PairKey, pair_key
+from _oracles import keyed_timeline
+from snapdetect.detectors import DuplicateEventError, EventId, PairKey, pair_key
 from snapdetect.metrics import OpCounters
-from snapdetect.simulate import _DELIVER, _SEND, _START, Trace, _timeline
+from snapdetect.simulate import _DELIVER, _SEND, _START, Trace
 from snapdetect.stamps import SnapshotStamp, snapshot_merge, snapshot_tick
+
+
+@dataclass(frozen=True)
+class MessageRecord:
+    from_event: EventId
+    to_event: EventId
+    send_stamp: int
+
+    def __post_init__(self) -> None:
+        if self.from_event == self.to_event:
+            raise ValueError("message from an event to itself")
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,7 @@ def legacy_replay(trace: Trace, counters: OpCounters) -> list[LegacySnapshotDete
     procs = trace.config.n_processes
     dets = [LegacySnapshotDetector(p, procs, counters) for p in range(procs)]
     send_stamps: dict[int, int] = {}
-    for _t, kind, proc, sub, payload in _timeline(trace):
+    for _t, kind, proc, sub, payload in keyed_timeline(trace):
         if kind == _START:
             announce = dets[proc].on_local_event(payload.id)
             for q in range(procs):

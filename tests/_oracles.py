@@ -7,7 +7,6 @@ from collections import Counter
 from snapdetect.detectors import (
     ContextReading,
     EventId,
-    MessageRecord,
     SnapshotDetector,
     pair_key,
 )
@@ -20,7 +19,6 @@ from snapdetect.simulate import (
     TraceMessage,
     VectorPoint,
     _stream,
-    _timeline,
     _Trajectories,
 )
 from snapdetect.stamps import Interval, VectorStamp, vector_lt, vector_merge, vector_tick
@@ -68,7 +66,7 @@ def replay_order_snapshot(trace: Trace) -> tuple[set, int, int]:
     Under the instant broadcast a message from b to c is dropped when c
     has not started before the delivery, and otherwise reported exactly
     when c started before the send.  Each point is keyed by the replay
-    tie-break ``(time_us, kind, process, sub)``; ``_timeline`` is not used.
+    tie-break ``(time_us, kind, process, sub)``; no timeline is built.
     Returns the pairs, the drops and the delivered messages not reported.
     """
     starts = {ev.id: (ev.start_us, START, ev.process, ev.id.seq) for ev in trace.events}
@@ -87,7 +85,10 @@ def replay_order_snapshot(trace: Trace) -> tuple[set, int, int]:
 def keyed_timeline(trace: Trace) -> list[tuple]:
     """The replay order sorted on ``(time_us, kind, process, sub)`` alone.
 
-    The keyed sort ``simulate._timeline`` replaced; kept as its reference.
+    Entries are ``(time_us, kind, process, sub, payload)`` with the event
+    or message as payload.  The keyed sort that ``simulate._timeline``'s
+    columns replaced; kept as their reference.  The reference replays in
+    this module walk it, so they do not depend on the code they check.
     """
     entries = []
     for ev in trace.events:
@@ -98,6 +99,21 @@ def keyed_timeline(trace: Trace) -> list[tuple]:
         entries.append((m.deliver_us, DELIVER, m.to_event.process, idx, m))
     entries.sort(key=lambda e: e[:4])
     return entries
+
+
+def keyed_columns(trace: Trace) -> list[list[int]]:
+    """``keyed_timeline`` as the lists ``time_us``, ``kind``, ``process``, ``sub``, ``item``.
+
+    ``item`` is the payload's index in ``trace.events`` (start, end) or
+    ``trace.messages`` (send, delivery), as in ``simulate.Timeline``.
+    """
+    index = {id(ev): i for i, ev in enumerate(trace.events)}
+    columns: list[list[int]] = [[], [], [], [], []]
+    for t, kind, proc, sub, payload in keyed_timeline(trace):
+        item = sub if kind in (SEND, DELIVER) else index[id(payload)]
+        for column, value in zip(columns, (t, kind, proc, sub, item)):
+            column.append(value)
+    return columns
 
 
 def stamp_replay_vector(trace: Trace, counters: OpCounters, keep_points: bool = False):
@@ -114,7 +130,7 @@ def stamp_replay_vector(trace: Trace, counters: OpCounters, keep_points: bool = 
         if keep_points:
             points.append(VectorPoint(kind, proc, t, event, msg, clocks[proc]))
 
-    for t, kind, proc, sub, payload in _timeline(trace):
+    for t, kind, proc, sub, payload in keyed_timeline(trace):
         if kind == START:
             clocks[proc] = vector_tick(clocks[proc], proc)
             counters.clock_updates += 1
@@ -152,7 +168,7 @@ def per_peer_replay_snapshot(trace: Trace, counters: OpCounters) -> list[Snapsho
     dets = [SnapshotDetector(p, procs, counters) for p in range(procs)]
     peers = [[d.on_broadcast for d in dets if d.process != p] for p in range(procs)]
     send_stamps: dict[int, int] = {}
-    for _t, kind, proc, sub, payload in _timeline(trace):
+    for _t, kind, proc, sub, payload in keyed_timeline(trace):
         if kind == START:
             e = payload.id
             tick = dets[proc].on_local_event(e)
@@ -164,8 +180,7 @@ def per_peer_replay_snapshot(trace: Trace, counters: OpCounters) -> list[Snapsho
             for hear in peers[proc]:
                 hear(e, x)
         elif kind == DELIVER:
-            record = MessageRecord(payload.from_event, payload.to_event, send_stamps[sub])
-            dets[proc].on_message(record)
+            dets[proc].on_message(payload.from_event, payload.to_event, send_stamps[sub])
     return dets
 
 

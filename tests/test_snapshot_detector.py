@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from snapdetect.detectors import (
     DuplicateEventError,
     EventId,
-    MessageRecord,
     SnapshotDetector,
     pair_key,
 )
@@ -188,7 +187,7 @@ class TestMessage:
 
     def test_delivery_queues_pair_and_extends_interval(self):
         det = self.make_receiver()
-        det.on_message(MessageRecord(EventId(0, 0), EventId(1, 0), send_stamp=4))
+        det.on_message(EventId(0, 0), EventId(1, 0), send_stamp=4)
         assert det.ee == [(EventId(1, 0), EventId(0, 0), 4)]
         assert det.intervals[EventId(1, 0)][1] >= 5  # hi is a running max, never shrinks
         assert det.clock == 4
@@ -196,10 +195,18 @@ class TestMessage:
     def test_unknown_sender_is_counted_as_drop(self):
         det = self.make_receiver()
         clock = det.clock
-        det.on_message(MessageRecord(EventId(0, 9), EventId(1, 0), send_stamp=4))
+        det.on_message(EventId(0, 9), EventId(1, 0), send_stamp=4)
         assert det.dropped == 1
         assert det.ee == []
         assert det.clock == clock  # a dropped message is never merged
+
+    def test_message_from_an_event_to_itself_is_rejected(self):
+        det = self.make_receiver()
+        before = (det.clock, det.dropped, list(det.ee), det.counters.events_processed)
+        with pytest.raises(ValueError, match="to itself"):
+            det.on_message(EventId(1, 0), EventId(1, 0), send_stamp=4)
+        # Rejected before anything is counted, merged or queued.
+        assert (det.clock, det.dropped, det.ee, det.counters.events_processed) == before
 
 
 class TestCheckConsistency:

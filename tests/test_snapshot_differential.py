@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _corpora import vector_corpus
-from _legacy_snapshot import LegacySnapshotDetector, legacy_snapshot
+from _legacy_snapshot import LegacySnapshotDetector, MessageRecord, legacy_snapshot
 from _oracles import per_peer_replay_snapshot, replay_order_snapshot
 from snapdetect import detectors, scenarios
-from snapdetect.detectors import EventId, MessageRecord, SnapshotDetector, violation_filter
+from snapdetect.detectors import EventId, SnapshotDetector, violation_filter
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
@@ -154,13 +154,13 @@ def test_unknown_sender_drop_matches_reference():
     new.on_local_event(own)
     old.on_broadcast(0, peer, 2)
     new.on_broadcast(peer, 2)
-    for m in (
-        MessageRecord(stranger, own, send_stamp=5),
-        MessageRecord(peer, own, send_stamp=1),  # on the receiver's inclusive lower bound
-        MessageRecord(peer, EventId(1, 4), send_stamp=3),
+    for sender, receiver, send_stamp in (
+        (stranger, own, 5),
+        (peer, own, 1),  # on the receiver's inclusive lower bound
+        (peer, EventId(1, 4), 3),
     ):
-        old.on_message(m)
-        new.on_message(m)
+        old.on_message(MessageRecord(sender, receiver, send_stamp))
+        new.on_message(sender, receiver, send_stamp)
     assert new.check_consistency() == old.check_consistency() != set()
     assert _state(new) == _state(old)
     assert new.dropped == 2
@@ -198,9 +198,9 @@ def test_handler_sequences_match_reference(ops):
             if e in new.intervals:
                 assert new.on_send(e) == old.on_send(e)
         elif op == "message" and p != 1:
-            m = MessageRecord(EventId(p, seq), EventId(1, target), stamp)
-            old.on_message(m)
-            new.on_message(m)
+            sender, receiver = EventId(p, seq), EventId(1, target)
+            old.on_message(MessageRecord(sender, receiver, stamp))
+            new.on_message(sender, receiver, stamp)
         assert _state(new) == _state(old)
     assert new.check_consistency() == old.check_consistency()
     assert _state(new) == _state(old)

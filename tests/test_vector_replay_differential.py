@@ -6,14 +6,14 @@ and the ``lo``/``hi`` stamp arrays (against ``vector_arrays`` of the
 reference's intervals), the four counters and the full ``keep_points``
 point list must be identical on seeded traces, on dense traces and on the
 scenario fixtures; both must fault on the same slot overflow.  On the same corpus,
-``simulate._timeline``'s plain tuple sort must give the order of the
-keyed sort it replaced.
+``simulate._timeline``'s sorted columns must give the order of the keyed
+tuple sort they replaced.
 """
 import numpy as np
 import pytest
 
 from _corpora import DELAYS_US, vector_corpus
-from _oracles import DELIVER, keyed_timeline, stamp_replay_vector
+from _oracles import DELIVER, keyed_columns, stamp_replay_vector
 from snapdetect import scenarios, simulate, stamps
 from snapdetect.detectors import EventId, vector_arrays, vector_detect
 from snapdetect.metrics import OpCounters
@@ -80,7 +80,9 @@ def test_corpus_matches_reference():
 def test_timeline_matches_keyed_sort():
     traces = 0
     for trace in full_corpus():
-        assert _timeline(trace) == keyed_timeline(trace), trace.config
+        timeline = _timeline(trace)
+        assert [c.dtype for c in timeline] == [np.int64, np.int8, np.int32, np.int32, np.int32]
+        assert [c.tolist() for c in timeline] == keyed_columns(trace), trace.config
         traces += 1
     assert traces == 643
 
