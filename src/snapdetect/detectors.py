@@ -20,7 +20,9 @@ families replay it in one order, the columnar timeline that
   slot at a time, and strictness (``a != b``) compares row ids that a
   ``lexsort`` of all stamp rows assigns, equal rows equal ids.
 * ``physical_detect`` -- wall-clock interval overlap under synchronized
-  physical clocks, via a boundary sweep.
+  physical clocks, via a sorted start scan.  It is the one overlap
+  kernel: ``simulate.Trace.truth`` runs it once per trace, and both
+  ground truth and the physical family read that result.
 
 ``violation_filter`` lifts detected concurrent pairs into context
 violations under the constraint that one user cannot be read at two
@@ -28,6 +30,7 @@ different locations at the same time.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -344,28 +347,26 @@ def physical_detect(
 ) -> set[PairKey]:
     """Wall-clock overlap of half-open ``[start, end)`` spans.
 
-    Boundary sweep: walk start/end boundaries in time order and pair each
-    starting span with the active set.  O(n log n + output).
+    Sorted start scan: spans are taken by (start, id), and each is paired
+    with the spans still active, kept in a heap by end; a span whose end
+    is at or before the new start has left, so touching spans do not
+    overlap.  Each pairing is one ``pair_checks``.  O(n log n + output).
+    An empty span (``start >= end``) raises ``ValueError``.
     """
-    boundaries: list[tuple[int, int, EventId, int]] = []
-    for event, start, end in spans:
+    found: set[PairKey] = set()
+    active: list[tuple[int, EventId]] = []
+    checks = 0
+    for event, start, end in sorted(spans, key=lambda s: (s[1], s[0])):
         if start >= end:
             raise ValueError(f"empty span for {event}: [{start}, {end})")
-        # Ends sort before starts at equal times: half-open touch is no overlap.
-        boundaries.append((start, 1, event, end))
-        boundaries.append((end, 0, event, end))
-    boundaries.sort()
-    active: set[EventId] = set()
-    found: set[PairKey] = set()
-    for _, kind, event, _end in boundaries:
-        if kind == 0:
-            active.discard(event)
-        else:
-            for other in active:
-                if counters is not None:
-                    counters.pair_checks += 1
-                found.add(pair_key(event, other))
-            active.add(event)
+        while active and active[0][0] <= start:
+            heapq.heappop(active)
+        checks += len(active)
+        for _, other in active:
+            found.add(pair_key(event, other))
+        heapq.heappush(active, (end, event))
+    if counters is not None:
+        counters.pair_checks += checks
     return found
 
 

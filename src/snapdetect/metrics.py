@@ -1,6 +1,7 @@
 """Accuracy scoring, trend statistics and empirical complexity counters."""
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,8 +19,11 @@ class OpCounters:
     """Work counters accumulated while a detector runs.
 
     ``stamp_words_sent`` sums payload sizes in machine words over every
-    emitted message or broadcast (counted once per emission, not per
-    recipient).  ``events_processed`` counts notifications that triggered
+    emitted message or broadcast, counted once per emission, not once per
+    recipient.  So a snapshot announcement to n - 1 peers costs one word:
+    its O(1) is per message on a broadcast medium, and over point-to-point
+    links the snapshot family moves at least as many words as the vector
+    family.  ``events_processed`` counts notifications that triggered
     detector work: local occurrences, sends and deliveries.
     """
 
@@ -42,23 +46,27 @@ def score(detected, truth) -> AccuracyReport:
     """Score a detector's output against ground truth.
 
     ``truth`` is either a ``GroundTruth`` (its ``concurrent_pairs`` are
-    used) or a plain set of canonical event-id pairs.  Recall over an
-    empty truth set, and precision over an empty detection set, are
-    defined as 1.
+    used) or a plain collection of canonical event-id pairs.  A set,
+    frozenset or other ``Set`` is read as given; any other iterable is
+    made a set once.  Recall over an empty truth set, and precision over
+    an empty detection set, are defined as 1.
     """
-    true_pairs = getattr(truth, "concurrent_pairs", truth)
-    detected = set(detected)
-    true_pairs = set(true_pairs)
-    hits = detected & true_pairs
-    recall = len(hits) / len(true_pairs) if true_pairs else 1.0
-    precision = len(hits) / len(detected) if detected else 1.0
+    detected = _as_set(detected)
+    true_pairs = _as_set(getattr(truth, "concurrent_pairs", truth))
+    hits = len(detected & true_pairs)
+    recall = hits / len(true_pairs) if true_pairs else 1.0
+    precision = hits / len(detected) if detected else 1.0
     return AccuracyReport(
         recall=recall,
         precision=precision,
         true_pairs=len(true_pairs),
         detected_pairs=len(detected),
-        false_negatives=len(true_pairs - detected),
+        false_negatives=len(true_pairs) - hits,
     )
+
+
+def _as_set(pairs):
+    return pairs if isinstance(pairs, Set) else set(pairs)
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:

@@ -15,7 +15,6 @@ import bisect
 import enum
 import functools
 import hashlib
-import heapq
 import random
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
@@ -28,7 +27,6 @@ from .detectors import (
     PairKey,
     SnapshotDetector,
     Violation,
-    pair_key,
     physical_detect,
     vector_detect,
     violation_filter,
@@ -184,22 +182,121 @@ class Trace:
     def spans(self) -> dict[EventId, tuple[int, int]]:
         return {e.id: (e.start_us, e.end_us) for e in self.events}
 
+    @functools.cached_property
     def makespan_us(self) -> int:
+        """The last end or delivery time, computed on first use and kept with the trace."""
         last = max(e.end_us for e in self.events)
         if self.messages:
             last = max(last, max(m.deliver_us for m in self.messages))
         return last
 
     @functools.cached_property
+    def event_columns(self) -> EventColumns:
+        """The checked event columns, built on first use and kept with the trace.
+
+        Ground truth and every family's replay read them first, so a
+        malformed event identity is rejected once per trace.
+        """
+        return _event_columns(self.events)
+
+    @functools.cached_property
     def timeline(self) -> Timeline:
         """The replay order, built on first use and kept with the trace."""
         return _timeline(self)
 
+    @functools.cached_property
+    def truth(self) -> GroundTruth:
+        """Wall-time overlap and its violations, built on first use and kept with the trace.
+
+        ``physical_detect`` runs here and nowhere else in a run, and
+        ``violation_filter`` lifts its pairs: ``ground_truth`` and the
+        physical family both return this result.
+        """
+        self.event_columns  # rejects a malformed event identity
+        counters = OpCounters()
+        pairs = physical_detect([(e.id, e.start_us, e.end_us) for e in self.events], counters)
+        violations = violation_filter(pairs, self.readings())
+        return GroundTruth(frozenset(pairs), frozenset(violations), counters.pair_checks)
+
 
 @dataclass(frozen=True)
 class GroundTruth:
+    """Wall-time overlap pairs, the violations among them, and the checks made.
+
+    ``pair_checks`` is what the overlap kernel counted; the physical
+    family reports it as its own.
+    """
+
     concurrent_pairs: frozenset[PairKey]
     violations: frozenset[Violation]
+    pair_checks: int
+
+
+class EventColumns(NamedTuple):
+    """A trace's events as columns, in ``trace.events`` order.
+
+    ``process`` and ``seq`` are int32, ``start_us`` and ``end_us`` int64.
+    """
+
+    process: np.ndarray
+    seq: np.ndarray
+    start_us: np.ndarray
+    end_us: np.ndarray
+
+
+class EventIdentityError(ValueError):
+    """An event identity the replays cannot trust.
+
+    ``index`` is the event's place in ``trace.events``.
+    """
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _event_columns(events) -> EventColumns:
+    """The columns of ``events``, once their identities are checked.
+
+    Raises ``EventIdentityError`` naming the first event whose
+    ``id.process`` is not its ``process``, then the first whose id
+    repeats, then the first that starts before an event of its process
+    with a lower seq.  The snapshot replay's heard-of test reads a
+    process's latest start as its highest seq, so the last is as wrong
+    as the others.
+    """
+    e = len(events)
+    process = np.fromiter((ev.process for ev in events), np.int32, e)
+    seq = np.fromiter((ev.id.seq for ev in events), np.int32, e)
+    start = np.fromiter((ev.start_us for ev in events), np.int64, e)
+    end = np.fromiter((ev.end_us for ev in events), np.int64, e)
+    named = np.fromiter((ev.id.process for ev in events), np.int64, e)
+    foreign = np.flatnonzero(named != process)
+    if foreign.size:
+        i = int(foreign[0])
+        ev = events[i]
+        raise EventIdentityError(
+            i, f"event {tuple(ev.id)}: id names process {ev.id.process}, but it runs on {ev.process}"
+        )
+    # Each process's events by seq; the sort is stable, so of two events
+    # with one id the later-listed comes second.
+    order = np.lexsort((seq, process))
+    later, earlier = order[1:], order[:-1]
+    same = process[later] == process[earlier]
+    repeats = same & (seq[later] == seq[earlier])
+    if repeats.any():
+        i = int(later[repeats].min())
+        raise EventIdentityError(i, f"event {tuple(events[i].id)}: id repeats")
+    early = np.flatnonzero(same & (start[later] < start[earlier]))
+    if early.size:
+        k = early[np.argmin(later[early])]
+        a, b = events[later[k]], events[earlier[k]]
+        raise EventIdentityError(
+            int(later[k]),
+            f"event {tuple(a.id)}: starts at {a.start_us} us,"
+            f" before event {tuple(b.id)} at {b.start_us} us",
+        )
+    return EventColumns(process, seq, start, end)
 
 
 def _stream(seed: int, name: str) -> random.Random:
@@ -367,21 +464,11 @@ def generate_trace(config: SimConfig) -> Trace:
 
 
 def ground_truth(trace: Trace) -> GroundTruth:
-    """Wall-time overlap pairs plus the violations among them.
+    """Wall-time overlap pairs plus the violations among them: ``trace.truth``.
 
-    Sorted start scan with an end-time heap; half-open spans, so touching
-    intervals do not overlap.
+    Half-open spans, so touching intervals do not overlap.
     """
-    pairs: set[PairKey] = set()
-    active: list[tuple[int, EventId]] = []
-    for ev in sorted(trace.events, key=lambda e: (e.start_us, e.id)):
-        while active and active[0][0] <= ev.start_us:
-            heapq.heappop(active)
-        for _, other in active:
-            pairs.add(pair_key(ev.id, other))
-        heapq.heappush(active, (ev.end_us, ev.id))
-    violations = violation_filter(pairs, trace.readings())
-    return GroundTruth(frozenset(pairs), frozenset(violations))
+    return trace.truth
 
 
 class DetectorFamily(enum.Enum):
@@ -431,8 +518,8 @@ def _timeline(trace: Trace) -> Timeline:
     delivery sorts before its send (``deliver_us < send_us``) raises
     ``ValueError``; at equal times the send comes first.
     """
-    events, messages = trace.events, trace.messages
-    e, n = len(events), len(messages)
+    columns, messages = trace.event_columns, trace.messages
+    e, n = len(columns.seq), len(messages)
     sent = np.fromiter((m.send_us for m in messages), np.int64, n)
     delivered = np.fromiter((m.deliver_us for m in messages), np.int64, n)
     late = np.flatnonzero(delivered < sent)
@@ -442,18 +529,10 @@ def _timeline(trace: Trace) -> Timeline:
             f"message {i}: delivered at {messages[i].deliver_us} us,"
             f" before its send at {messages[i].send_us} us"
         )
-    owner = np.fromiter((ev.process for ev in events), np.int32, e)
-    seq = np.fromiter((ev.id.seq for ev in events), np.int32, e)
+    owner, seq = columns.process, columns.seq
     event = np.arange(e, dtype=np.int32)
     msg = np.arange(n, dtype=np.int32)
-    time_us = np.concatenate(
-        (
-            np.fromiter((ev.start_us for ev in events), np.int64, e),
-            np.fromiter((ev.end_us for ev in events), np.int64, e),
-            sent,
-            delivered,
-        )
-    )
+    time_us = np.concatenate((columns.start_us, columns.end_us, sent, delivered))
     kind = np.repeat(np.array([_START, _END, _SEND, _DELIVER], dtype=np.int8), (e, e, n, n))
     process = np.concatenate(
         (
@@ -685,22 +764,24 @@ def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
     """Replay a trace through one detector family and collect its output."""
     counters = OpCounters()
     dropped = 0
-    if family is DetectorFamily.SNAPSHOT:
-        detected, dropped = _run_snapshot(trace, counters)
-    elif family is DetectorFamily.VECTOR:
-        ids, lo, hi, _ = _replay_vector(trace, counters)
-        detected = vector_detect(ids, lo, hi, counters)
-    else:
+    if family is DetectorFamily.PHYSICAL:
+        # Wall-time overlap is ground truth, computed once per trace.
+        truth = trace.truth
         counters.events_processed += len(trace.events)
-        detected = physical_detect(
-            [(e.id, e.start_us, e.end_us) for e in trace.events], counters
-        )
-    violations = violation_filter(detected, trace.readings())
+        counters.pair_checks += truth.pair_checks
+        detected, violations = truth.concurrent_pairs, truth.violations
+    else:
+        if family is DetectorFamily.SNAPSHOT:
+            detected, dropped = _run_snapshot(trace, counters)
+        else:
+            ids, lo, hi, _ = _replay_vector(trace, counters)
+            detected = vector_detect(ids, lo, hi, counters)
+        violations = violation_filter(detected, trace.readings())
     return RunResult(
         family=family,
         detected_pairs=frozenset(detected),
         violations=frozenset(violations),
         counters=counters,
         dropped=dropped,
-        sim_wall_ms=trace.makespan_us() / 1000.0,
+        sim_wall_ms=trace.makespan_us / 1000.0,
     )

@@ -12,6 +12,7 @@ from pathlib import Path
 from .detectors import ContextReading, EventId
 from .simulate import (
     ConfigError,
+    EventIdentityError,
     Trace,
     TraceEvent,
     TraceMessage,
@@ -64,6 +65,7 @@ def load_trace(path: str | Path) -> Trace:
     path = Path(path)
     config = None
     events: list[TraceEvent] = []
+    event_lines: list[int] = []
     messages: list[TraceMessage] = []
     dropped = 0
     with path.open("r", encoding="utf-8") as fh:
@@ -83,6 +85,7 @@ def load_trace(path: str | Path) -> Trace:
                 except ConfigError as exc:
                     raise TraceFormatError(f"{path}:{lineno}: config {exc}") from exc
             elif kind == "event":
+                event_lines.append(lineno)
                 reading = rec.get("reading")
                 events.append(
                     TraceEvent(
@@ -123,4 +126,9 @@ def load_trace(path: str | Path) -> Trace:
         raise TraceFormatError(f"{path}: missing config record")
     if not events:
         raise TraceFormatError(f"{path}: trace has no events")
-    return Trace(tuple(events), tuple(messages), config, dropped)
+    trace = Trace(tuple(events), tuple(messages), config, dropped)
+    try:
+        trace.event_columns  # checks event identities, once per trace
+    except EventIdentityError as exc:
+        raise TraceFormatError(f"{path}:{event_lines[exc.index]}: {exc}") from exc
+    return trace

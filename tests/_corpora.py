@@ -4,11 +4,17 @@ from __future__ import annotations
 import functools
 import itertools
 
-from snapdetect.simulate import SimConfig, Trace, generate_trace
+from snapdetect import scenarios
+from snapdetect.detectors import EventId
+from snapdetect.simulate import SimConfig, Trace, TraceEvent, TraceMessage, generate_trace
 
 NODES = (2, 3, 4, 5, 6, 8, 10, 12, 16, 20)
 DELAYS_US = ((1_000, 5_000), (100, 40_000), SimConfig(nodes=2).message_delay_us)
 SEEDS_PER_POINT = 9
+
+MS = 1000
+SNAPSHOT_SEEDS_PER_POINT = 5
+SNAPSHOT_DENSE_SEEDS = 120
 
 
 @functools.cache
@@ -32,3 +38,98 @@ def vector_corpus() -> tuple[Trace, ...]:
             )
             traces.append(generate_trace(config))
     return tuple(traces)
+
+
+def _snapshot_generated():
+    """Seeded traces over nodes 2-7, instances 1-3, three delay regimes, fan-out None/1."""
+    grid = itertools.product(range(2, 8), (1, 2, 3), DELAYS_US, (None, 1))
+    for i, (nodes, instances, delay, fanout) in enumerate(grid):
+        for k in range(SNAPSHOT_SEEDS_PER_POINT):
+            config = SimConfig(
+                nodes=nodes,
+                instances_per_node=instances,
+                events_per_process=4,
+                message_delay_us=delay,
+                peer_fanout=fanout,
+                seed=1 + i * SNAPSHOT_SEEDS_PER_POINT + k,
+            )
+            yield generate_trace(config)
+
+
+def _snapshot_dense():
+    """Dense traces: nodes 2-5, instances 1-3, 1-5 ms and 0.1-40 ms delays."""
+    for seed in range(SNAPSHOT_DENSE_SEEDS):
+        config = SimConfig(
+            nodes=2 + seed % 4,
+            instances_per_node=1 + seed % 3,
+            events_per_process=4,
+            message_delay_us=DELAYS_US[seed % 2],
+            peer_fanout=None if seed % 2 else 1,
+            seed=1000 + seed,
+        )
+        yield generate_trace(config)
+
+
+def drop_trace() -> Trace:
+    """One message lands before its receiving event starts; one stays on its process."""
+    config = SimConfig(nodes=2, instances_per_node=1, events_per_process=2, seed=0)
+    events = (
+        TraceEvent(EventId(0, 0), 0, 0, 100 * MS),
+        TraceEvent(EventId(1, 0), 1, 10 * MS, 40 * MS),
+        TraceEvent(EventId(1, 1), 1, 60 * MS, 120 * MS),
+    )
+    messages = (
+        TraceMessage(EventId(0, 0), EventId(1, 1), 20 * MS, 30 * MS),  # receiver not started
+        TraceMessage(EventId(1, 0), EventId(1, 1), 30 * MS, 70 * MS),  # same process
+        TraceMessage(EventId(0, 0), EventId(1, 1), 50 * MS, 80 * MS),
+    )
+    return Trace(events, messages, config)
+
+
+@functools.cache
+def snapshot_corpus() -> tuple[Trace, ...]:
+    """The 664-trace snapshot corpus, generated once per test session."""
+    return (
+        *_snapshot_generated(),
+        *_snapshot_dense(),
+        *(scenarios.build_scenario(name) for name in scenarios.FIXTURE_NAMES),
+        drop_trace(),
+    )
+
+
+@functools.cache
+def scale_dense_corpus() -> tuple[Trace, ...]:
+    """Message-heavy traces: 5, 10 and 20 nodes, 1-5 ms, 20 events per process.
+
+    The configs of the benchmark's ``scale_dense`` workload at its default
+    seed, generated once per test session.
+    """
+    configs = (
+        SimConfig(
+            nodes=nodes,
+            instances_per_node=2,
+            events_per_process=20,
+            message_delay_us=(1_000, 5_000),
+            seed=3,
+        )
+        for nodes in (5, 10, 20)
+    )
+    return tuple(generate_trace(config) for config in configs)
+
+
+def long_traces_corpus():
+    """Long traces: 4 nodes x 2 instances x 150 events, fan-out 1, 1-5 ms.
+
+    The configs of the benchmark's ``long_traces`` workload at its default
+    seed (four traces from seed 1).
+    """
+    for seed in range(1, 5):
+        config = SimConfig(
+            nodes=4,
+            instances_per_node=2,
+            events_per_process=150,
+            message_delay_us=(1_000, 5_000),
+            peer_fanout=1,
+            seed=seed,
+        )
+        yield generate_trace(config)

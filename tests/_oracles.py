@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import bisect
+import heapq
 from collections import Counter
 
 from snapdetect.detectors import (
@@ -37,6 +38,51 @@ def brute_force_overlap(trace: Trace) -> set:
             if max(a.start_us, b.start_us) < min(a.end_us, b.end_us):
                 pairs.add(pair_key(a.id, b.id))
     return pairs
+
+
+def heap_scan_overlap(trace: Trace) -> set:
+    """Wall-time overlap by a sorted start scan over an end-time heap.
+
+    The scan ``simulate.ground_truth`` ran before the physical family's
+    kernel became its only overlap; kept as a reference.
+    """
+    pairs = set()
+    active = []
+    for ev in sorted(trace.events, key=lambda e: (e.start_us, e.id)):
+        while active and active[0][0] <= ev.start_us:
+            heapq.heappop(active)
+        for _, other in active:
+            pairs.add(pair_key(ev.id, other))
+        heapq.heappush(active, (ev.end_us, ev.id))
+    return pairs
+
+
+def boundary_sweep_overlap(spans, counters: OpCounters | None = None) -> set:
+    """Wall-time overlap of ``(id, start, end)`` spans by a boundary sweep.
+
+    The kernel ``detectors.physical_detect`` ran before it took the heap
+    scan; kept as a reference, with its ``pair_checks`` count.
+    """
+    boundaries = []
+    for event, start, end in spans:
+        if start >= end:
+            raise ValueError(f"empty span for {event}: [{start}, {end})")
+        # Ends sort before starts at equal times: half-open touch is no overlap.
+        boundaries.append((start, 1, event, end))
+        boundaries.append((end, 0, event, end))
+    boundaries.sort()
+    active = set()
+    found = set()
+    for _, kind, event, _end in boundaries:
+        if kind == 0:
+            active.discard(event)
+        else:
+            for other in active:
+                if counters is not None:
+                    counters.pair_checks += 1
+                found.add(pair_key(event, other))
+            active.add(event)
+    return found
 
 
 def scalar_vector_detect(intervals, counters: OpCounters | None = None) -> set:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from _oracles import causal_closure
+from _oracles import brute_force_overlap, causal_closure
 from snapdetect.detectors import EventId
 from snapdetect.experiment import parse_spec, read_results, run_sweep, summarize
 from snapdetect.metrics import complexity_fit, score, trend
@@ -156,17 +156,23 @@ def test_criterion_5_oracle_equivalences():
         defaults.update(overrides)
         return SimConfig(**defaults)
 
+    # Microsecond spans that start together and touch end to start.
+    tight = dict(event_lifespan_us=(1, 4), inter_event_gap_us=(0, 3), start_jitter_us=3)
     physical_exact = True
     snapshot_sound = True
     for seed in range(100):
-        trace = generate_trace(small_config(seed))
-        truth = ground_truth(trace).concurrent_pairs
-        physical_exact &= (
-            run_trace(trace, DetectorFamily.PHYSICAL).detected_pairs == truth
-        )
-        snapshot_sound &= (
-            run_trace(trace, DetectorFamily.SNAPSHOT).detected_pairs <= truth
-        )
+        for config in (small_config(seed), small_config(seed, **tight)):
+            trace = generate_trace(config)
+            # The physical family returns ground truth's overlap, so the
+            # overlap itself is checked against the brute-force oracle.
+            truth = ground_truth(trace).concurrent_pairs
+            physical_exact &= (
+                truth == brute_force_overlap(trace)
+                and run_trace(trace, DetectorFamily.PHYSICAL).detected_pairs == truth
+            )
+            snapshot_sound &= (
+                run_trace(trace, DetectorFamily.SNAPSHOT).detected_pairs <= truth
+            )
 
     vector_exact = True
     small_shapes = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2)]
@@ -187,7 +193,7 @@ def test_criterion_5_oracle_equivalences():
 
     ok = physical_exact and vector_exact and snapshot_sound
     detail = (
-        f"physical==truth:{physical_exact}, vector<=>reachability:{vector_exact}, "
+        f"physical==truth==brute force:{physical_exact}, vector<=>reachability:{vector_exact}, "
         f"snapshot<=truth:{snapshot_sound}"
     )
     _report(5, "oracle equivalences", ok, detail)

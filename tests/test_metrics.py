@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from snapdetect import metrics
 from snapdetect.detectors import EventId, pair_key
-from snapdetect.metrics import complexity_fit, score, trend
+from snapdetect.metrics import AccuracyReport, complexity_fit, score, trend
 
 
 def pairs(*specs):
@@ -27,6 +28,31 @@ class TestScore:
 
     def test_empty_truth_has_vacuous_recall(self):
         assert score(set(), set()).recall == 1.0
+
+    def test_other_iterables_score_as_their_sets(self):
+        truth = pairs((0, 0, 1, 0), (0, 1, 1, 1), (0, 2, 1, 2))
+        detected = pairs((0, 0, 1, 0), (0, 3, 1, 3))
+        want = score(detected, truth)
+        assert score(list(detected) * 2, sorted(truth)) == want
+        assert score(iter(detected), frozenset(truth)) == want
+        assert want == AccuracyReport(
+            recall=1 / 3, precision=0.5, true_pairs=3, detected_pairs=2, false_negatives=2
+        )
+
+    def test_sets_are_read_as_given(self, monkeypatch):
+        copies = []
+
+        def counting_set(items=()):
+            copies.append(items)
+            return set(items)
+
+        monkeypatch.setattr(metrics, "set", counting_set, raising=False)
+        truth = frozenset(pairs((0, 0, 1, 0), (0, 1, 1, 1)))
+        report = score(pairs((0, 0, 1, 0)), truth)
+        assert (report.recall, report.false_negatives) == (0.5, 1)
+        assert copies == []
+        score([], truth)
+        assert copies == [[]]
 
     def test_recall_matches_hand_count_on_random_sets(self):
         rng = random.Random(5)

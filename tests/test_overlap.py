@@ -1,0 +1,118 @@
+"""The one wall-time overlap per trace, against the kernels it replaced.
+
+``Trace.truth`` runs ``physical_detect`` once per trace; ``ground_truth``
+and the physical family both return it.  Its pairs, violations and the
+physical family's counters must equal what today's kernel replaced: the
+heap scan ``ground_truth`` ran (``_oracles.heap_scan_overlap``) and the
+boundary sweep ``physical_detect`` ran (``_oracles.boundary_sweep_overlap``),
+on the snapshot and vector corpora and on the benchmark's traces.
+"""
+import dataclasses
+
+from hypothesis import example, given, strategies as st
+
+from _corpora import long_traces_corpus, scale_dense_corpus, snapshot_corpus, vector_corpus
+from _oracles import boundary_sweep_overlap, brute_force_overlap, heap_scan_overlap
+from snapdetect import simulate
+from snapdetect.detectors import EventId, physical_detect, violation_filter
+from snapdetect.metrics import OpCounters
+from snapdetect.simulate import (
+    DetectorFamily,
+    SimConfig,
+    Trace,
+    TraceEvent,
+    generate_trace,
+    ground_truth,
+    run_trace,
+)
+
+
+def spans_of(trace: Trace) -> list:
+    return [(e.id, e.start_us, e.end_us) for e in trace.events]
+
+
+def test_shared_overlap_matches_frozen_kernels():
+    traces = pairs = violations = 0
+    corpus = (*snapshot_corpus(), *vector_corpus(), *scale_dense_corpus(), *long_traces_corpus())
+    for trace in corpus:
+        # A fresh copy: the corpora are shared, and this must build its own truth.
+        trace = dataclasses.replace(trace)
+        swept = OpCounters(events_processed=len(trace.events))
+        want = boundary_sweep_overlap(spans_of(trace), swept)
+        assert heap_scan_overlap(trace) == want, trace.config
+        truth = ground_truth(trace)
+        assert truth.concurrent_pairs == want, trace.config
+        assert truth.violations == violation_filter(want, trace.readings()), trace.config
+        physical = run_trace(trace, DetectorFamily.PHYSICAL)
+        assert physical.detected_pairs == want, trace.config
+        assert physical.violations == truth.violations, trace.config
+        assert physical.counters == swept, trace.config
+        assert physical.dropped == 0
+        traces += 1
+        pairs += len(want)
+        violations += len(truth.violations)
+    assert traces == 664 + 540 + 3 + 4
+    assert pairs > 0
+    assert violations > 0
+
+
+# Tiny integer spans: (start, length) with starts in 0..6 and lengths 1..4
+# make equal starts, touching ends and nested spans common.
+tiny_spans = st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), min_size=1, max_size=8)
+
+
+@given(tiny_spans)
+@example([(3, 2)])  # a single event
+@example([(0, 3), (0, 2), (0, 3)])  # equal starts, one equal end
+@example([(0, 2), (2, 2), (4, 1)])  # each end touches the next start
+@example([(0, 6), (1, 2), (2, 1)])  # nested
+def test_overlap_of_tiny_spans(shape):
+    # Event k runs alone on process k, so any spans make a well-formed trace.
+    events = tuple(
+        TraceEvent(EventId(k, 0), k, start, start + length)
+        for k, (start, length) in enumerate(shape)
+    )
+    config = SimConfig(nodes=max(2, len(events)), instances_per_node=1, seed=0)
+    trace = Trace(events, (), config)
+    want = brute_force_overlap(trace)
+    counters, swept = OpCounters(), OpCounters()
+    assert physical_detect(spans_of(trace), counters) == want
+    assert boundary_sweep_overlap(spans_of(trace), swept) == want
+    assert counters == swept
+    truth = ground_truth(trace)
+    assert truth.concurrent_pairs == want
+    assert truth.pair_checks == counters.pair_checks
+    physical = run_trace(trace, DetectorFamily.PHYSICAL)
+    assert physical.detected_pairs == want
+    assert physical.counters == OpCounters(
+        events_processed=len(events), pair_checks=counters.pair_checks
+    )
+
+
+def test_ground_truth_and_all_families_run_the_kernel_once(monkeypatch):
+    calls = {"physical_detect": 0, "violation_filter": 0}
+
+    def counting(name):
+        fn = getattr(simulate, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(simulate, name, counting(name))
+    config = SimConfig(nodes=3, events_per_process=3, message_delay_us=(1_000, 5_000), seed=7)
+    trace = generate_trace(config)
+    truth = ground_truth(trace)
+    assert truth.concurrent_pairs
+    results = {family: run_trace(trace, family) for family in DetectorFamily}
+    assert ground_truth(trace) is truth
+    assert calls["physical_detect"] == 1
+    # Truth lifts its pairs once; the physical family lifts none of its own.
+    assert calls["violation_filter"] == 1 + 2
+    physical = results[DetectorFamily.PHYSICAL]
+    assert physical.detected_pairs is truth.concurrent_pairs
+    assert physical.violations is truth.violations
+    assert trace == generate_trace(config)  # the cache is no field of the trace

@@ -11,13 +11,10 @@ them off the replay order without running a clock.  The lazily folding
 ``_oracles.per_peer_replay_snapshot`` does, and fault on the same tick
 cap.
 """
-import functools
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
-from _corpora import vector_corpus
+from _corpora import drop_trace, scale_dense_corpus, snapshot_corpus, vector_corpus
 from _legacy_snapshot import LegacySnapshotDetector, MessageRecord, legacy_snapshot
 from _oracles import per_peer_replay_snapshot, replay_order_snapshot
 from snapdetect import detectors, scenarios
@@ -26,9 +23,6 @@ from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
     SimConfig,
-    Trace,
-    TraceEvent,
-    TraceMessage,
     _replay_snapshot,
     generate_trace,
     run_trace,
@@ -36,85 +30,10 @@ from snapdetect.simulate import (
 )
 from snapdetect.stamps import StampOverflowError
 
-MS = 1000
-DELAYS_US = ((1_000, 5_000), (100, 40_000), (250_000, 8_000_000))
-SEEDS_PER_POINT = 5
-DENSE_SEEDS = 120
-
-
-def generated_corpus():
-    """Seeded traces over nodes 2-7, instances 1-3, three delay regimes, fan-out None/1."""
-    grid = itertools.product(range(2, 8), (1, 2, 3), DELAYS_US, (None, 1))
-    for i, (nodes, instances, delay, fanout) in enumerate(grid):
-        for k in range(SEEDS_PER_POINT):
-            config = SimConfig(
-                nodes=nodes,
-                instances_per_node=instances,
-                events_per_process=4,
-                message_delay_us=delay,
-                peer_fanout=fanout,
-                seed=1 + i * SEEDS_PER_POINT + k,
-            )
-            yield generate_trace(config)
-
-
-def dense_corpus():
-    """Dense traces: nodes 2-5, instances 1-3, 1-5 ms and 0.1-40 ms delays."""
-    for seed in range(DENSE_SEEDS):
-        config = SimConfig(
-            nodes=2 + seed % 4,
-            instances_per_node=1 + seed % 3,
-            events_per_process=4,
-            message_delay_us=DELAYS_US[seed % 2],
-            peer_fanout=None if seed % 2 else 1,
-            seed=1000 + seed,
-        )
-        yield generate_trace(config)
-
-
-def drop_trace() -> Trace:
-    """One message lands before its receiving event starts; one stays on its process."""
-    config = SimConfig(nodes=2, instances_per_node=1, events_per_process=2, seed=0)
-    events = (
-        TraceEvent(EventId(0, 0), 0, 0, 100 * MS),
-        TraceEvent(EventId(1, 0), 1, 10 * MS, 40 * MS),
-        TraceEvent(EventId(1, 1), 1, 60 * MS, 120 * MS),
-    )
-    messages = (
-        TraceMessage(EventId(0, 0), EventId(1, 1), 20 * MS, 30 * MS),  # receiver not started
-        TraceMessage(EventId(1, 0), EventId(1, 1), 30 * MS, 70 * MS),  # same process
-        TraceMessage(EventId(0, 0), EventId(1, 1), 50 * MS, 80 * MS),
-    )
-    return Trace(events, messages, config)
-
-
-@functools.cache
-def full_corpus() -> tuple[Trace, ...]:
-    """The 664-trace snapshot corpus, generated once per test session."""
-    return (
-        *generated_corpus(),
-        *dense_corpus(),
-        *(scenarios.build_scenario(name) for name in scenarios.FIXTURE_NAMES),
-        drop_trace(),
-    )
-
-
-def scale_dense_corpus():
-    """Message-heavy traces: 5, 10 and 20 nodes, 1-5 ms, 20 events per process."""
-    for nodes in (5, 10, 20):
-        config = SimConfig(
-            nodes=nodes,
-            instances_per_node=2,
-            events_per_process=20,
-            message_delay_us=(1_000, 5_000),
-            seed=3,
-        )
-        yield generate_trace(config)
-
 
 def test_corpus_matches_reference():
     traces = pairs = drops = late = 0
-    for trace in full_corpus():
+    for trace in snapshot_corpus():
         want_pairs, want_counters, want_dropped, want_intervals = legacy_snapshot(trace)
         got = run_trace(trace, DetectorFamily.SNAPSHOT)
         where = trace.config
@@ -217,7 +136,7 @@ def replay_outcome(replay, trace):
 
 def test_replay_matches_per_peer_driver():
     traces = pairs = drops = 0
-    for trace in (*full_corpus(), *vector_corpus(), *scale_dense_corpus()):
+    for trace in (*snapshot_corpus(), *vector_corpus(), *scale_dense_corpus()):
         want = replay_outcome(per_peer_replay_snapshot, trace)
         assert replay_outcome(_replay_snapshot, trace) == want, trace.config
         traces += 1
