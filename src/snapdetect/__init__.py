@@ -10,7 +10,6 @@ from .detectors import (  # noqa: F401
     Violation,
     pair_key,
     physical_detect,
-    vector_arrays,
     vector_detect,
     violation_filter,
 )
@@ -24,13 +23,4 @@ from .simulate import (  # noqa: F401
     generate_trace,
     ground_truth,
     run_trace,
-)
-from .stamps import (  # noqa: F401
-    Interval,
-    SnapshotStamp,
-    VectorStamp,
-    snapshot_merge,
-    snapshot_tick,
-    vector_merge,
-    vector_tick,
 )

@@ -13,11 +13,10 @@ families replay it in one order, the columnar timeline that
 * ``vector_detect`` -- the vector-clock baseline: a quadratic pairwise
   scan reporting pairs whose interval endpoints are mutually ordered by
   happened-before (each start precedes the other's end).  It takes the
-  stamps as int64 (m, n) arrays, as the vector replay produces them
-  (``vector_arrays`` converts a map of ``Interval``s), and makes m(m-1)/2
-  logical checks (counted in ``pair_checks``).  They are evaluated
-  slot-major in bounded row blocks: two bool accumulators are ANDed one
-  slot at a time, and strictness (``a != b``) compares row ids that a
+  stamps as int64 (m, n) arrays, as the vector replay produces them, and
+  makes m(m-1)/2 logical checks (counted in ``pair_checks``).  They are
+  evaluated slot-major in bounded row blocks: two bool accumulators are
+  ANDed one slot at a time, and strictness (``a != b``) compares row ids that a
   ``lexsort`` of all stamp rows assigns, equal rows equal ids.
 * ``physical_detect`` -- wall-clock interval overlap under synchronized
   physical clocks, via a sorted start scan.  It is the one overlap
@@ -37,9 +36,12 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .metrics import OpCounters
-from .stamps import Interval, MAX_TICK, StampOverflowError
 
 PairKey = tuple["EventId", "EventId"]
+
+#: Stamps are 64-bit non-negative integers.  Overflow is a hard fault,
+#: never wraparound; desk-scale traces cannot approach this bound.
+MAX_TICK = 2**63 - 1
 
 #: Pairs (rows x columns) per row block of the vector pair scan.  The
 #: scan is slot-major: its two accumulators start as the row-id
@@ -88,6 +90,10 @@ class Violation:
     locations: tuple[str, str]
 
 
+class StampOverflowError(OverflowError):
+    """A logical tick left the 64-bit non-negative domain."""
+
+
 class DuplicateEventError(ValueError):
     pass
 
@@ -121,7 +127,7 @@ class SnapshotDetector:
         self.dropped = 0
         self.counters = counters if counters is not None else OpCounters()
 
-    # -- clock rules (``snapshot_tick`` / ``snapshot_merge`` on ints) ------
+    # -- clock rules: a tick adds 1, a receive takes the max --------------
 
     def _tick(self) -> int:
         tick = self.clock + 1
@@ -246,26 +252,6 @@ class SnapshotDetector:
         return set(self.out)
 
 
-def vector_arrays(
-    intervals: Mapping[EventId, Interval],
-) -> tuple[list[EventId], np.ndarray, np.ndarray]:
-    """``vector_detect``'s input from a map of vector intervals.
-
-    Returns the ids in sorted order and their ``lo`` and ``hi`` slots as
-    two int64 (m, n) arrays, row i for ``ids[i]``.  ``VectorStamp``
-    validates slots to ``0..MAX_TICK``, so int64 holds them exactly.
-    """
-    items = sorted(intervals.items())
-    lengths = {len(iv.lo.slots) for _, iv in items}
-    if len(lengths) > 1:
-        raise ValueError(f"mixed vector lengths: {sorted(lengths)}")
-    m = len(items)
-    n = lengths.pop() if lengths else 0
-    lo = np.array([iv.lo.slots for _, iv in items], dtype=np.int64).reshape(m, n)
-    hi = np.array([iv.hi.slots for _, iv in items], dtype=np.int64).reshape(m, n)
-    return [e for e, _ in items], lo, hi
-
-
 def _row_ids(stamps: np.ndarray) -> np.ndarray:
     """Ids of the rows of ``stamps`` (given slot-major, shape (n, rows)).
 
@@ -293,9 +279,9 @@ def vector_detect(
     """Vector-clock baseline: report pairs with mutually ordered endpoints.
 
     ``lo`` and ``hi`` are int64 (m, n) arrays whose row i holds the
-    stamps of event ``ids[i]``, with ``ids`` sorted (``vector_arrays``
-    builds them from an interval map).  A pair (i, j) is concurrent when
-    ``lo_i < hi_j`` and ``lo_j < hi_i`` under the strict slot-wise order.
+    stamps of event ``ids[i]``, with ``ids`` sorted, as the vector replay
+    returns them.  A pair (i, j) is concurrent when ``lo_i < hi_j`` and
+    ``lo_j < hi_i`` under the strict slot-wise order.
     Every one of the m(m-1)/2 pairs is checked (and counted in
     ``pair_checks``).  The checks run slot-major over row blocks of the
     upper triangle, each at most ``VECTOR_SCAN_BLOCK_CELLS`` pairs.  Two

@@ -15,6 +15,7 @@ import bisect
 import enum
 import functools
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
@@ -22,17 +23,18 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .detectors import (
+    MAX_TICK,
     ContextReading,
     EventId,
     PairKey,
     SnapshotDetector,
+    StampOverflowError,
     Violation,
     physical_detect,
     vector_detect,
     violation_filter,
 )
 from .metrics import OpCounters
-from .stamps import MAX_TICK, StampOverflowError, VectorStamp
 
 #: Delay resamples tried per message before it is dropped at generation.
 MESSAGE_RETRIES = 3
@@ -248,6 +250,17 @@ class EventIdentityError(ValueError):
     """An event identity the replays cannot trust.
 
     ``index`` is the event's place in ``trace.events``.
+    """
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+class MessageError(ValueError):
+    """A message the replays cannot trust.
+
+    ``index`` is the message's place in ``trace.messages``.
     """
 
     def __init__(self, index: int, message: str):
@@ -514,38 +527,95 @@ def _timeline(trace: Trace) -> Timeline:
 
     Ties in wall time break by kind, then process, then ``sub``.  The four
     keys are unique per point, so the order does not depend on how
-    ``trace.events`` and ``trace.messages`` are listed.  A message whose
-    delivery sorts before its send (``deliver_us < send_us``) raises
-    ``ValueError``; at equal times the send comes first.
+    ``trace.events`` and ``trace.messages`` are listed.  Both replays index
+    their state by process, so an event whose process is outside
+    ``0..n_processes - 1`` raises ``EventIdentityError``; the messages are
+    checked by ``_message_columns``.
     """
-    columns, messages = trace.event_columns, trace.messages
-    e, n = len(columns.seq), len(messages)
-    sent = np.fromiter((m.send_us for m in messages), np.int64, n)
-    delivered = np.fromiter((m.deliver_us for m in messages), np.int64, n)
-    late = np.flatnonzero(delivered < sent)
-    if late.size:
-        i = int(late[0])
-        raise ValueError(
-            f"message {i}: delivered at {messages[i].deliver_us} us,"
-            f" before its send at {messages[i].send_us} us"
-        )
+    columns = trace.event_columns
     owner, seq = columns.process, columns.seq
+    procs = trace.config.n_processes
+    outside = np.flatnonzero((owner < 0) | (owner >= procs))
+    if outside.size:
+        i = int(outside[0])
+        ev = trace.events[i]
+        raise EventIdentityError(
+            i, f"event {tuple(ev.id)}: process {ev.process} is outside 0..{procs - 1}"
+        )
+    sent, delivered, sender, receiver = _message_columns(trace)
+    e, n = len(seq), len(sent)
     event = np.arange(e, dtype=np.int32)
     msg = np.arange(n, dtype=np.int32)
     time_us = np.concatenate((columns.start_us, columns.end_us, sent, delivered))
     kind = np.repeat(np.array([_START, _END, _SEND, _DELIVER], dtype=np.int8), (e, e, n, n))
-    process = np.concatenate(
-        (
-            owner,
-            owner,
-            np.fromiter((m.from_event.process for m in messages), np.int32, n),
-            np.fromiter((m.to_event.process for m in messages), np.int32, n),
-        )
-    )
+    process = np.concatenate((owner, owner, owner[sender], owner[receiver]))
     sub = np.concatenate((seq, seq, msg, msg))
     item = np.concatenate((event, event, msg, msg))
     order = np.lexsort((sub, process, kind, time_us))
     return Timeline(time_us[order], kind[order], process[order], sub[order], item[order])
+
+
+def _message_columns(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each message's send and delivery time (int64) and its sender's and receiver's event index.
+
+    Each message field is read once.  The replays read a send's stamp at
+    its delivery, so ``MessageError`` names the first message whose sender
+    or receiver is no event of the trace, then the first sent outside its
+    sender's ``[start, end)``, then the first delivered before its send
+    (``deliver_us < send_us``; at equal times the send comes first).
+    """
+    columns, messages = trace.event_columns, trace.messages
+    procs, n = trace.config.n_processes, len(messages)
+    sent = np.fromiter((m.send_us for m in messages), np.int64, n)
+    delivered = np.fromiter((m.deliver_us for m in messages), np.int64, n)
+    sender = _event_index(columns, procs, (m.from_event for m in messages), n)
+    receiver = _event_index(columns, procs, (m.to_event for m in messages), n)
+    unknown = np.flatnonzero((sender < 0) | (receiver < 0))
+    if unknown.size:
+        i = int(unknown[0])
+        m = messages[i]
+        role, ref = ("sender", m.from_event) if sender[i] < 0 else ("receiver", m.to_event)
+        raise MessageError(i, f"message {i}: {role} {tuple(ref)} is no event of the trace")
+    astray = np.flatnonzero((sent < columns.start_us[sender]) | (sent >= columns.end_us[sender]))
+    if astray.size:
+        i = int(astray[0])
+        ev = trace.events[sender[i]]
+        raise MessageError(
+            i,
+            f"message {i}: sent at {messages[i].send_us} us, outside its sender"
+            f" {tuple(ev.id)}'s span [{ev.start_us}, {ev.end_us}) us",
+        )
+    late = np.flatnonzero(delivered < sent)
+    if late.size:
+        i = int(late[0])
+        raise MessageError(
+            i,
+            f"message {i}: delivered at {messages[i].deliver_us} us,"
+            f" before its send at {messages[i].send_us} us",
+        )
+    return sent, delivered, sender, receiver
+
+
+def _event_index(columns: EventColumns, procs: int, ids, n: int) -> np.ndarray:
+    """Where each of the ``n`` ``ids`` is in the events, or -1 where no event has it.
+
+    An id is keyed as ``process << 32`` plus its seq's low 32 bits.  Event
+    seqs are int32 and event processes lie in ``0..procs - 1``, so event
+    keys are unique and below the int64 maximum, which ends the search.
+    """
+
+    def key(process: np.ndarray, seq: np.ndarray) -> np.ndarray:
+        return process.astype(np.int64) << 32 | seq.astype(np.int64) & 0xFFFFFFFF
+
+    keys = key(columns.process, columns.seq)
+    order = np.argsort(keys)
+    ranked = np.append(keys[order], np.iinfo(np.int64).max)
+    pairs = np.fromiter(itertools.chain.from_iterable(ids), np.int64, 2 * n).reshape(n, 2)
+    process, seq = pairs[:, 0], pairs[:, 1]
+    fits = (0 <= process) & (process < procs) & (-(2**31) <= seq) & (seq < 2**31)
+    want = np.where(fits, key(process, seq), -1)
+    at = np.searchsorted(ranked, want)
+    return np.where(ranked[at] == want, np.append(order, -1)[at], -1)
 
 
 def _replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetector]:
@@ -622,37 +692,47 @@ def snapshot_intervals(trace: Trace) -> dict[EventId, tuple[int, int]]:
     return {e: (lo, hi) for d in dets for e, (lo, hi) in d.intervals.items()}
 
 
-@dataclass(frozen=True)
-class VectorPoint:
-    """One stamped replay point; exposed so causality can be audited."""
-
-    kind: int  # _START/_SEND/_DELIVER/_END
-    process: int
-    time_us: int
-    event: Optional[EventId]
-    message_index: Optional[int]
-    stamp: VectorStamp
-
-
 def _replay_vector(
-    trace: Trace, counters: OpCounters, keep_points: bool = False
-) -> tuple[list[EventId], np.ndarray, np.ndarray, list[VectorPoint]]:
-    """Replay a trace with the ``vector_tick``/``vector_merge`` rules.
+    trace: Trace, counters: OpCounters
+) -> tuple[list[EventId], np.ndarray, np.ndarray]:
+    """Replay a trace on vector clocks: the ``lo`` and ``hi`` stamp of every event.
 
-    Returns the sorted event ids, their ``lo`` and ``hi`` stamps as int64
-    (m, n) arrays (row i for ``ids[i]``; ``vector_detect``'s input) and,
-    with ``keep_points``, every point's stamp.
+    Returns the sorted event ids and their ``lo`` and ``hi`` stamps as int64
+    (m, n) arrays, row i for ``ids[i]``: ``vector_detect``'s input.
+    """
+    known, row, count = _vector_rows(trace)
+    timeline = trace.timeline
+    kind, process, item = timeline.kind, timeline.process, timeline.item
+    n_msgs = len(trace.messages)
+    counters.clock_updates += len(kind)
+    counters.events_processed += len(trace.events) + 2 * n_msgs
+    counters.stamp_words_sent += trace.config.n_processes * n_msgs
+    ids = sorted({ev.id for ev in trace.events})
+    where = {e: i for i, e in enumerate(ids)}
+    rank = np.array([where[ev.id] for ev in trace.events], dtype=np.intp)
 
-    Between two deliveries a process's clock changes only in its own
-    slot, which always equals the count of its points so far: every
-    point ticks it by one, and a merge never raises it past that count,
-    since no other clock has seen a later point of the process.  So rows
-    of ``known`` are written only at deliveries.  Row p starts as p's
-    zero clock; the k-th delivery of the replay writes row ``procs + k``,
-    the slot-wise max of the receiver's current row and the sender's row
-    at the send, with the sender's slot raised to the send's count.  A
-    point's stamp is its process's current row with the own slot set to
-    its count.  Every slot is some process's count, so the largest count
+    def endpoint_stamps(endpoint: int) -> np.ndarray:
+        points = np.flatnonzero(kind == endpoint)
+        at = np.empty(len(ids), dtype=np.intp)  # each id's point, in id order
+        at[rank[item[points]]] = points
+        return _stamps(known, row[at], count[at], process[at])
+
+    return ids, endpoint_stamps(_START), endpoint_stamps(_END)
+
+
+def _vector_rows(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vector clocks of a replay, as ``known`` rows and, per point, a row and a count.
+
+    A point's stamp is its row of ``known`` with its process's slot set to
+    its count (``_stamps``).  Between two deliveries a process's clock
+    changes only in its own slot, which always equals the count of its
+    points so far: every point ticks it by one, and a merge never raises it
+    past that count, since no other clock has seen a later point of the
+    process.  So rows of ``known`` are written only at deliveries.  Row p
+    starts as p's zero clock; the k-th delivery of the replay writes row
+    ``procs + k``, the slot-wise max of the receiver's current row and the
+    sender's row at the send, with the sender's slot raised to the send's
+    count.  Every slot is some process's count, so the largest count
     bounds them all and int64 is exact.  The shortcut needs each process
     to own its slot.
 
@@ -663,11 +743,8 @@ def _replay_vector(
     procs = trace.config.n_processes
     timeline = trace.timeline
     kind, process, item = timeline.kind, timeline.process, timeline.item
-    n_points, n_msgs = len(kind), len(trace.messages)
-    per_proc = np.bincount(process, minlength=procs)
-    if per_proc.size > procs:
-        raise IndexError(f"process {per_proc.size - 1} out of range")
-    top = int(per_proc.max(initial=0))
+    n_msgs = len(trace.messages)
+    top = int(np.bincount(process, minlength=procs).max(initial=0))
     if top > MAX_TICK:
         raise StampOverflowError(f"slot out of range: {top}")
 
@@ -691,35 +768,7 @@ def _replay_vector(
         np.maximum(known[a], known[b], out=merged)
         if merged[q] < c:
             merged[q] = c
-
-    counters.clock_updates += n_points
-    counters.events_processed += len(trace.events) + 2 * n_msgs
-    counters.stamp_words_sent += procs * n_msgs
-    ids = sorted({ev.id for ev in trace.events})
-    where = {e: i for i, e in enumerate(ids)}
-    rank = np.array([where[ev.id] for ev in trace.events], dtype=np.intp)
-
-    def endpoint_stamps(endpoint: int) -> np.ndarray:
-        points = np.flatnonzero(kind == endpoint)
-        at = np.empty(len(ids), dtype=np.intp)  # each id's point, in id order
-        at[rank[item[points]]] = points
-        return _stamps(known, row[at], count[at], process[at])
-
-    lo, hi = endpoint_stamps(_START), endpoint_stamps(_END)
-    points: list[VectorPoint] = []
-    if keep_points:
-        stamps = _stamps(known, row, count, process).tolist()
-        events, messages = trace.events, trace.messages
-        columns = zip(timeline.time_us.tolist(), kind.tolist(), process.tolist(), item.tolist())
-        for (t, k, proc, i), slots in zip(columns, stamps):
-            if k == _SEND:
-                event, msg_index = messages[i].from_event, i
-            elif k == _DELIVER:
-                event, msg_index = messages[i].to_event, i
-            else:
-                event, msg_index = events[i].id, None
-            points.append(VectorPoint(k, proc, t, event, msg_index, VectorStamp(tuple(slots))))
-    return ids, lo, hi, points
+    return known, row, count
 
 
 def _counts_and_rows(
@@ -754,10 +803,14 @@ def _stamps(known: np.ndarray, rows: np.ndarray, counts: np.ndarray, owner: np.n
     return out
 
 
-def vector_point_stamps(trace: Trace) -> list[VectorPoint]:
-    """Vector stamps of every replay point, for causality audits."""
-    *_, points = _replay_vector(trace, OpCounters(), keep_points=True)
-    return points
+def vector_point_stamps(trace: Trace) -> np.ndarray:
+    """Vector stamps of every replay point, for causality audits.
+
+    An int64 (points, n_processes) array whose row i is the stamp of
+    ``trace.timeline`` point i.
+    """
+    known, row, count = _vector_rows(trace)
+    return _stamps(known, row, count, trace.timeline.process)
 
 
 def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
@@ -774,7 +827,7 @@ def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
         if family is DetectorFamily.SNAPSHOT:
             detected, dropped = _run_snapshot(trace, counters)
         else:
-            ids, lo, hi, _ = _replay_vector(trace, counters)
+            ids, lo, hi = _replay_vector(trace, counters)
             detected = vector_detect(ids, lo, hi, counters)
         violations = violation_filter(detected, trace.readings())
     return RunResult(

@@ -2,7 +2,8 @@
 
 One JSON object per line: a leading ``config`` record, then ``event`` and
 ``message`` records, then a trailing ``meta`` record.  Round-trips are
-exact (all times are integer microseconds).
+exact (all times are integer microseconds).  ``load_trace`` rejects a
+malformed file with a ``TraceFormatError`` that names the line.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from .detectors import ContextReading, EventId
 from .simulate import (
     ConfigError,
     EventIdentityError,
+    MessageError,
     Trace,
     TraceEvent,
     TraceMessage,
@@ -23,6 +25,66 @@ from .simulate import (
 
 class TraceFormatError(ValueError):
     pass
+
+
+#: The required keys of an event and a message record, in the order a
+#: malformed one is diagnosed; ``id``, ``from`` and ``to`` are
+#: ``[process, seq]`` pairs, the rest ints.
+EVENT_KEYS = ("id", "process", "start_us", "end_us")
+MESSAGE_KEYS = ("from", "to", "send_us", "deliver_us")
+_ID_KEYS = {"id", "from", "to"}
+
+
+def _event(rec: dict, path: Path, lineno: int) -> TraceEvent:
+    """An event record as a ``TraceEvent``.
+
+    One unpack and one type chain accept a well-formed record; only a
+    record they reject is diagnosed key by key (``_malformed``), so a
+    large file pays little for the check.  A ``reading`` is optional.
+    """
+    try:
+        (p, s), process, start, end = rec["id"], rec["process"], rec["start_us"], rec["end_us"]
+        ok = type(p) is type(s) is type(process) is type(start) is type(end) is int
+    except (KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise _malformed(rec, EVENT_KEYS, path, lineno)
+    reading = rec.get("reading")
+    if reading is not None:
+        try:
+            reading = ContextReading(**reading)
+        except (TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                f"{path}:{lineno}: event record: bad reading {reading!r}: {exc}"
+            ) from exc
+    return TraceEvent(EventId(p, s), process, start, end, reading)
+
+
+def _message(rec: dict, path: Path, lineno: int) -> TraceMessage:
+    """A message record as a ``TraceMessage``, checked as ``_event`` checks events."""
+    try:
+        (p, s), (q, r), send, deliver = rec["from"], rec["to"], rec["send_us"], rec["deliver_us"]
+        ok = type(p) is type(s) is type(q) is type(r) is type(send) is type(deliver) is int
+    except (KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise _malformed(rec, MESSAGE_KEYS, path, lineno)
+    return TraceMessage(EventId(p, s), EventId(q, r), send, deliver)
+
+
+def _malformed(rec: dict, keys: tuple[str, ...], path: Path, lineno: int) -> TraceFormatError:
+    """The error naming the first of ``keys`` that ``rec`` lacks or has malformed."""
+    where = f"{path}:{lineno}: {rec['type']} record"
+    for key in keys:
+        if key not in rec:
+            return TraceFormatError(f"{where}: missing {key!r}")
+        value = rec[key]
+        if key in _ID_KEYS:
+            if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+                return TraceFormatError(f"{where}: {key!r} must be two ints, got {value!r}")
+        elif type(value) is not int:
+            return TraceFormatError(f"{where}: {key!r} must be an int, got {value!r}")
+    raise AssertionError(f"{where} is well formed")
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -67,6 +129,7 @@ def load_trace(path: str | Path) -> Trace:
     events: list[TraceEvent] = []
     event_lines: list[int] = []
     messages: list[TraceMessage] = []
+    message_lines: list[int] = []
     dropped = 0
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -77,6 +140,8 @@ def load_trace(path: str | Path) -> Trace:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise TraceFormatError(f"{path}:{lineno}: record is not a JSON object")
             kind = rec.get("type")
             if kind == "config":
                 del rec["type"]
@@ -86,38 +151,10 @@ def load_trace(path: str | Path) -> Trace:
                     raise TraceFormatError(f"{path}:{lineno}: config {exc}") from exc
             elif kind == "event":
                 event_lines.append(lineno)
-                reading = rec.get("reading")
-                events.append(
-                    TraceEvent(
-                        id=EventId(*rec["id"]),
-                        process=rec["process"],
-                        start_us=rec["start_us"],
-                        end_us=rec["end_us"],
-                        reading=None
-                        if reading is None
-                        else ContextReading(
-                            user=reading["user"],
-                            location=reading["location"],
-                            true_location=reading["true_location"],
-                            erroneous=reading["erroneous"],
-                        ),
-                    )
-                )
+                events.append(_event(rec, path, lineno))
             elif kind == "message":
-                message = TraceMessage(
-                    from_event=EventId(*rec["from"]),
-                    to_event=EventId(*rec["to"]),
-                    send_us=rec["send_us"],
-                    deliver_us=rec["deliver_us"],
-                )
-                # The replays read a send's stamp at its delivery; at equal
-                # times the send is replayed first.
-                if message.deliver_us < message.send_us:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: message delivered before it is sent: "
-                        f"deliver_us {message.deliver_us} < send_us {message.send_us}"
-                    )
-                messages.append(message)
+                message_lines.append(lineno)
+                messages.append(_message(rec, path, lineno))
             elif kind == "meta":
                 dropped = rec.get("dropped_messages", 0)
             else:
@@ -128,7 +165,9 @@ def load_trace(path: str | Path) -> Trace:
         raise TraceFormatError(f"{path}: trace has no events")
     trace = Trace(tuple(events), tuple(messages), config, dropped)
     try:
-        trace.event_columns  # checks event identities, once per trace
+        trace.timeline  # checks events and messages as the replays need them
     except EventIdentityError as exc:
         raise TraceFormatError(f"{path}:{event_lines[exc.index]}: {exc}") from exc
+    except MessageError as exc:
+        raise TraceFormatError(f"{path}:{message_lines[exc.index]}: {exc}") from exc
     return trace

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from _oracles import keyed_timeline
+from _oracles import SnapshotStamp, keyed_timeline, snapshot_merge, snapshot_tick
 from snapdetect.detectors import DuplicateEventError, EventId, PairKey, pair_key
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import _DELIVER, _SEND, _START, Trace
-from snapdetect.stamps import SnapshotStamp, snapshot_merge, snapshot_tick
 
 
 @dataclass(frozen=True)

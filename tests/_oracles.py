@@ -1,14 +1,25 @@
-"""Independent brute-force oracles used only by the test suite."""
+"""Independent brute-force oracles used only by the test suite.
+
+The first section is the stamp algebra the replays' int forms are checked
+against: frozen scalar and vector stamps with their tick-by-1 and
+merge-by-max rules, vector ``[lo, hi)`` intervals and ``vector_arrays``,
+which turns a map of them into ``detectors.vector_detect``'s input.
+"""
 from __future__ import annotations
 
 import bisect
 import heapq
 from collections import Counter
+from dataclasses import dataclass
+
+import numpy as np
 
 from snapdetect.detectors import (
+    MAX_TICK,
     ContextReading,
     EventId,
     SnapshotDetector,
+    StampOverflowError,
     pair_key,
 )
 from snapdetect.metrics import OpCounters
@@ -18,14 +29,114 @@ from snapdetect.simulate import (
     Trace,
     TraceEvent,
     TraceMessage,
-    VectorPoint,
     _stream,
     _Trajectories,
 )
-from snapdetect.stamps import Interval, VectorStamp, vector_lt, vector_merge, vector_tick
 
 # Point kinds, matching the replay tie-break order.
 START, SEND, DELIVER, END = 0, 1, 2, 3
+
+
+@dataclass(frozen=True)
+class SnapshotStamp:
+    tick: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.tick <= MAX_TICK:
+            raise StampOverflowError(f"tick out of range: {self.tick}")
+
+
+@dataclass(frozen=True)
+class VectorStamp:
+    slots: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if any(s < 0 or s > MAX_TICK for s in self.slots):
+            raise StampOverflowError(f"slot out of range: {self.slots}")
+
+    @classmethod
+    def zero(cls, n: int) -> "VectorStamp":
+        return cls((0,) * n)
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+
+def snapshot_tick(clock: SnapshotStamp) -> SnapshotStamp:
+    """Advance a scalar clock by 1 for a local occurrence or a send."""
+    return SnapshotStamp(clock.tick + 1)
+
+
+def snapshot_merge(local: SnapshotStamp, incoming: SnapshotStamp) -> SnapshotStamp:
+    """Fold an incoming scalar stamp into the local clock: a plain max."""
+    return SnapshotStamp(max(local.tick, incoming.tick))
+
+
+def vector_tick(clock: VectorStamp, owner: int) -> VectorStamp:
+    """Increment the owner's slot by 1; other slots are unchanged."""
+    if not 0 <= owner < len(clock.slots):
+        raise IndexError(f"owner {owner} out of range for {len(clock.slots)} slots")
+    slots = list(clock.slots)
+    slots[owner] += 1
+    return VectorStamp(tuple(slots))
+
+
+def vector_merge(local: VectorStamp, incoming: VectorStamp, owner: int) -> VectorStamp:
+    """Slot-wise max of both stamps, then tick the owner's slot."""
+    if len(local.slots) != len(incoming.slots):
+        raise ValueError(
+            f"vector length mismatch: {len(local.slots)} vs {len(incoming.slots)}"
+        )
+    merged = tuple(max(a, b) for a, b in zip(local.slots, incoming.slots))
+    return vector_tick(VectorStamp(merged), owner)
+
+
+def vector_leq(a: VectorStamp, b: VectorStamp) -> bool:
+    """Slot-wise partial order: a <= b in every slot."""
+    if len(a.slots) != len(b.slots):
+        raise ValueError(
+            f"vector length mismatch: {len(a.slots)} vs {len(b.slots)}"
+        )
+    return all(x <= y for x, y in zip(a.slots, b.slots))
+
+
+def vector_lt(a: VectorStamp, b: VectorStamp) -> bool:
+    """Strict slot-wise order: a <= b everywhere and a != b.
+
+    For point events stamped by the vector rules this holds exactly when
+    the first causally precedes the second.
+    """
+    return vector_leq(a, b) and a.slots != b.slots
+
+
+@dataclass(frozen=True)
+class Interval:
+    """An event's ``[lo, hi)`` vector interval; ``lo <= hi`` slot-wise."""
+
+    lo: VectorStamp
+    hi: VectorStamp
+
+    def __post_init__(self) -> None:
+        if not vector_leq(self.lo, self.hi):
+            raise ValueError("vector interval endpoints not slot-wise ordered")
+
+
+def vector_arrays(intervals) -> tuple[list[EventId], np.ndarray, np.ndarray]:
+    """``vector_detect``'s input from a map of vector intervals.
+
+    Returns the ids in sorted order and their ``lo`` and ``hi`` slots as
+    two int64 (m, n) arrays, row i for ``ids[i]``.  ``VectorStamp``
+    validates slots to ``0..MAX_TICK``, so int64 holds them exactly.
+    """
+    items = sorted(intervals.items())
+    lengths = {len(iv.lo.slots) for _, iv in items}
+    if len(lengths) > 1:
+        raise ValueError(f"mixed vector lengths: {sorted(lengths)}")
+    m = len(items)
+    n = lengths.pop() if lengths else 0
+    lo = np.array([iv.lo.slots for _, iv in items], dtype=np.int64).reshape(m, n)
+    hi = np.array([iv.hi.slots for _, iv in items], dtype=np.int64).reshape(m, n)
+    return [e for e, _ in items], lo, hi
 
 
 def brute_force_overlap(trace: Trace) -> set:
@@ -162,46 +273,52 @@ def keyed_columns(trace: Trace) -> list[list[int]]:
     return columns
 
 
-def stamp_replay_vector(trace: Trace, counters: OpCounters, keep_points: bool = False):
+def stamp_replay_vector(trace: Trace, counters: OpCounters):
     """The vector replay as one frozen ``VectorStamp`` per point.
 
     The loop ``simulate._replay_vector`` replaced, built on the
     ``vector_tick`` and ``vector_merge`` rules; kept as its reference.
+    Returns each event's ``Interval`` and each point's stamp, in
+    ``keyed_timeline`` order.
     """
     procs = trace.config.n_processes
     clocks = [VectorStamp.zero(procs) for _ in range(procs)]
     lo, hi, send_stamps, points = {}, {}, {}, []
-
-    def note(kind, proc, t, event=None, msg=None):
-        if keep_points:
-            points.append(VectorPoint(kind, proc, t, event, msg, clocks[proc]))
-
-    for t, kind, proc, sub, payload in keyed_timeline(trace):
+    for _t, kind, proc, sub, payload in keyed_timeline(trace):
         if kind == START:
             clocks[proc] = vector_tick(clocks[proc], proc)
-            counters.clock_updates += 1
             counters.events_processed += 1
             lo[payload.id] = clocks[proc]
-            note(kind, proc, t, event=payload.id)
         elif kind == SEND:
             clocks[proc] = vector_tick(clocks[proc], proc)
-            counters.clock_updates += 1
             counters.events_processed += 1
             counters.stamp_words_sent += procs
             send_stamps[sub] = clocks[proc]
-            note(kind, proc, t, event=payload.from_event, msg=sub)
         elif kind == DELIVER:
             clocks[proc] = vector_merge(clocks[proc], send_stamps[sub], proc)
-            counters.clock_updates += 1
             counters.events_processed += 1
-            note(kind, proc, t, event=payload.to_event, msg=sub)
         else:
             clocks[proc] = vector_tick(clocks[proc], proc)
-            counters.clock_updates += 1
             hi[payload.id] = clocks[proc]
-            note(kind, proc, t, event=payload.id)
+        counters.clock_updates += 1
+        points.append(clocks[proc])
     intervals = {e: Interval(lo[e], hi[e]) for e in lo}
     return intervals, points
+
+
+def timeline_point_stamps(trace: Trace, stamps: np.ndarray) -> dict:
+    """Rows of a per-point stamp array keyed as ``point_nodes`` keys points.
+
+    Row i belongs to ``trace.timeline`` point i, whose kind and item say
+    which: ``(kind, event id)`` for a start or end, ``(kind, message
+    index)`` for a send or delivery.  Each row becomes a ``VectorStamp``.
+    """
+    timeline = trace.timeline
+    keyed = {}
+    for kind, item, slots in zip(timeline.kind.tolist(), timeline.item.tolist(), stamps.tolist()):
+        ref = trace.events[item].id if kind in (START, END) else item
+        keyed[(kind, ref)] = VectorStamp(tuple(slots))
+    return keyed
 
 
 def per_peer_replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetector]:

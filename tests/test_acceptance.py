@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from _oracles import brute_force_overlap, causal_closure
+from _oracles import brute_force_overlap, causal_closure, timeline_point_stamps, vector_lt
 from snapdetect.detectors import EventId
 from snapdetect.experiment import parse_spec, read_results, run_sweep, summarize
 from snapdetect.metrics import complexity_fit, score, trend
@@ -25,7 +25,6 @@ from snapdetect.simulate import (
     run_trace,
     vector_point_stamps,
 )
-from snapdetect.stamps import vector_lt
 
 NODE_SWEEP_SPEC = {
     "base": {"nodes": 2, "instances_per_node": 2, "events_per_process": 6},
@@ -138,7 +137,8 @@ def test_criterion_4_complexity_growth():
         and 0.7 <= snap_checks.exponent <= 1.3
     )
     detail = (
-        f"payload snap={snap_payload.exponent:.2f} vec={vec_payload.exponent:.2f}, "
+        "stamp words/processed event (broadcast once per emission) "
+        f"snap={snap_payload.exponent:.2f} vec={vec_payload.exponent:.2f}, "
         f"checks snap={snap_checks.exponent:.2f} vec={vec_checks.exponent:.2f}"
     )
     _report(4, "complexity growth", ok, detail)
@@ -182,10 +182,8 @@ def test_criterion_5_oracle_equivalences():
                 small_config(seed, nodes=nodes, instances_per_node=1, events_per_process=epp)
             )
             closure = causal_closure(trace)
-            keyed = {}
-            for p in vector_point_stamps(trace):
-                ref = p.event if p.message_index is None else p.message_index
-                keyed[(p.kind, ref)] = p.stamp
+            keyed = timeline_point_stamps(trace, vector_point_stamps(trace))
+            vector_exact &= len(keyed) == len(closure)
             for a in keyed:
                 for b in keyed:
                     if a != b:

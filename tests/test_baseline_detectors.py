@@ -2,18 +2,16 @@ import random
 
 import pytest
 
-from _oracles import brute_force_overlap
+from _oracles import Interval, VectorStamp, brute_force_overlap, vector_arrays
 from snapdetect.detectors import (
     ContextReading,
     EventId,
     pair_key,
     physical_detect,
-    vector_arrays,
     vector_detect,
     violation_filter,
 )
 from snapdetect.simulate import SimConfig, Trace, TraceEvent, generate_trace
-from snapdetect.stamps import Interval, VectorStamp
 
 
 def vec_interval(lo, hi):

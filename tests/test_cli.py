@@ -68,7 +68,21 @@ class TestScenariosCommand:
         assert result.exit_code == 2, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"{path}:{k + 1}:" in result.output
-        assert "delivered before it is sent" in result.output
+        assert "message 0: delivered at" in result.output
+
+    def test_event_without_start_exits_2_naming_line(self, tmp_path):
+        scenarios.write_fixtures(tmp_path)
+        path = tmp_path / "scenario_c.jsonl"
+        lines = path.read_text().splitlines()
+        k = next(i for i, l in enumerate(lines) if '"event"' in l)
+        record = json.loads(lines[k])
+        del record["start_us"]
+        lines[k] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(main, ["scenarios", "--fixtures", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{path}:{k + 1}: event record: missing 'start_us'" in result.output
 
 
 class TestSweepCommand:

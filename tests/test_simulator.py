@@ -1,6 +1,6 @@
 import pytest
 
-from _oracles import DELIVER, END, SEND, START, brute_force_overlap, causal_closure
+from _oracles import END, START, brute_force_overlap, causal_closure, timeline_point_stamps, vector_lt
 from snapdetect.detectors import pair_key
 from snapdetect.metrics import score
 from snapdetect.simulate import (
@@ -13,7 +13,6 @@ from snapdetect.simulate import (
     snapshot_intervals,
     vector_point_stamps,
 )
-from snapdetect.stamps import vector_lt
 
 
 def small_config(**overrides):
@@ -179,11 +178,8 @@ class TestCausalProperties:
                 small_config(nodes=3, instances_per_node=1, events_per_process=2, seed=seed)
             )
             closure = causal_closure(trace)
-            points = vector_point_stamps(trace)
-            keyed = {}
-            for p in points:
-                ref = p.event if p.kind in (START, END) else p.message_index
-                keyed[(p.kind, ref)] = p.stamp
+            keyed = timeline_point_stamps(trace, vector_point_stamps(trace))
+            assert len(keyed) == len(closure)
             for a in keyed:
                 for b in keyed:
                     if a == b:

@@ -1,10 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import SnapshotStamp, snapshot_merge, snapshot_tick
 from snapdetect.detectors import (
+    MAX_TICK,
     DuplicateEventError,
     EventId,
     SnapshotDetector,
+    StampOverflowError,
     pair_key,
 )
 from snapdetect.simulate import (
@@ -15,13 +18,6 @@ from snapdetect.simulate import (
     TraceMessage,
     run_trace,
     snapshot_intervals,
-)
-from snapdetect.stamps import (
-    MAX_TICK,
-    SnapshotStamp,
-    StampOverflowError,
-    snapshot_merge,
-    snapshot_tick,
 )
 
 MS = 1000

@@ -18,7 +18,7 @@ from _corpora import drop_trace, scale_dense_corpus, snapshot_corpus, vector_cor
 from _legacy_snapshot import LegacySnapshotDetector, MessageRecord, legacy_snapshot
 from _oracles import per_peer_replay_snapshot, replay_order_snapshot
 from snapdetect import detectors, scenarios
-from snapdetect.detectors import EventId, SnapshotDetector, violation_filter
+from snapdetect.detectors import EventId, SnapshotDetector, StampOverflowError, violation_filter
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
@@ -28,7 +28,6 @@ from snapdetect.simulate import (
     run_trace,
     snapshot_intervals,
 )
-from snapdetect.stamps import StampOverflowError
 
 
 def test_corpus_matches_reference():

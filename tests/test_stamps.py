@@ -1,11 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from snapdetect.stamps import (
+from _oracles import (
     Interval,
-    MAX_TICK,
     SnapshotStamp,
-    StampOverflowError,
     VectorStamp,
     snapshot_merge,
     snapshot_tick,
@@ -14,10 +12,7 @@ from snapdetect.stamps import (
     vector_merge,
     vector_tick,
 )
-
-
-def scalar_interval(lo, hi):
-    return Interval(SnapshotStamp(lo), SnapshotStamp(hi))
+from snapdetect.detectors import MAX_TICK, StampOverflowError
 
 
 class TestSnapshotRules:
@@ -82,14 +77,10 @@ class TestVectorRules:
         )
 
 
-class TestIntervalCompare:
-    def test_empty_scalar_interval_rejected(self):
+class TestInterval:
+    def test_unordered_vector_interval_rejected(self):
         with pytest.raises(ValueError):
-            scalar_interval(4, 4)
-
-    def test_mixed_stamp_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            Interval(SnapshotStamp(1), VectorStamp((2,)))
+            Interval(VectorStamp((2, 0)), VectorStamp((1, 1)))
 
 
 class TestMonotonicity:

@@ -3,17 +3,21 @@
 ``simulate._timeline`` must give the order of ``_oracles.keyed_columns``
 (the keyed tuple sort) on small hand-built traces whose times tie across
 kind, process and sub, with events and messages listed in any order.  On
-the same traces both replays must match their references.  A message
-delivered before its send is a ``ValueError`` for both replaying
-families, and a trace builds its timeline once, however many families
-replay it.
+the same traces both replays must match their references.  A trace with
+a message delivered before its send, sent outside its sender's span or
+naming an event the trace lacks, or with an event on a process outside
+the config, raises one ``ValueError`` in both replaying families, and
+``load_trace`` names the record's line.  A trace builds its timeline
+once, however many families replay it.
 """
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import keyed_columns, per_peer_replay_snapshot, stamp_replay_vector
+from _oracles import keyed_columns, per_peer_replay_snapshot, stamp_replay_vector, vector_arrays
 from snapdetect import simulate
-from snapdetect.detectors import EventId, pair_key, vector_arrays
+from snapdetect.detectors import EventId, pair_key
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
@@ -29,6 +33,7 @@ from snapdetect.simulate import (
     snapshot_intervals,
     vector_point_stamps,
 )
+from snapdetect.tracefile import TraceFormatError, load_trace, save_trace
 
 PROCS = 3
 CONFIG = SimConfig(nodes=PROCS, instances_per_node=1, events_per_process=3, seed=0)
@@ -76,13 +81,14 @@ def replay_state(dets):
 @given(tied_traces())
 def test_replays_match_references_under_ties(trace):
     want_counters, counters = OpCounters(), OpCounters()
-    want_intervals, want_points = stamp_replay_vector(trace, want_counters, True)
-    ids, lo, hi, points = _replay_vector(trace, counters, True)
+    want_intervals, want_points = stamp_replay_vector(trace, want_counters)
+    ids, lo, hi = _replay_vector(trace, counters)
     want_ids, want_lo, want_hi = vector_arrays(want_intervals)
     assert ids == want_ids
     # Lists, because with no events ``vector_arrays`` knows no slot count.
     assert (lo.tolist(), hi.tolist()) == (want_lo.tolist(), want_hi.tolist())
-    assert (points, counters) == (want_points, want_counters)
+    assert counters == want_counters
+    assert vector_point_stamps(trace).tolist() == [list(p.slots) for p in want_points]
 
     want_counters, counters = OpCounters(), OpCounters()
     want = replay_state(per_peer_replay_snapshot(trace, want_counters))
@@ -113,14 +119,107 @@ def test_physical_family_reads_no_messages():
 
 @pytest.mark.parametrize("family", [DetectorFamily.SNAPSHOT, DetectorFamily.VECTOR])
 def test_point_outside_the_configured_processes_is_rejected(family):
-    # Process 2 has a delivery but no event, so no stamp of its own would
-    # index past the vector slots; only the replay's range check stops it.
+    # Process 2 has a delivery but no event: the message names an event
+    # the trace lacks.
     config = SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=0)
     a, b = EventId(0, 0), EventId(1, 0)
     events = (TraceEvent(a, 0, 0, 100), TraceEvent(b, 1, 0, 100))
     messages = (TraceMessage(a, EventId(2, 0), 10, 20), TraceMessage(b, a, 30, 40))
-    with pytest.raises(IndexError):
+    want = r"^message 0: receiver \(2, 0\) is no event of the trace$"
+    with pytest.raises(ValueError, match=want):
         run_trace(Trace(events, messages, config), family)
+
+
+A, B = EventId(0, 0), EventId(1, 0)
+SPANS = (TraceEvent(A, 0, 10, 100), TraceEvent(B, 1, 0, 100))
+
+
+def malformed(*events: TraceEvent, message: TraceMessage | None = None) -> Trace:
+    """``SPANS`` and ``events``, one good message, then ``message``."""
+    config = SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=0)
+    messages = (TraceMessage(B, A, 20, 30),) + ((message,) if message else ())
+    return Trace(SPANS + events, messages, config)
+
+
+# (trace, "event" or "message", index of the named record, error)
+MALFORMED = {
+    "unknown-sender": (
+        malformed(message=TraceMessage(EventId(0, 1), B, 20, 30)),
+        "message",
+        1,
+        "message 1: sender (0, 1) is no event of the trace",
+    ),
+    "unknown-receiver": (
+        malformed(message=TraceMessage(A, EventId(1, 5), 20, 30)),
+        "message",
+        1,
+        "message 1: receiver (1, 5) is no event of the trace",
+    ),
+    # Ids whose keys would wrap onto (0, 0)'s if they were not range-checked.
+    "sender-seq-past-int32": (
+        malformed(message=TraceMessage(EventId(0, 2**32), B, 20, 30)),
+        "message",
+        1,
+        "message 1: sender (0, 4294967296) is no event of the trace",
+    ),
+    "receiver-process-past-int32": (
+        malformed(message=TraceMessage(B, EventId(2**32, 0), 20, 30)),
+        "message",
+        1,
+        "message 1: receiver (4294967296, 0) is no event of the trace",
+    ),
+    "sent-before-sender-starts": (
+        malformed(message=TraceMessage(A, B, 9, 30)),
+        "message",
+        1,
+        "message 1: sent at 9 us, outside its sender (0, 0)'s span [10, 100) us",
+    ),
+    "sent-at-sender-end": (
+        malformed(message=TraceMessage(A, B, 100, 100)),
+        "message",
+        1,
+        "message 1: sent at 100 us, outside its sender (0, 0)'s span [10, 100) us",
+    ),
+    "process-past-config": (
+        malformed(TraceEvent(EventId(2, 0), 2, 0, 50)),
+        "event",
+        2,
+        "event (2, 0): process 2 is outside 0..1",
+    ),
+    "negative-process": (
+        malformed(TraceEvent(EventId(-1, 0), -1, 0, 50)),
+        "event",
+        2,
+        "event (-1, 0): process -1 is outside 0..1",
+    ),
+}
+
+REPLAYS = {
+    "snapshot": lambda t: run_trace(t, DetectorFamily.SNAPSHOT),
+    "vector": lambda t: run_trace(t, DetectorFamily.VECTOR),
+    "snapshot_intervals": snapshot_intervals,
+    "vector_point_stamps": vector_point_stamps,
+}
+
+
+@pytest.mark.parametrize("replay", REPLAYS)
+@pytest.mark.parametrize("case", MALFORMED)
+def test_replays_reject_malformed_trace(case, replay):
+    trace, _, _, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        REPLAYS[replay](trace)
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_load_trace_names_the_line_of_a_malformed_record(case, tmp_path):
+    trace, record, index, message = MALFORMED[case]
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    # The config record is line 1, then the events, then the messages.
+    line = 2 + index + (len(trace.events) if record == "message" else 0)
+    with pytest.raises(TraceFormatError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}:{line}: {message}"
 
 
 def test_all_families_build_the_timeline_once(monkeypatch):

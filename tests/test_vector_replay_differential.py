@@ -3,19 +3,20 @@
 ``_oracles.stamp_replay_vector`` is the replay built on ``vector_tick``
 and ``vector_merge`` that ``simulate._replay_vector`` replaced.  The ids
 and the ``lo``/``hi`` stamp arrays (against ``vector_arrays`` of the
-reference's intervals), the four counters and the full ``keep_points``
-point list must be identical on seeded traces, on dense traces and on the
-scenario fixtures; both must fault on the same slot overflow.  On the same corpus,
-``simulate._timeline``'s sorted columns must give the order of the keyed
-tuple sort they replaced.
+reference's intervals), the four counters and every point's stamp (the
+rows of ``vector_point_stamps``) must be identical on seeded traces, on
+dense traces and on the scenario fixtures; both must fault on the same
+slot overflow.  On the same corpus, ``simulate._timeline``'s sorted
+columns must give the order of the keyed tuple sort they replaced.
 """
 import numpy as np
 import pytest
 
+import _oracles
 from _corpora import DELAYS_US, vector_corpus
-from _oracles import DELIVER, keyed_columns, stamp_replay_vector
-from snapdetect import scenarios, simulate, stamps
-from snapdetect.detectors import EventId, vector_arrays, vector_detect
+from _oracles import keyed_columns, stamp_replay_vector, vector_arrays
+from snapdetect import detectors, scenarios, simulate
+from snapdetect.detectors import EventId, StampOverflowError, vector_detect
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
@@ -27,8 +28,8 @@ from snapdetect.simulate import (
     _timeline,
     generate_trace,
     run_trace,
+    vector_point_stamps,
 )
-from snapdetect.stamps import StampOverflowError
 
 DENSE_SEEDS = 100
 
@@ -58,19 +59,19 @@ def test_corpus_matches_reference():
     traces = deliveries = pairs = 0
     for trace in full_corpus():
         where = trace.config
-        want_counters = OpCounters()
-        want_intervals, want_points = stamp_replay_vector(trace, want_counters, True)
+        want_counters, counters = OpCounters(), OpCounters()
+        want_intervals, want_points = stamp_replay_vector(trace, want_counters)
         want_ids, want_lo, want_hi = vector_arrays(want_intervals)
-        for keep_points in (False, True):
-            counters = OpCounters()
-            ids, lo, hi, points = _replay_vector(trace, counters, keep_points)
-            assert ids == want_ids, where
-            assert lo.dtype == hi.dtype == np.int64, where
-            assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi), where
-            assert counters == want_counters, where
-            assert points == (want_points if keep_points else []), where
+        ids, lo, hi = _replay_vector(trace, counters)
+        assert ids == want_ids, where
+        assert lo.dtype == hi.dtype == np.int64, where
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi), where
+        assert counters == want_counters, where
+        points = vector_point_stamps(trace)
+        assert points.dtype == np.int64, where
+        assert points.tolist() == [list(p.slots) for p in want_points], where
         traces += 1
-        deliveries += sum(p.kind == DELIVER for p in want_points)
+        deliveries += len(trace.messages)
         pairs += len(vector_detect(want_ids, want_lo, want_hi))
     assert traces == 643
     assert deliveries > 0
@@ -108,9 +109,9 @@ def overflow_corpus():
 
 
 def cap_ticks(monkeypatch, cap: int) -> None:
-    """Lower ``MAX_TICK`` where the vector replay and ``VectorStamp`` read it."""
-    monkeypatch.setattr(simulate, "MAX_TICK", cap)
-    monkeypatch.setattr(stamps, "MAX_TICK", cap)
+    """Lower ``MAX_TICK`` in every module that reads it, ``VectorStamp``'s included."""
+    for module in (detectors, simulate, _oracles):
+        monkeypatch.setattr(module, "MAX_TICK", cap)
 
 
 @pytest.mark.parametrize("trace", overflow_corpus())
@@ -121,6 +122,8 @@ def test_second_tick_of_max_tick_overflows(trace, monkeypatch):
     with pytest.raises(StampOverflowError):
         run_trace(trace, DetectorFamily.VECTOR)
     with pytest.raises(StampOverflowError):
+        vector_point_stamps(trace)
+    with pytest.raises(StampOverflowError):
         stamp_replay_vector(trace, OpCounters())
 
 
@@ -128,7 +131,7 @@ def test_tick_reaching_max_tick_is_kept(monkeypatch):
     # Five messages give each process seven points, so with a cap of 7 the
     # last tick lands exactly on it and a sixth message overflows.
     cap_ticks(monkeypatch, 7)
-    ids, lo, hi, _ = _replay_vector(chain_trace(5), OpCounters())
+    ids, lo, hi = _replay_vector(chain_trace(5), OpCounters())
     want_ids, want_lo, want_hi = vector_arrays(stamp_replay_vector(chain_trace(5), OpCounters())[0])
     assert ids == want_ids == [EventId(0, 0), EventId(1, 0)]
     assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)

@@ -14,12 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _corpora import vector_corpus
-from _oracles import scalar_vector_detect
+from _oracles import Interval, VectorStamp, scalar_vector_detect, vector_arrays
 from snapdetect import detectors
-from snapdetect.detectors import EventId, vector_arrays, vector_detect
+from snapdetect.detectors import MAX_TICK, EventId, vector_detect
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import _replay_vector
-from snapdetect.stamps import MAX_TICK, Interval, VectorStamp
 
 
 def ragged_cells(intervals) -> int:
@@ -56,7 +55,7 @@ def vec_interval(lo, hi):
 def test_replayed_traces_match_scalar_loop():
     traces = pairs = rejected = 0
     for trace in vector_corpus():
-        ids, lo, hi, _ = _replay_vector(trace, OpCounters())
+        ids, lo, hi = _replay_vector(trace, OpCounters())
         intervals = {e: vec_interval(a, b) for e, a, b in zip(ids, lo.tolist(), hi.tolist())}
         found, checks = assert_same(intervals)
         m = len(intervals)
