@@ -7,10 +7,15 @@ of the three detector families.
 
 All times are integer microseconds since trace start; all randomness
 flows from one root seed through named per-stream derivations, so e.g.
-changing the error rate never perturbs the event layout.
+changing the error rate never perturbs the event layout.  Message wiring
+runs as columns over every attempt of a trace: send times and delays are
+read in bulk from their streams' MT19937 words, exactly as
+``random.Random.randint`` reads them, and an array search over the
+receiver's events settles each attempt whose outcome no delay can change.
 """
 from __future__ import annotations
 
+import array
 import bisect
 import enum
 import functools
@@ -38,9 +43,9 @@ from .metrics import OpCounters
 
 #: Delay resamples tried per message before it is dropped at generation.
 MESSAGE_RETRIES = 3
-#: Most 32-bit words one bulk delay draw takes from its stream: enough to
-#: amortise the draw, few enough that buffered delays stay tens of KB.
-DELAY_CHUNK_WORDS = 1 << 10
+#: 32-bit words one bulk draw takes from a stream: enough to amortise the
+#: draw, few enough that a stream's unread words stay a few KB.
+CHUNK_WORDS = 1 << 10
 
 
 class ConfigError(ValueError):
@@ -154,8 +159,7 @@ def config_from_record(record: dict) -> SimConfig:
     return config
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     id: EventId
     process: int
     start_us: int
@@ -163,8 +167,7 @@ class TraceEvent:
     reading: Optional[ContextReading] = None
 
 
-@dataclass(frozen=True)
-class TraceMessage:
+class TraceMessage(NamedTuple):
     from_event: EventId
     to_event: EventId
     send_us: int
@@ -332,25 +335,95 @@ def _randint(bits, lo: int, hi: int) -> int:
     return lo + r
 
 
-def _delay_offsets(rng: random.Random, n: int, wanted: int) -> list[int]:
-    """The next ``randint(0, n - 1)`` values of ``rng``, about ``wanted`` of them.
+class _Words(random.Random):
+    """One stream's MT19937 words, drawn ``CHUNK_WORDS`` at a time and read in order.
 
-    For ``k = n.bit_length() <= 32``, ``getrandbits(k)`` is one MT19937
-    word shifted right by ``32 - k``, and ``getrandbits(32 * c)`` is ``c``
-    words, least significant first.  So one bulk draw, shifted and kept
-    where below ``n``, is randint's rejection loop over ``c`` words.  At
-    most ``DELAY_CHUNK_WORDS`` words are drawn, so fewer values than
-    wanted, even none, may come back.  Wider spans draw one value at a
-    time, at most ``DELAY_CHUNK_WORDS`` of them.
+    ``source.getrandbits(32 * c)`` is the stream's next ``c`` words, least
+    significant first.  ``getrandbits`` reads them as CPython's does: for
+    ``k <= 32`` one word shifted right by ``32 - k``; for wider ``k``,
+    ``ceil(k / 32)`` words, least significant first, the last shifted right
+    to fit.  So ``sample``, ``randint`` and every other ``random.Random``
+    method, all of which draw through ``getrandbits``, give what they give
+    on ``source``.
+    """
+
+    def __init__(self, source: random.Random):
+        super().__init__(0)  # the inherited generator state is never read
+        self._source = source
+        self._words: list[int] = []
+        self._pos = 0  # the next unread word
+
+    def _refill(self) -> None:
+        """Replace the words, all read, with the source's next ``CHUNK_WORDS``."""
+        self._words = _chunk(self._source, CHUNK_WORDS).tolist()
+        self._pos = 0
+
+    def getrandbits(self, k: int) -> int:
+        if k < 0:
+            raise ValueError("number of bits must be non-negative")
+        value = 0
+        for i in range((k + 31) // 32):
+            if self._pos == len(self._words):
+                self._refill()
+            word = self._words[self._pos]
+            self._pos += 1
+            value |= word >> max(0, 32 * (i + 1) - k) << 32 * i
+        return value
+
+    def below(self, n: int, count: int) -> list[int]:
+        """The next ``count`` values of ``randint(0, n - 1)``.
+
+        For ``k = n.bit_length() <= 32`` a draw is the next word shifted
+        right by ``32 - k`` and kept when below ``n``: randint's rejection
+        loop, one list read per word.
+        """
+        k = n.bit_length()
+        if k > 32:
+            return [_randint(self.getrandbits, 0, n - 1) for _ in range(count)]
+        shift = 32 - k
+        words, pos, end = self._words, self._pos, len(self._words)
+        out = []
+        while count:
+            if pos == end:
+                self._pos = pos
+                self._refill()
+                words, pos, end = self._words, self._pos, len(self._words)
+            r = words[pos] >> shift
+            pos += 1
+            if r < n:
+                out.append(r)
+                count -= 1
+        self._pos = pos
+        return out
+
+
+def _chunk(rng: random.Random, words: int) -> np.ndarray:
+    """The next ``words`` 32-bit words of ``rng``, in the order its draws read them."""
+    return np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
+
+
+def _randints(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """The next ``count`` values of ``rng.randint(0, n - 1)``, as an array.
+
+    For ``k = n.bit_length() <= 32`` a draw is one word shifted right by
+    ``32 - k`` and kept when below ``n``, so the values kept from each
+    chunk of at most ``CHUNK_WORDS`` words are randint's rejection loop
+    over it, and they are uint32.  Wider draws take several words each;
+    they go one at a time and are Python ints in an object array, so no
+    span is too wide.  Words drawn past the last value kept are lost, so
+    ``rng`` must serve no later draw.
     """
     k = n.bit_length()
     if k > 32:
         bits = rng.getrandbits
-        return [_randint(bits, 0, n - 1) for _ in range(min(wanted, DELAY_CHUNK_WORDS))]
-    words = min(DELAY_CHUNK_WORDS, (wanted << k) // n + 1)
-    raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
-    raw = raw >> (32 - k)
-    return raw[raw < n].tolist()
+        return np.array([_randint(bits, 0, n - 1) for _ in range(count)], dtype=object)
+    parts = [np.empty(0, np.uint32)]
+    while count:
+        drawn = _chunk(rng, min(CHUNK_WORDS, (count << k) // n + 1)) >> (32 - k)
+        kept = drawn[drawn < n][:count]
+        parts.append(kept)
+        count -= len(kept)
+    return np.concatenate(parts)
 
 
 class _Trajectories:
@@ -424,56 +497,111 @@ def generate_trace(config: SimConfig) -> Trace:
                 )
             events.append(TraceEvent(EventId(p, s), p, start, end, reading))
 
-    # Per-process start indexes for live-event lookup.
-    starts_by_proc = [[start for start, _ in spans] for spans in per_proc]
+    # Every message attempt as a column entry, in the order the attempts
+    # are made: event by event, each event's peers in ascending order.
+    words = _Words(msg_rng)
+    peers_of = [[q for q in range(procs) if q != p] for p in range(procs)]
+    fanout = config.peer_fanout
+    receivers = array.array("q")
+    offsets = array.array("q")  # each send time, less its event's start
+    for ev in events:
+        peers = peers_of[ev.process]
+        if fanout is not None and fanout < len(peers):
+            peers = sorted(words.sample(peers, fanout))
+        receivers.extend(peers)
+        offsets.extend(words.below(ev.end_us - ev.start_us, len(peers)))
+    per_event = len(receivers) // len(events)  # every event messages as many peers
+    receiver = np.frombuffer(receivers, dtype=np.int64)
+    span_us = np.array(per_proc, dtype=np.int64)  # (process, seq, [start, end])
+    starts, ends = span_us[..., 0], span_us[..., 1]
+    starts_by_proc, ends_by_proc = starts.tolist(), ends.tolist()
+    send = np.frombuffer(offsets, dtype=np.int64) + np.repeat(starts.ravel(), per_event)
 
-    def live_event(q: int, at_us: int) -> Optional[EventId]:
-        i = bisect.bisect_right(starts_by_proc[q], at_us) - 1
-        if i < 0:
-            return None
-        start, end = per_proc[q][i]
-        if start <= at_us < end:
-            return EventId(q, i)
-        return None
-
-    # A delivery at or after a process's last end finds no live event.
-    last_end = [spans[-1][1] for spans in per_proc]
-    msg_bits = msg_rng.getrandbits
+    # Each attempt's delivery window, [send + lo, send + hi], with times
+    # past the horizon clipped to horizon + 1: no event is live there, and
+    # the sums stay inside int64.
     delay_lo, delay_hi = config.message_delay_us
-    delay_n = delay_hi - delay_lo + 1
-    delays: list[int] = []  # delay_rng's randint values, minus delay_lo, from delays[pos]
-    pos = 0
+    cap = horizon + 1
+    lo, hi = min(delay_lo, cap), min(delay_hi, cap)
+    low = np.minimum(send, cap - lo) + lo
+    high = np.minimum(send, cap - hi) + hi
+    seq, inside, missed = _window_outcomes(starts, ends, receiver, low, high)
 
-    messages: list[TraceMessage] = []
-    dropped = 0
-    for i, ev in enumerate(events):
-        p = ev.process
-        peers = [q for q in range(procs) if q != p]
-        if config.peer_fanout is not None and config.peer_fanout < len(peers):
-            peers = sorted(msg_rng.sample(peers, config.peer_fanout))
-        for q in peers:
-            send_us = _randint(msg_bits, ev.start_us, ev.end_us - 1)
-            while pos + MESSAGE_RETRIES > len(delays):
-                wanted = (len(events) - i) * len(peers) * MESSAGE_RETRIES
-                delays = delays[pos:] + _delay_offsets(delay_rng, delay_n, wanted)
-                pos = 0
-            earliest = send_us + delay_lo
-            if earliest >= last_end[q]:
-                # Every try lands after q's last event: drop it unlooked.
-                pos += MESSAGE_RETRIES
-                dropped += 1
-                continue
-            for _ in range(MESSAGE_RETRIES):
-                deliver_us = earliest + delays[pos]
-                pos += 1
-                target = live_event(q, deliver_us)
-                if target is not None:
-                    messages.append(TraceMessage(ev.id, target, send_us, deliver_us))
-                    break
-            else:
-                dropped += 1
+    # An attempt uses one delay if it lands on its first try, else all
+    # MESSAGE_RETRIES, so each attempt's first delay is a cumulative sum.
+    # Only the attempts whose outcome depends on the delays drawn are
+    # tried, one delay at a time, and each one that lands early moves the
+    # first delay of every later attempt back.
+    used = np.where(inside, 1, MESSAGE_RETRIES)
+    delays = _randints(delay_rng, delay_hi - delay_lo + 1, int(used.sum()))
+    first = np.cumsum(used) - used
+    landed: list[int] = []
+    landed_us: list[int] = []
+    landed_seq: list[int] = []
+    saved = 0  # delays left unused by the attempts tried so far
+    uncertain = np.flatnonzero(~(inside | missed))
+    tried = zip(
+        uncertain.tolist(), first[uncertain].tolist(), send[uncertain].tolist(), receiver[uncertain].tolist()
+    )
+    for i, at, send_us, q in tried:
+        at -= saved
+        q_starts, q_ends = starts_by_proc[q], ends_by_proc[q]
+        for tries, delay in enumerate(delays[at : at + MESSAGE_RETRIES].tolist(), 1):
+            deliver_us = send_us + delay_lo + delay
+            j = bisect.bisect_right(q_starts, deliver_us) - 1
+            if j >= 0 and deliver_us < q_ends[j]:
+                landed.append(i)
+                landed_us.append(deliver_us)
+                landed_seq.append(j)
+                used[i] = tries
+                saved += MESSAGE_RETRIES - tries
+                break
+    first = np.cumsum(used) - used
 
+    delivered = inside.copy()
+    delivered[landed] = True
+    deliver = np.zeros(len(send), dtype=np.int64)
+    deliver[inside] = low[inside] + delays[first[inside]]  # inside, low is send + delay_lo
+    deliver[landed] = landed_us
+    seq[landed] = landed_seq
+    kept = np.flatnonzero(delivered)
+    ids = [ev.id for ev in events]  # event (p, s) is ids[p * events_per_process + s]
+    fields = zip(
+        map(ids.__getitem__, (kept // per_event).tolist()),
+        map(ids.__getitem__, (receiver[kept] * config.events_per_process + seq[kept]).tolist()),
+        send[kept].tolist(),
+        deliver[kept].tolist(),
+    )
+    # tuple.__new__ skips the NamedTuple constructor's Python frame.
+    messages = map(tuple.__new__, itertools.repeat(TraceMessage), fields)
+    dropped = len(send) - len(kept)
     return Trace(tuple(events), tuple(messages), config, dropped)
+
+
+def _window_outcomes(
+    starts: np.ndarray, ends: np.ndarray, receiver: np.ndarray, low: np.ndarray, high: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each delivery window ``[low, high]`` falls among its receiver's events.
+
+    ``starts`` and ``ends`` are (processes, events) arrays, each row in
+    start order with no two events of a row overlapping.  Returns, per
+    window, the seq of the receiver's last event starting at or before
+    ``low`` (-1 if none), whether the window lies inside that event, so
+    that every delay delivers into it, and whether it meets no event, so
+    that every delay misses.
+    """
+    procs, per_proc = starts.shape
+    seq = np.empty(len(low), dtype=np.intp)
+    by_receiver = np.argsort(receiver, kind="stable")
+    bounds = np.cumsum(np.bincount(receiver, minlength=procs))[:-1]
+    for q, at in enumerate(np.split(by_receiver, bounds)):
+        seq[at] = np.searchsorted(starts[q], low[at], "right") - 1
+    found = seq >= 0
+    end = ends[receiver, np.maximum(seq, 0)]
+    after = np.minimum(seq + 1, per_proc - 1)
+    inside = found & (high < end)
+    missed = (~found | (low >= end)) & ((seq + 1 == per_proc) | (starts[receiver, after] > high))
+    return seq, inside, missed
 
 
 def ground_truth(trace: Trace) -> GroundTruth:
@@ -562,7 +690,10 @@ def _message_columns(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     its delivery, so ``MessageError`` names the first message whose sender
     or receiver is no event of the trace, then the first sent outside its
     sender's ``[start, end)``, then the first delivered before its send
-    (``deliver_us < send_us``; at equal times the send comes first).
+    (``deliver_us < send_us``; at equal times the send comes first), then
+    the first delivered at or after its receiver's end, which the snapshot
+    replay would fold into an event that is over.  A delivery before its
+    receiver starts is allowed: the snapshot family counts it as a drop.
     """
     columns, messages = trace.event_columns, trace.messages
     procs, n = trace.config.n_processes, len(messages)
@@ -592,6 +723,15 @@ def _message_columns(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
             i,
             f"message {i}: delivered at {messages[i].deliver_us} us,"
             f" before its send at {messages[i].send_us} us",
+        )
+    ended = np.flatnonzero(delivered >= columns.end_us[receiver])
+    if ended.size:
+        i = int(ended[0])
+        ev = trace.events[receiver[i]]
+        raise MessageError(
+            i,
+            f"message {i}: delivered at {messages[i].deliver_us} us,"
+            f" at or after its receiver {tuple(ev.id)}'s end at {ev.end_us} us",
         )
     return sent, delivered, sender, receiver
 

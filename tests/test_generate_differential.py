@@ -1,12 +1,15 @@
-"""Trace generation with bulk delay draws against its one-``randint``-per-draw form.
+"""Trace generation as columns against its one-``randint``-per-draw form.
 
-``_oracles.randint_generate_trace`` is the generator that
+``_oracles.randint_generate_trace`` is the per-attempt loop that
 ``simulate.generate_trace`` replaced.  Events, messages and the drop count
 must be identical on every spec config, on the benchmark's dense and long
 configs, and on a seeded corpus that covers fan-out None/1/3, zero start
-jitter and delay spans from width 0 up to 2**32 (the one-value-at-a-time
-draw).  The corpus must deliver, drop, skip hopeless attempts and land
-messages on a second or third try, or it shows nothing.
+jitter, delay spans from width 0 up to 2**32 and lifespans of 2**32 us and
+more (send draws of two words).  Each corpus must reach every delivery
+outcome, or it shows nothing: a window inside one receiver event (certain
+first-try delivery), a window that meets no receiver event (certain drop,
+hopeless attempts among them), and windows whose outcome the delays decide,
+landing on the first, second and third try or missing all three.
 """
 import itertools
 from collections import Counter
@@ -33,6 +36,9 @@ DELAY_SPANS = (
 )
 FANOUTS = (None, 1, 3)
 JITTERS = (0, SimConfig(nodes=2).start_jitter_us)
+#: Short lifespans, and lifespans of 2**32 us or more, whose send draws
+#: take two words each.
+LIFESPANS = ((2_000, 12_000), (2**32, 2**32 + 50_000))
 SEEDS_PER_POINT = 9
 
 
@@ -66,15 +72,15 @@ def benchmark_configs():
 
 
 def seeded_configs():
-    """324 small configs over every delay span, fan-out and jitter."""
-    grid = itertools.product(DELAY_SPANS, FANOUTS, JITTERS)
-    for i, (delay, fanout, jitter) in enumerate(grid):
+    """648 small configs over every lifespan, delay span, fan-out and jitter."""
+    grid = itertools.product(LIFESPANS, DELAY_SPANS, FANOUTS, JITTERS)
+    for i, (lifespan, delay, fanout, jitter) in enumerate(grid):
         for k in range(SEEDS_PER_POINT):
             yield SimConfig(
                 nodes=2 + k % 4,
                 instances_per_node=1 + k % 2,
                 events_per_process=3 + k % 5,
-                event_lifespan_us=(2_000, 12_000),
+                event_lifespan_us=lifespan,
                 inter_event_gap_us=(0, 4_000),
                 message_delay_us=delay,
                 start_jitter_us=jitter,
@@ -84,9 +90,24 @@ def seeded_configs():
 
 
 def assert_same_traces(configs) -> Counter:
+    """Compare each config's trace with the reference; tally every attempt's outcome.
+
+    The reference counts ``hopeless``, ``hit_try_1`` to ``hit_try_3`` and
+    ``dropped`` attempts; ``certain_hit`` and ``certain_miss`` count the
+    windows the generator settles without trying a delay.
+    """
     tally = Counter()
+    outcomes = simulate._window_outcomes
+
+    def counted(*args):
+        seq, inside, missed = outcomes(*args)
+        tally["certain_hit"] += int(inside.sum())
+        tally["certain_miss"] += int(missed.sum())
+        return seq, inside, missed
+
     for config in configs:
-        got = generate_trace(config)
+        with mock.patch.object(simulate, "_window_outcomes", counted):
+            got = generate_trace(config)
         want = randint_generate_trace(config, tally)
         assert got.events == want.events, config
         assert got.messages == want.messages, config
@@ -95,14 +116,18 @@ def assert_same_traces(configs) -> Counter:
             assert type(m.send_us) is int and type(m.deliver_us) is int, config
         tally["configs"] += 1
         tally["delivered"] += len(got.messages)
+        tally["attempts"] += len(got.messages) + got.dropped_messages
     return tally
 
 
 def assert_every_path(tally: Counter) -> None:
-    assert tally["delivered"] > 0
-    assert tally["dropped"] > 0
-    assert tally["hopeless"] > 0
-    assert tally["hit_try_2"] + tally["hit_try_3"] > 0
+    assert tally["certain_hit"] > 0
+    assert tally["certain_miss"] >= tally["hopeless"] > 0
+    assert tally["hit_try_1"] > tally["certain_hit"]  # some first tries the delay decided
+    assert tally["hit_try_2"] > 0
+    assert tally["hit_try_3"] > 0
+    assert tally["dropped"] > tally["certain_miss"]  # some attempts missed three delays
+    assert tally["certain_hit"] + tally["certain_miss"] < tally["attempts"]
 
 
 def test_spec_configs_match_reference():
@@ -121,15 +146,34 @@ def test_seeded_corpus_matches_reference():
     widths = {c.message_delay_us[1] - c.message_delay_us[0] for c in configs}
     assert widths == {0, 1, 4_000, 7_750_000, 2**31, 2**32}
     assert max(w + 1 for w in widths).bit_length() == 33
+    assert {c.event_lifespan_us[0] for c in configs} == {2_000, 2**32}
     tally = assert_same_traces(configs)
-    assert tally["configs"] >= 300
+    assert tally["configs"] >= 600
     assert_every_path(tally)
+
+
+@pytest.mark.parametrize("delay", [(0, 2**63 - 1), (2**62, 2**64)])
+def test_delays_past_int64_match_reference(delay):
+    """Windows that end past int64 are clipped at the horizon, and their delays stay exact."""
+    configs = [
+        SimConfig(nodes=3, events_per_process=4, message_delay_us=delay, peer_fanout=fanout, seed=seed)
+        for fanout in (None, 1)
+        for seed in (1, 2)
+    ]
+    tally = assert_same_traces(configs)
+    assert tally["attempts"] > 0
+    assert tally["certain_hit"] == 0
 
 
 @pytest.mark.parametrize("chunk_words", [1, 5])
 def test_small_delay_chunks_match_reference(chunk_words):
-    """One-word chunks, and five-word chunks that leave a ragged tail."""
-    configs = itertools.islice(seeded_configs(), 0, None, 3)
-    with mock.patch.object(simulate, "DELAY_CHUNK_WORDS", chunk_words):
+    """One-word chunks, and five-word chunks that leave a ragged tail.
+
+    Both the message stream's word buffer and the bulk delay draw read
+    their streams in chunks of ``CHUNK_WORDS`` words.
+    """
+    configs = list(itertools.islice(seeded_configs(), 0, None, 3))
+    assert any(c.event_lifespan_us[0] >= 2**32 for c in configs)
+    with mock.patch.object(simulate, "CHUNK_WORDS", chunk_words):
         tally = assert_same_traces(configs)
     assert_every_path(tally)

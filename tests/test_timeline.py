@@ -4,11 +4,13 @@
 (the keyed tuple sort) on small hand-built traces whose times tie across
 kind, process and sub, with events and messages listed in any order.  On
 the same traces both replays must match their references.  A trace with
-a message delivered before its send, sent outside its sender's span or
-naming an event the trace lacks, or with an event on a process outside
-the config, raises one ``ValueError`` in both replaying families, and
-``load_trace`` names the record's line.  A trace builds its timeline
-once, however many families replay it.
+a message delivered before its send or at or after its receiver's end,
+sent outside its sender's span or naming an event the trace lacks, or
+with an event on a process outside the config, raises one ``ValueError``
+in both replaying families, and ``load_trace`` names the record's line.
+A delivery before its receiver starts is kept, and the snapshot family
+drops it.  A trace builds its timeline once, however many families
+replay it.
 """
 import re
 
@@ -45,7 +47,8 @@ def tied_traces(draw) -> Trace:
     """Up to 3 back-to-back events per process and 8 messages, at times 0..3.
 
     Each message is sent inside its sending event and delivered at or
-    after the send; events and messages are then shuffled.
+    after the send and before its receiving event ends; events and
+    messages are then shuffled.
     """
     events = []
     for p in range(PROCS):
@@ -59,9 +62,12 @@ def tied_traces(draw) -> Trace:
     messages = []
     if len(events) > 1:
         for _ in range(draw(st.integers(0, 8))):
-            a, b = draw(st.permutations(events))[:2]
+            a = draw(st.sampled_from(events))
             send = draw(st.integers(a.start_us, a.end_us - 1))
-            messages.append(TraceMessage(a.id, b.id, send, draw(st.integers(send, LAST_US))))
+            receivers = [b for b in events if b is not a and b.end_us > send]
+            if receivers:
+                b = draw(st.sampled_from(receivers))
+                messages.append(TraceMessage(a.id, b.id, send, draw(st.integers(send, b.end_us - 1))))
     events, messages = draw(st.permutations(events)), draw(st.permutations(messages))
     return Trace(tuple(events), tuple(messages), CONFIG)
 
@@ -110,6 +116,35 @@ def test_delivery_before_send_is_rejected(family, deliver_us):
     want = rf"^message 0: delivered at {deliver_us} us, before its send at 50 us$"
     with pytest.raises(ValueError, match=want):
         run_trace(late_trace(deliver_us), family)
+
+
+def ended_receiver_trace() -> Trace:
+    """One message delivered at 70 us to an event that ended at 10 us."""
+    config = SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=0)
+    a, b = EventId(0, 0), EventId(1, 0)
+    events = (TraceEvent(a, 0, 50, 100), TraceEvent(b, 1, 0, 10))
+    return Trace(events, (TraceMessage(a, b, 60, 70),), config)
+
+
+@pytest.mark.parametrize("family", [DetectorFamily.SNAPSHOT, DetectorFamily.VECTOR])
+def test_delivery_after_its_receiver_ends_is_rejected(family):
+    """Replayed, the snapshot family would report a pair that truth does not hold."""
+    want = r"^message 0: delivered at 70 us, at or after its receiver \(1, 0\)'s end at 10 us$"
+    with pytest.raises(ValueError, match=want):
+        run_trace(ended_receiver_trace(), family)
+    assert not run_trace(ended_receiver_trace(), DetectorFamily.PHYSICAL).detected_pairs
+
+
+@pytest.mark.parametrize(("deliver_us", "dropped"), [(5, 1), (10, 0), (99, 0)])
+def test_delivery_before_its_receiver_starts_is_a_snapshot_drop(deliver_us, dropped, tmp_path):
+    config = SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=0)
+    a, b = EventId(0, 0), EventId(1, 0)
+    events = (TraceEvent(a, 0, 0, 100), TraceEvent(b, 1, 10, 100))
+    trace = Trace(events, (TraceMessage(a, b, 1, deliver_us),), config)
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    assert load_trace(path) == trace
+    assert run_trace(trace, DetectorFamily.SNAPSHOT).dropped == dropped
 
 
 def test_physical_family_reads_no_messages():
@@ -179,6 +214,18 @@ MALFORMED = {
         "message",
         1,
         "message 1: sent at 100 us, outside its sender (0, 0)'s span [10, 100) us",
+    ),
+    "delivered-at-receiver-end": (
+        malformed(message=TraceMessage(A, B, 20, 100)),
+        "message",
+        1,
+        "message 1: delivered at 100 us, at or after its receiver (1, 0)'s end at 100 us",
+    ),
+    "delivered-after-receiver-end": (
+        malformed(message=TraceMessage(B, A, 20, 2**40)),
+        "message",
+        1,
+        f"message 1: delivered at {2**40} us, at or after its receiver (0, 0)'s end at 100 us",
     ),
     "process-past-config": (
         malformed(TraceEvent(EventId(2, 0), 2, 0, 50)),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from _corpora import long_traces_corpus
 from snapdetect.simulate import SimConfig, generate_trace
 from snapdetect.tracefile import (
     EVENT_KEYS,
@@ -19,6 +20,17 @@ def test_roundtrip_is_exact(tmp_path):
     path = tmp_path / "trace.jsonl"
     save_trace(trace, path)
     assert load_trace(path) == trace
+
+
+def test_long_traces_save_the_same_bytes_after_a_round_trip(tmp_path):
+    """The benchmark's long traces (seeds 1-4) load equal and save byte for byte again."""
+    for i, trace in enumerate(long_traces_corpus()):
+        first, second = tmp_path / f"{i}.jsonl", tmp_path / f"{i}-again.jsonl"
+        save_trace(trace, first)
+        loaded = load_trace(first)
+        assert loaded == trace
+        save_trace(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_missing_config_record(tmp_path):
