@@ -10,14 +10,13 @@ families replay it in one order, the columnar timeline that
   ``c.lo <= x < c.hi``.  The replay drives it through ``on_local_event``,
   ``on_send``, ``on_broadcasts`` and ``on_message(sender, receiver,
   send_stamp)``; a delivery is three plain arguments, not a record.
-* ``vector_detect`` -- the vector-clock baseline: a quadratic pairwise
-  scan reporting pairs whose interval endpoints are mutually ordered by
-  happened-before (each start precedes the other's end).  It takes the
-  stamps as int64 (m, n) arrays, as the vector replay produces them, and
-  makes m(m-1)/2 logical checks (counted in ``pair_checks``).  They are
-  evaluated slot-major in bounded row blocks: two bool accumulators are
-  ANDed one slot at a time, and strictness (``a != b``) compares row ids that a
-  ``lexsort`` of all stamp rows assigns, equal rows equal ids.
+* ``vector_detect`` -- the vector-clock baseline: reports pairs whose
+  interval endpoints are mutually ordered by happened-before (each start
+  precedes the other's end).  It takes the stamps as int64 (m, n) arrays,
+  as the vector replay produces them.  The modelled baseline decides all
+  m(m-1)/2 pairs (counted in ``pair_checks``); the host finds the
+  candidates by range search on each process's own slot and evaluates the
+  full slot-wise predicate on those alone.
 * ``physical_detect`` -- wall-clock interval overlap under synchronized
   physical clocks, via a sorted start scan.  It is the one overlap
   kernel: ``simulate.Trace.truth`` runs it once per trace, and both
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -43,11 +43,9 @@ PairKey = tuple["EventId", "EventId"]
 #: never wraparound; desk-scale traces cannot approach this bound.
 MAX_TICK = 2**63 - 1
 
-#: Pairs (rows x columns) per row block of the vector pair scan.  The
-#: scan is slot-major: its two accumulators start as the row-id
-#: strictness masks and take one slot at a time, so its temporaries are
-#: a few bool arrays of this many cells whatever m and n are (64 KB
-#: each, which stays in cache).
+#: Slot comparisons (candidate pairs x slots) per row chunk of the vector
+#: pair scan.  A chunk's gathered stamp rows are int64 arrays of at most
+#: this many cells (512 KB each), unless one row alone has more.
 VECTOR_SCAN_BLOCK_CELLS = 1 << 16
 
 
@@ -252,22 +250,47 @@ class SnapshotDetector:
         return set(self.out)
 
 
-def _row_ids(stamps: np.ndarray) -> np.ndarray:
-    """Ids of the rows of ``stamps`` (given slot-major, shape (n, rows)).
+def _process_runs(
+    ids: Sequence[EventId], lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check ``vector_detect``'s contract; find each process's run of rows.
 
-    Equal rows get equal ids, so ``a != b`` is one id comparison.
+    Returns each row's process, a mask of the rows that start a run and
+    each row's own start slot ``lo[j, p_j]``.  The check is O(m): ``ids``
+    strictly increasing, each process a slot index and the own slot of
+    ``lo`` non-decreasing along each run.  A breach raises ``ValueError``
+    naming the first offending event.
     """
-    n, count = stamps.shape
-    # Equal rows end up adjacent; with no slots every row is equal.
-    order = np.lexsort(stamps) if n else np.arange(count)
-    new = np.zeros(count, dtype=bool)
-    new[:1] = True
-    for k in range(n):
-        col = stamps[k, order]
-        new[1:] |= col[1:] != col[:-1]
-    ids = np.empty(count, dtype=np.int32)
-    ids[order] = np.cumsum(new, dtype=np.int32)
-    return ids
+    m, n = lo.shape
+    if hi.shape != lo.shape or len(ids) != m:
+        raise ValueError(f"{len(ids)} ids for lo {lo.shape} and hi {hi.shape}")
+    key = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=2 * m)
+    proc, seq = key[::2], key[1::2]
+    first = np.empty(m, dtype=bool)
+    first[:1] = True
+    np.not_equal(proc[1:], proc[:-1], out=first[1:])
+    same = ~first[1:]
+    bad = (proc[1:] < proc[:-1]) | (same & (seq[1:] <= seq[:-1]))
+    if bad.any():
+        k = bad.argmax() + 1
+        raise ValueError(f"ids not sorted: event {ids[k]} follows {ids[k - 1]}")
+    # Sorted, so the first and last processes bound the rest.
+    if m and not (proc[0] >= 0 and proc[-1] < n):
+        k = 0 if proc[0] < 0 else int((proc < n).sum())
+        raise ValueError(f"event {ids[k]}: process is not one of the {n} slots")
+    own = lo[np.arange(m), proc]
+    bad = same & (own[1:] < own[:-1])
+    if bad.any():
+        k = bad.argmax() + 1
+        raise ValueError(
+            f"event {ids[k]}: own start slot {own[k]} is below {own[k - 1]} of {ids[k - 1]}"
+        )
+    return proc, first, own
+
+
+def _strictly_below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise strict slot-wise order: ``a <= b`` in every slot and ``a != b``."""
+    return (a <= b).all(axis=1) & (a != b).any(axis=1)
 
 
 def vector_detect(
@@ -279,51 +302,85 @@ def vector_detect(
     """Vector-clock baseline: report pairs with mutually ordered endpoints.
 
     ``lo`` and ``hi`` are int64 (m, n) arrays whose row i holds the
-    stamps of event ``ids[i]``, with ``ids`` sorted, as the vector replay
-    returns them.  A pair (i, j) is concurrent when ``lo_i < hi_j`` and
-    ``lo_j < hi_i`` under the strict slot-wise order.
-    Every one of the m(m-1)/2 pairs is checked (and counted in
-    ``pair_checks``).  The checks run slot-major over row blocks of the
-    upper triangle, each at most ``VECTOR_SCAN_BLOCK_CELLS`` pairs.  Two
-    bool accumulators start as the strictness test (``a != b``), one
-    comparison of row ids that give equal stamp rows equal ids, and take
-    ``lo_i <= hi_j`` and ``lo_j <= hi_i`` one slot at a time.
+    stamps of event ``ids[i]``.  A pair (i, j) is concurrent when
+    ``lo_i < hi_j`` and ``lo_j < hi_i`` under the strict slot-wise order.
+    The modelled baseline decides all m(m-1)/2 pairs, and ``pair_checks``
+    counts those decisions; the host tests only candidate pairs.
+
+    Contract, which every vector replay meets: ``ids`` are sorted with no
+    repeats, each event's process p is a slot index (0 <= p < n), and
+    column p of ``lo`` never decreases along p's events.  A breach raises
+    ``ValueError`` naming the first offending event.
+
+    The candidates come from each process's own slot.  Let a_j be
+    ``lo[j, p_j]``.  For j on process q, ``lo_j <= hi_i`` needs
+    a_j <= ``hi[i, q]``, which holds on a prefix of q's events, ending at
+    K[i, q].  ``lo_i <= hi_j`` needs i < K[j, p_i], which holds on a
+    suffix of q's events, from L[i, q]: the first where the running max
+    of K[j, p_i] along q's events passes i.  So row i's candidates on q
+    are j in [max(L, i + 1), K).  Both bounds are necessary, so the result
+    is exact.  For a vector replay whose events do not nest on any process
+    they are also sufficient: the candidates are the pairs found.  When
+    they nest, ends leave seq order and a few extra candidates fail the
+    predicate.  The full predicate runs on the
+    candidates in row chunks of at most ``VECTOR_SCAN_BLOCK_CELLS`` slot
+    comparisons (a single row may exceed it).  The searches key run
+    indices, row indices and ranks, never raw stamps, so no key can
+    overflow.  O(m n log m + candidates n).
     """
     m, n = lo.shape
     if counters is not None:
         counters.pair_checks += m * (m - 1) // 2
-    # Slot-major: row k of loT/hiT is slot k of every stamp, contiguous.
-    both = np.concatenate((lo.T, hi.T), axis=1)
-    if both.size and -(2**15) <= both.min() and both.max() < 2**15:
-        both = both.astype(np.int16)  # exact here, and compares ~4x faster
-    row_id = _row_ids(both)
-    loT, hiT = both[:, :m], both[:, m:]
-    lo_id, hi_id = row_id[:m], row_id[m:]
-    rows = max(1, VECTOR_SCAN_BLOCK_CELLS // max(1, m))
-    # Cells (r, c < r) of a block's leading square lie below the diagonal.
-    side = min(rows, m)
-    upper = np.triu(np.ones((side, side), dtype=bool))
+    proc, first, own = _process_runs(ids, lo, hi)
+    starts = first.nonzero()[0]
+    run = first.cumsum() - 1
+    runs, width = len(starts), m + 1
+    # upper[c, i] = K[i, q], q the process of run c.  a_j <= h iff
+    # rank(a_j) <= rank(h), ranks counting the a values at or below, so
+    # K is a prefix count of run c's a ranks, read off a (run, rank) table.
+    ordered = np.sort(own)
+    table = np.bincount(run * width + ordered.searchsorted(own, "right"), minlength=runs * width)
+    table[::width] += starts
+    table = table.reshape(runs, width).cumsum(axis=1, dtype=np.int32).ravel()
+    rank = ordered.searchsorted(hi[:, proc[starts]].T, "right")
+    rank += np.arange(0, runs * width, width)[:, None]
+    upper = table[rank]
+    del ordered, table, rank
+    # Cells (i, c) with room for a candidate, in row order.
+    i, c = (upper.T > np.maximum(np.arange(1, m + 1)[:, None], starts)).nonzero()
+    if not len(i):
+        return set()
+    # L from row run(i) of ``most``: K[j, p_i] along j, its running max
+    # taken within each run c and keyed by (run(i), c), so the flat array
+    # is sorted and one search finds every cell's first j past i.
+    most = (np.arange(runs)[:, None] * runs + run) * width
+    most += upper
+    np.maximum.accumulate(most, axis=1, out=most)
+    home = run[i]
+    start = most.ravel().searchsorted((home * runs + c) * width + i, "right")
+    start -= home * m
+    np.maximum(start, i + 1, out=start)
+    count = upper[c, i] - start
+    del most, upper, home, c  # the chunks need only the candidate cells
+    keep = count > 0
+    i, start, count = i[keep], start[keep], count[keep]
+    del keep
+    # Rows in chunks of at most VECTOR_SCAN_BLOCK_CELLS slot comparisons.
+    bounds = np.concatenate(([0], (i[1:] != i[:-1]).nonzero()[0] + 1, [len(i)]))
+    spent = np.concatenate(([0], (count * n).cumsum()))[bounds]
     found: set[PairKey] = set()
-    for s in range(0, m - 1, rows):
-        # Block [s, e) x (s, m): cell (r, c) is the pair (s + r, s + 1 + c).
-        e = min(s + rows, m - 1)
-        # fwd: lo_i < hi_j, back: lo_j < hi_i.  Each starts as a != b and
-        # takes a <= b one slot at a time.
-        fwd = lo_id[s:e, None] != hi_id[None, s + 1 :]
-        back = lo_id[None, s + 1 :] != hi_id[s:e, None]
-        cmp = np.empty_like(fwd)
-        for k in range(n):
-            np.less_equal(loT[k, s:e, None], hiT[k, None, s + 1 :], out=cmp)
-            fwd &= cmp
-            np.less_equal(loT[k, None, s + 1 :], hiT[k, s:e, None], out=cmp)
-            back &= cmp
-        fwd &= back
-        fwd[:, : e - s] &= upper[: e - s, : e - s]
-        # Row-major nonzero keeps the pairs in sorted (i < j) order.
-        r, c = np.nonzero(fwd)
-        found.update(
-            (ids[i], ids[j]) for i, j in zip((r + s).tolist(), (c + s + 1).tolist())
-        )
+    pick = ids.__getitem__
+    t, last = 0, len(bounds) - 1
+    while t < last:
+        u = max(t + 1, int(spent.searchsorted(spent[t] + VECTOR_SCAN_BLOCK_CELLS, "right")) - 1)
+        a, e = bounds[t], bounds[u]
+        k = count[a:e]
+        row = np.repeat(i[a:e], k)
+        col = np.repeat(start[a:e] - k.cumsum() + k, k) + np.arange(len(row))
+        hit = _strictly_below(lo[row], hi[col])
+        hit &= _strictly_below(lo[col], hi[row])
+        found.update(zip(map(pick, row[hit].tolist()), map(pick, col[hit].tolist())))
+        t = u
     return found
 
 

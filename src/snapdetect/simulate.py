@@ -108,6 +108,18 @@ class SimConfig:
             raise ConfigError("peer_fanout", "must be >= 1 or null")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed", "must be an unsigned 64-bit integer")
+        # Times are int64 column entries: the latest possible end plus the
+        # longest delay must fit.  The largest term is named.
+        reach = (
+            self.start_jitter_us,
+            self.events_per_process * self.inter_event_gap_us[1],
+            self.events_per_process * self.event_lifespan_us[1],
+            self.message_delay_us[1],
+        )
+        if sum(reach) > MAX_TICK:
+            names = ("start_jitter_us", "inter_event_gap_us", "event_lifespan_us", "message_delay_us")
+            name = names[reach.index(max(reach))]
+            raise ConfigError(name, f"worst-case horizon plus delay {sum(reach)} us exceeds 2**63 - 1")
 
 
 #: The config schema: every serialised form of a ``SimConfig`` is built

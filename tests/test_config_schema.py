@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import snapdetect
-from snapdetect.experiment import SpecError, parse_spec, run_sweep
+from snapdetect.experiment import SpecError, load_spec, parse_spec, run_sweep
 from snapdetect.simulate import SimConfig, generate_trace
 from snapdetect.tracefile import load_trace, save_trace
 
@@ -85,6 +85,23 @@ def test_spec_base_rejects_unknown_keys(key):
     with pytest.raises(SpecError, match="unknown field") as err:
         parse_spec(spec(nodes=2, **{key: 1}))
     assert err.value.field == f"base.{key}"
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        (spec(nodes=2, event_lifespan_ms=[1, 2**62]), "base.event_lifespan_us"),
+        (spec(nodes=2, message_delay_ms=[1, 1e16]), "base.message_delay_us"),
+        (dict(spec(nodes=2), sweep={"axis": "delay_ms", "points": [1, 1e16]}), "sweep.points"),
+    ],
+    ids=["lifespan", "delay", "delay-point"],
+)
+def test_spec_horizon_past_int64_is_rejected(tmp_path, data, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SpecError, match="exceeds 2\\*\\*63 - 1") as err:
+        load_spec(path)
+    assert err.value.field == field
 
 
 def test_every_field_round_trips_through_a_trace_file(tmp_path):

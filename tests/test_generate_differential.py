@@ -13,6 +13,7 @@ landing on the first, second and third try or missing all three.
 """
 import itertools
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +22,7 @@ import pytest
 from _oracles import randint_generate_trace
 from snapdetect import simulate
 from snapdetect.experiment import config_for_point, load_spec
-from snapdetect.simulate import SimConfig, generate_trace
+from snapdetect.simulate import ConfigError, SimConfig, generate_trace
 
 SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
 
@@ -152,17 +153,35 @@ def test_seeded_corpus_matches_reference():
     assert_every_path(tally)
 
 
-@pytest.mark.parametrize("delay", [(0, 2**63 - 1), (2**62, 2**64)])
-def test_delays_past_int64_match_reference(delay):
-    """Windows that end past int64 are clipped at the horizon, and their delays stay exact."""
+#: The widest delay ranges ``SimConfig.validate`` accepts for this config:
+#: each ends where the worst-case horizon plus the delay reaches 2**63 - 1.
+WIDE_DELAY_BASE = SimConfig(nodes=3, events_per_process=4)
+WIDE_DELAY_HI = 2**63 - 1 - (
+    WIDE_DELAY_BASE.start_jitter_us
+    + WIDE_DELAY_BASE.events_per_process
+    * (WIDE_DELAY_BASE.inter_event_gap_us[1] + WIDE_DELAY_BASE.event_lifespan_us[1])
+)
+
+
+@pytest.mark.parametrize("delay_lo", [0, 2**62], ids=["from-0", "from-2**62"])
+def test_delays_to_int64_max_match_reference(delay_lo):
+    """Windows that end near int64's limit are clipped at the horizon, and their delays stay exact."""
     configs = [
-        SimConfig(nodes=3, events_per_process=4, message_delay_us=delay, peer_fanout=fanout, seed=seed)
+        replace(WIDE_DELAY_BASE, message_delay_us=(delay_lo, WIDE_DELAY_HI), peer_fanout=fanout, seed=seed)
         for fanout in (None, 1)
         for seed in (1, 2)
     ]
     tally = assert_same_traces(configs)
     assert tally["attempts"] > 0
     assert tally["certain_hit"] == 0
+
+
+@pytest.mark.parametrize("delay", [(0, 2**63 - 1), (2**62, 2**64), (0, WIDE_DELAY_HI + 1)])
+def test_delays_past_int64_are_rejected(delay):
+    """Validated only: a horizon past int64 is what the rule keeps from generation."""
+    with pytest.raises(ConfigError) as exc:
+        replace(WIDE_DELAY_BASE, message_delay_us=delay).validate()
+    assert exc.value.field == "message_delay_us"
 
 
 @pytest.mark.parametrize("chunk_words", [1, 5])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from _oracles import END, START, brute_force_overlap, causal_closure, timeline_point_stamps, vector_lt
@@ -43,6 +45,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             generate_trace(small_config(**overrides))
         assert exc.value.field == field
+
+    # Validated only: a horizon this long makes generation loop for hours.
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(event_lifespan_us=(2**62, 2**62)), "event_lifespan_us"),
+            (dict(message_delay_us=(2**63, 2**64)), "message_delay_us"),
+            (dict(start_jitter_us=2**63), "start_jitter_us"),
+            (dict(inter_event_gap_us=(0, 2**61)), "inter_event_gap_us"),
+        ],
+    )
+    def test_horizon_past_int64_is_named(self, overrides, field):
+        with pytest.raises(ConfigError, match="exceeds 2\\*\\*63 - 1") as exc:
+            small_config(**overrides).validate()
+        assert exc.value.field == field
+
+    def test_horizon_at_int64_max_validates(self):
+        config = small_config(start_jitter_us=0, inter_event_gap_us=(0, 0), event_lifespan_us=(1, 1))
+        room = 2**63 - 1 - config.events_per_process
+        replace(config, message_delay_us=(0, room)).validate()
+        with pytest.raises(ConfigError) as exc:
+            replace(config, message_delay_us=(0, room + 1)).validate()
+        assert exc.value.field == "message_delay_us"
 
 
 class TestGeneration:
