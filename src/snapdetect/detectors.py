@@ -18,7 +18,9 @@ families replay it in one order, the columnar timeline that
   candidates by range search on each process's own slot and evaluates the
   full slot-wise predicate on those alone.
 * ``physical_detect`` -- wall-clock interval overlap under synchronized
-  physical clocks, via a sorted start scan.  It is the one overlap
+  physical clocks: one ``searchsorted`` over the spans sorted by start
+  finds each span's later partners.  It takes the spans as int64
+  columns, as ``simulate.EventColumns`` holds them.  It is the one overlap
   kernel: ``simulate.Trace.truth`` runs it once per trace, and both
   ground truth and the physical family read that result.
 
@@ -28,7 +30,6 @@ different locations at the same time.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -385,32 +386,52 @@ def vector_detect(
 
 
 def physical_detect(
-    spans: Iterable[tuple[EventId, int, int]],
+    ids: Sequence[EventId],
+    start: np.ndarray,
+    end: np.ndarray,
     counters: Optional[OpCounters] = None,
 ) -> set[PairKey]:
     """Wall-clock overlap of half-open ``[start, end)`` spans.
 
-    Sorted start scan: spans are taken by (start, id), and each is paired
-    with the spans still active, kept in a heap by end; a span whose end
-    is at or before the new start has left, so touching spans do not
-    overlap.  Each pairing is one ``pair_checks``.  O(n log n + output).
-    An empty span (``start >= end``) raises ``ValueError``.
+    ``start`` and ``end`` are int64 columns whose entry i is the span of
+    ``ids[i]``; the ids may come in any order.  The spans are sorted by
+    (start, id).  A later span starts no earlier than span j, so it
+    overlaps j exactly when it starts before j ends: j's later partners
+    are the positions j + 1 up to ``searchsorted(starts, end_j, "left")``
+    - 1, and touching spans stay apart.  Each pairing is one
+    ``pair_checks``, so the count is the number of pairs found.
+    O(m log m + output).  An empty span (``start >= end``) raises
+    ``ValueError`` naming the first in (start, id) order.
     """
-    found: set[PairKey] = set()
-    active: list[tuple[int, EventId]] = []
-    checks = 0
-    for event, start, end in sorted(spans, key=lambda s: (s[1], s[0])):
-        if start >= end:
-            raise ValueError(f"empty span for {event}: [{start}, {end})")
-        while active and active[0][0] <= start:
-            heapq.heappop(active)
-        checks += len(active)
-        for _, other in active:
-            found.add(pair_key(event, other))
-        heapq.heappush(active, (end, event))
+    m = len(ids)
+    if start.shape != (m,) or end.shape != (m,):
+        raise ValueError(f"{m} ids for start {start.shape} and end {end.shape}")
+    key = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=2 * m)
+    proc, seq = key[::2], key[1::2]
+    order = np.lexsort((seq, proc, start))
+    starts, ends = start[order], end[order]
+    empty = starts >= ends
+    if empty.any():
+        k = order[empty.argmax()]
+        raise ValueError(f"empty span for {ids[k]}: [{start[k]}, {end[k]})")
+    count = starts.searchsorted(ends, "left")
+    count -= np.arange(1, m + 1)
+    pairs = int(count.sum())
     if counters is not None:
-        counters.pair_checks += checks
-    return found
+        counters.pair_checks += pairs
+    # Position j's partners, j + 1 onwards, as id ranks; the lower rank
+    # comes first, so each pair is in ``pair_key`` form.
+    by_id = np.lexsort((seq, proc))
+    rank = by_id.argsort()[order]
+    row = np.repeat(np.arange(m), count)
+    col = np.repeat(np.arange(1, m + 1) - (count.cumsum() - count), count)
+    col += np.arange(pairs)
+    a, b = rank[row], rank[col]
+    del row, col, rank, order, starts, ends, count
+    first, second = by_id[np.minimum(a, b)], by_id[np.maximum(a, b)]
+    del a, b
+    pick = ids.__getitem__
+    return set(zip(map(pick, first.tolist()), map(pick, second.tolist())))
 
 
 def violation_filter(

@@ -46,6 +46,10 @@ MESSAGE_RETRIES = 3
 #: 32-bit words one bulk draw takes from a stream: enough to amortise the
 #: draw, few enough that a stream's unread words stay a few KB.
 CHUNK_WORDS = 1 << 10
+#: Room stays the user trajectories may need over the worst-case horizon
+#: (about a second of generation and tens of MB); a config that needs
+#: more is rejected rather than left to stall.
+MAX_TRAJECTORY_STAYS = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -116,10 +120,25 @@ class SimConfig:
             self.events_per_process * self.event_lifespan_us[1],
             self.message_delay_us[1],
         )
+        names = ("start_jitter_us", "inter_event_gap_us", "event_lifespan_us", "message_delay_us")
         if sum(reach) > MAX_TICK:
-            names = ("start_jitter_us", "inter_event_gap_us", "event_lifespan_us", "message_delay_us")
             name = names[reach.index(max(reach))]
             raise ConfigError(name, f"worst-case horizon plus delay {sum(reach)} us exceeds 2**63 - 1")
+        # Each user's trajectory draws about one stay per stay_mean_us of
+        # the horizon.  The larger factor of the product is named: the
+        # users, or the largest term of the horizon.
+        horizon = sum(reach[:3])
+        per_user = horizon // self.stay_mean_us + 1
+        if self.n_users * per_user > MAX_TRAJECTORY_STAYS:
+            if self.n_users > per_user:
+                name = "users" if self.users > 0 else "nodes"
+            else:
+                name = names[reach.index(max(reach[:3]))]
+            raise ConfigError(
+                name,
+                f"{self.n_users} users x {per_user} stays ({horizon} us worst-case horizon,"
+                f" {self.stay_mean_us} us mean stay) exceed {MAX_TRAJECTORY_STAYS} trajectory stays",
+            )
 
 
 #: The config schema: every serialised form of a ``SimConfig`` is built
@@ -229,9 +248,10 @@ class Trace:
         ``violation_filter`` lifts its pairs: ``ground_truth`` and the
         physical family both return this result.
         """
-        self.event_columns  # rejects a malformed event identity
+        columns = self.event_columns  # rejects a malformed event identity
         counters = OpCounters()
-        pairs = physical_detect([(e.id, e.start_us, e.end_us) for e in self.events], counters)
+        ids = [e.id for e in self.events]
+        pairs = physical_detect(ids, columns.start_us, columns.end_us, counters)
         violations = violation_filter(pairs, self.readings())
         return GroundTruth(frozenset(pairs), frozenset(violations), counters.pair_checks)
 

@@ -3,7 +3,9 @@
 One JSON object per line: a leading ``config`` record, then ``event`` and
 ``message`` records, then a trailing ``meta`` record.  Round-trips are
 exact (all times are integer microseconds).  ``load_trace`` rejects a
-malformed file with a ``TraceFormatError`` that names the line.
+malformed file with a ``TraceFormatError`` that names the line, including
+a second ``config`` or ``meta`` record and a ``meta`` record whose
+``dropped_messages`` is not a non-negative int.
 """
 from __future__ import annotations
 
@@ -35,12 +37,21 @@ MESSAGE_KEYS = ("from", "to", "send_us", "deliver_us")
 _ID_KEYS = {"id", "from", "to"}
 
 
-def _event(rec: dict, path: Path, lineno: int) -> TraceEvent:
+#: Decodes one JSON value from the start of a string; ``load_trace``
+#: checks that it spans the whole line, as ``json.loads`` does.
+_decode = json.JSONDecoder().raw_decode
+#: Builds a named tuple from a plain tuple, skipping its constructor's
+#: Python frame.
+_new = tuple.__new__
+
+
+def _event(rec: dict, readings: dict, path: Path, lineno: int) -> TraceEvent:
     """An event record as a ``TraceEvent``.
 
     One unpack and one type chain accept a well-formed record; only a
     record they reject is diagnosed key by key (``_malformed``), so a
-    large file pays little for the check.  A ``reading`` is optional.
+    large file pays little for the check.  A ``reading`` is optional;
+    ``readings`` holds the file's readings so far (see ``_reading``).
     """
     try:
         (p, s), process, start, end = rec["id"], rec["process"], rec["start_us"], rec["end_us"]
@@ -51,13 +62,35 @@ def _event(rec: dict, path: Path, lineno: int) -> TraceEvent:
         raise _malformed(rec, EVENT_KEYS, path, lineno)
     reading = rec.get("reading")
     if reading is not None:
-        try:
-            reading = ContextReading(**reading)
-        except (TypeError, ValueError) as exc:
-            raise TraceFormatError(
-                f"{path}:{lineno}: event record: bad reading {reading!r}: {exc}"
-            ) from exc
-    return TraceEvent(EventId(p, s), process, start, end, reading)
+        reading = _reading(reading, readings, path, lineno)
+    return _new(TraceEvent, (_new(EventId, (p, s)), process, start, end, reading))
+
+
+def _reading(value, readings: dict, path: Path, lineno: int) -> ContextReading:
+    """The ``ContextReading`` of a reading record, one object per distinct reading.
+
+    A reading is reused only for a record with the same keys, values and
+    JSON value types, so ``"erroneous": 1`` is never read as an earlier
+    ``true`` (``1 == True``).  A record that is not an object, or has an
+    unhashable or float value (``-0.0 == 0.0``), is built afresh; the
+    constructor diagnoses a bad one.
+    """
+    try:
+        key = (tuple(value.items()), tuple(map(type, value.values())))
+        reading = readings.get(key)
+    except (AttributeError, TypeError):
+        key = reading = None
+    if reading is not None:
+        return reading
+    try:
+        reading = ContextReading(**value)
+    except (TypeError, ValueError) as exc:
+        raise TraceFormatError(
+            f"{path}:{lineno}: event record: bad reading {value!r}: {exc}"
+        ) from exc
+    if key is not None and float not in key[1]:
+        readings[key] = reading
+    return reading
 
 
 def _message(rec: dict, path: Path, lineno: int) -> TraceMessage:
@@ -69,7 +102,7 @@ def _message(rec: dict, path: Path, lineno: int) -> TraceMessage:
         ok = False
     if not ok:
         raise _malformed(rec, MESSAGE_KEYS, path, lineno)
-    return TraceMessage(EventId(p, s), EventId(q, r), send, deliver)
+    return _new(TraceMessage, (_new(EventId, (p, s)), _new(EventId, (q, r)), send, deliver))
 
 
 def _malformed(rec: dict, keys: tuple[str, ...], path: Path, lineno: int) -> TraceFormatError:
@@ -125,11 +158,12 @@ def save_trace(trace: Trace, path: str | Path) -> None:
 
 def load_trace(path: str | Path) -> Trace:
     path = Path(path)
-    config = None
+    config = config_line = meta_line = None
     events: list[TraceEvent] = []
     event_lines: list[int] = []
     messages: list[TraceMessage] = []
     message_lines: list[int] = []
+    readings: dict = {}
     dropped = 0
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -137,26 +171,44 @@ def load_trace(path: str | Path) -> Trace:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec, stop = _decode(line)
+                if stop < len(line):  # the error json.loads raises
+                    at = len(line) - len(line[stop:].lstrip(" \t\n\r"))
+                    raise json.JSONDecodeError("Extra data", line, at)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
             if not isinstance(rec, dict):
                 raise TraceFormatError(f"{path}:{lineno}: record is not a JSON object")
             kind = rec.get("type")
-            if kind == "config":
+            if kind == "event":
+                event_lines.append(lineno)
+                events.append(_event(rec, readings, path, lineno))
+            elif kind == "message":
+                message_lines.append(lineno)
+                messages.append(_message(rec, path, lineno))
+            elif kind == "config":
+                if config_line is not None:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: second config record (the first is on line {config_line})"
+                    )
+                config_line = lineno
                 del rec["type"]
                 try:
                     config = config_from_record(rec)
                 except ConfigError as exc:
                     raise TraceFormatError(f"{path}:{lineno}: config {exc}") from exc
-            elif kind == "event":
-                event_lines.append(lineno)
-                events.append(_event(rec, path, lineno))
-            elif kind == "message":
-                message_lines.append(lineno)
-                messages.append(_message(rec, path, lineno))
             elif kind == "meta":
+                if meta_line is not None:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: second meta record (the first is on line {meta_line})"
+                    )
+                meta_line = lineno
                 dropped = rec.get("dropped_messages", 0)
+                if type(dropped) is not int or dropped < 0:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: meta record: 'dropped_messages' must be"
+                        f" a non-negative int, got {dropped!r}"
+                    )
             else:
                 raise TraceFormatError(f"{path}:{lineno}: unknown record type {kind!r}")
     if config is None:

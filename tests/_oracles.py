@@ -151,28 +151,51 @@ def brute_force_overlap(trace: Trace) -> set:
     return pairs
 
 
-def heap_scan_overlap(trace: Trace) -> set:
-    """Wall-time overlap by a sorted start scan over an end-time heap.
+def span_columns(spans) -> tuple[list[EventId], np.ndarray, np.ndarray]:
+    """``detectors.physical_detect``'s input from ``(id, start, end)`` spans.
 
-    The scan ``simulate.ground_truth`` ran before the physical family's
-    kernel became its only overlap; kept as a reference.
+    Returns the ids in the spans' order and their starts and ends as two
+    int64 columns.
     """
-    pairs = set()
+    spans = list(spans)
+    ids = [event for event, _, _ in spans]
+    start = np.array([s for _, s, _ in spans], dtype=np.int64)
+    end = np.array([e for _, _, e in spans], dtype=np.int64)
+    return ids, start, end
+
+
+def heap_scan_overlap(spans, counters: OpCounters | None = None) -> set:
+    """Wall-time overlap of ``(id, start, end)`` spans by a sorted start scan.
+
+    Spans are taken by (start, id), and each is paired with the spans
+    still active, kept in a heap by end.  ``simulate.ground_truth`` ran
+    this scan, and then ``detectors.physical_detect`` did, before the
+    kernel took one ``searchsorted`` per trace; kept as a reference, with
+    its ``pair_checks`` count and its ``ValueError`` for an empty span.
+    """
+    found = set()
     active = []
-    for ev in sorted(trace.events, key=lambda e: (e.start_us, e.id)):
-        while active and active[0][0] <= ev.start_us:
+    checks = 0
+    for event, start, end in sorted(spans, key=lambda s: (s[1], s[0])):
+        if start >= end:
+            raise ValueError(f"empty span for {event}: [{start}, {end})")
+        while active and active[0][0] <= start:
             heapq.heappop(active)
+        checks += len(active)
         for _, other in active:
-            pairs.add(pair_key(ev.id, other))
-        heapq.heappush(active, (ev.end_us, ev.id))
-    return pairs
+            found.add(pair_key(event, other))
+        heapq.heappush(active, (end, event))
+    if counters is not None:
+        counters.pair_checks += checks
+    return found
 
 
 def boundary_sweep_overlap(spans, counters: OpCounters | None = None) -> set:
     """Wall-time overlap of ``(id, start, end)`` spans by a boundary sweep.
 
     The kernel ``detectors.physical_detect`` ran before it took the heap
-    scan; kept as a reference, with its ``pair_checks`` count.
+    scan (``heap_scan_overlap``); kept as a reference, with its
+    ``pair_checks`` count.
     """
     boundaries = []
     for event, start, end in spans:

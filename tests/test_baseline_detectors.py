@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from _oracles import Interval, VectorStamp, brute_force_overlap, vector_arrays
+from _oracles import Interval, VectorStamp, brute_force_overlap, span_columns, vector_arrays
 from snapdetect.detectors import (
     ContextReading,
     EventId,
@@ -56,15 +56,15 @@ class TestVectorDetect:
 class TestPhysicalDetect:
     def test_overlap_reported(self):
         spans = [(EventId(0, 0), 10_000, 30_000), (EventId(1, 0), 20_000, 40_000)]
-        assert physical_detect(spans) == {pair_key(EventId(0, 0), EventId(1, 0))}
+        assert physical_detect(*span_columns(spans)) == {pair_key(EventId(0, 0), EventId(1, 0))}
 
     def test_half_open_touch_not_reported(self):
         spans = [(EventId(0, 0), 10_000, 20_000), (EventId(1, 0), 20_000, 40_000)]
-        assert physical_detect(spans) == set()
+        assert physical_detect(*span_columns(spans)) == set()
 
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError):
-            physical_detect([(EventId(0, 0), 5, 5)])
+            physical_detect(*span_columns([(EventId(0, 0), 5, 5)]))
 
     def test_matches_brute_force_on_random_spans(self):
         rng = random.Random(11)
@@ -79,7 +79,7 @@ class TestPhysicalDetect:
                     t = end
             trace = Trace(tuple(events), (), SimConfig(nodes=3, instances_per_node=1, seed=0))
             spans = [(e.id, e.start_us, e.end_us) for e in events]
-            assert physical_detect(spans) == brute_force_overlap(trace)
+            assert physical_detect(*span_columns(spans)) == brute_force_overlap(trace)
 
     def test_matches_oracle_on_generated_traces(self):
         for seed in range(20):
@@ -87,7 +87,7 @@ class TestPhysicalDetect:
                 SimConfig(nodes=3, instances_per_node=2, events_per_process=4, seed=seed)
             )
             spans = [(e.id, e.start_us, e.end_us) for e in trace.events]
-            assert physical_detect(spans) == brute_force_overlap(trace)
+            assert physical_detect(*span_columns(spans)) == brute_force_overlap(trace)
 
 
 def reading(user, location, true_location=None):

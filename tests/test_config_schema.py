@@ -1,16 +1,19 @@
 """The one SimConfig schema: sweep-spec ``base``, manifest echo, trace record."""
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import snapdetect
-from snapdetect.experiment import SpecError, load_spec, parse_spec, run_sweep
-from snapdetect.simulate import SimConfig, generate_trace
+from _corpora import long_traces_corpus, scale_dense_corpus
+from snapdetect.experiment import SpecError, config_for_point, load_spec, parse_spec, run_sweep
+from snapdetect.simulate import MAX_TRAJECTORY_STAYS, ConfigError, SimConfig, generate_trace
 from snapdetect.tracefile import load_trace, save_trace
 
 FIXTURES = sorted((Path(snapdetect.__file__).parent / "fixtures").glob("scenario_*.jsonl"))
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
 
 #: Every field but the seed, off its default, under its spec name.
 SPEC_BASE = {
@@ -102,6 +105,40 @@ def test_spec_horizon_past_int64_is_rejected(tmp_path, data, field):
     with pytest.raises(SpecError, match="exceeds 2\\*\\*63 - 1") as err:
         load_spec(path)
     assert err.value.field == field
+
+
+def test_trajectory_stall_is_rejected_at_once():
+    # About 5.8e10 room stays per user: generation would not return.
+    config = SimConfig(
+        nodes=2, instances_per_node=1, events_per_process=3, event_lifespan_us=(2**60, 2**60)
+    )
+    began = time.perf_counter()
+    with pytest.raises(ConfigError, match="trajectory stays") as err:
+        generate_trace(config)
+    assert time.perf_counter() - began < 1
+    assert err.value.field == "event_lifespan_us"
+
+
+def test_trajectory_bound_names_the_users_at_its_edge():
+    # The default horizon is well under one mean stay: one stay per user.
+    SimConfig(nodes=2, users=MAX_TRAJECTORY_STAYS).validate()
+    with pytest.raises(ConfigError, match="trajectory stays") as err:
+        SimConfig(nodes=2, users=MAX_TRAJECTORY_STAYS + 1).validate()
+    assert err.value.field == "users"
+
+
+def test_checked_in_configs_are_within_the_trajectory_bound():
+    configs = [
+        config_for_point(spec.base, spec.axis, point, seed)
+        for spec in map(load_spec, SPECS)
+        for point in spec.points
+        for seed in spec.seeds
+    ]
+    assert len(configs) == 390
+    configs += [load_trace(path).config for path in FIXTURES]
+    configs += [trace.config for trace in (*scale_dense_corpus(), *long_traces_corpus())]
+    for config in configs:
+        config.validate()
 
 
 def test_every_field_round_trips_through_a_trace_file(tmp_path):

@@ -2,17 +2,20 @@
 
 ``Trace.truth`` runs ``physical_detect`` once per trace; ``ground_truth``
 and the physical family both return it.  Its pairs, violations and the
-physical family's counters must equal what today's kernel replaced: the
-heap scan ``ground_truth`` ran (``_oracles.heap_scan_overlap``) and the
-boundary sweep ``physical_detect`` ran (``_oracles.boundary_sweep_overlap``),
-on the snapshot and vector corpora and on the benchmark's traces.
+physical family's counters must equal what the searchsorted kernel
+replaced: the heap scan ``ground_truth`` and then ``physical_detect`` ran
+(``_oracles.heap_scan_overlap``) and the boundary sweep before it
+(``_oracles.boundary_sweep_overlap``), on the snapshot and vector corpora
+and on the benchmark's traces.
 """
 import dataclasses
+
+import pytest
 
 from hypothesis import example, given, strategies as st
 
 from _corpora import long_traces_corpus, scale_dense_corpus, snapshot_corpus, vector_corpus
-from _oracles import boundary_sweep_overlap, brute_force_overlap, heap_scan_overlap
+from _oracles import boundary_sweep_overlap, brute_force_overlap, heap_scan_overlap, span_columns
 from snapdetect import simulate
 from snapdetect.detectors import EventId, physical_detect, violation_filter
 from snapdetect.metrics import OpCounters
@@ -39,7 +42,7 @@ def test_shared_overlap_matches_frozen_kernels():
         trace = dataclasses.replace(trace)
         swept = OpCounters(events_processed=len(trace.events))
         want = boundary_sweep_overlap(spans_of(trace), swept)
-        assert heap_scan_overlap(trace) == want, trace.config
+        assert heap_scan_overlap(spans_of(trace)) == want, trace.config
         truth = ground_truth(trace)
         assert truth.concurrent_pairs == want, trace.config
         assert truth.violations == violation_filter(want, trace.readings()), trace.config
@@ -76,7 +79,7 @@ def test_overlap_of_tiny_spans(shape):
     trace = Trace(events, (), config)
     want = brute_force_overlap(trace)
     counters, swept = OpCounters(), OpCounters()
-    assert physical_detect(spans_of(trace), counters) == want
+    assert physical_detect(*span_columns(spans_of(trace)), counters) == want
     assert boundary_sweep_overlap(spans_of(trace), swept) == want
     assert counters == swept
     truth = ground_truth(trace)
@@ -116,3 +119,30 @@ def test_ground_truth_and_all_families_run_the_kernel_once(monkeypatch):
     assert physical.detected_pairs is truth.concurrent_pairs
     assert physical.violations is truth.violations
     assert trace == generate_trace(config)  # the cache is no field of the trace
+
+
+# Spans with distinct ids on up to three processes, listed in any order;
+# lengths of 0 make empty spans.
+any_spans = st.lists(
+    st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 3)), st.integers(0, 6), st.integers(0, 4)),
+    max_size=10,
+    unique_by=lambda span: span[0],
+)
+
+
+@given(any_spans)
+@example([])
+@example([((1, 0), 0, 2), ((0, 1), 1, 2), ((0, 0), 1, 3)])  # ids out of order
+@example([((1, 0), 2, 3), ((0, 1), 3, 0), ((1, 1), 3, 0), ((0, 0), 5, 0)])  # two empty at one start
+def test_kernel_matches_heap_scan_in_any_order(shape):
+    spans = [(EventId(*key), start, start + length) for key, start, length in shape]
+    counters, scanned = OpCounters(), OpCounters()
+    try:
+        want = heap_scan_overlap(spans, scanned)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            physical_detect(*span_columns(spans), counters)
+        assert str(info.value) == str(exc)  # the first empty span in (start, id) order
+        return
+    assert physical_detect(*span_columns(spans), counters) == want
+    assert counters == scanned

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from _corpora import long_traces_corpus
+from snapdetect.detectors import ContextReading
 from snapdetect.simulate import SimConfig, generate_trace
 from snapdetect.tracefile import (
     EVENT_KEYS,
@@ -164,7 +165,13 @@ def test_time_that_is_not_an_int_is_named(tmp_path, record_type, key, value):
 
 
 @pytest.mark.parametrize(
-    "reading", [{"user": "u0"}, "R101", {"user": "u0", "location": "R1", "true_location": "R1", "erroneous": True}]
+    "reading",
+    [
+        {"user": "u0"},
+        "R101",
+        {"user": "u0", "location": "R1", "true_location": "R1", "erroneous": True},
+        {"user": ["u0"], "location": "R1", "true_location": "R1", "erroneous": True},
+    ],
 )
 def test_bad_reading_is_named(tmp_path, reading):
     path, line = _with_record(tmp_path, "event", lambda rec: rec.update(reading=reading))
@@ -180,3 +187,82 @@ def test_record_that_is_not_an_object_is_named(tmp_path):
     with pytest.raises(TraceFormatError) as info:
         load_trace(path)
     assert str(info.value) == f"{path}:{line}: record is not a JSON object"
+
+
+def test_trailing_data_is_bad_json_naming_line(tmp_path):
+    path, line = _with_record(tmp_path, "message", lambda rec: None)
+    lines = path.read_text().splitlines()
+    lines[line - 1] += "  {}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(json.JSONDecodeError) as decoded:
+        json.loads(lines[line - 1])
+    with pytest.raises(TraceFormatError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}:{line}: bad JSON: {decoded.value}"
+
+
+def _with_readings(tmp_path, first, second):
+    """A saved two-event trace whose events carry ``first`` and ``second``, in saved form."""
+    trace = generate_trace(SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=1))
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    lines = path.read_text().splitlines()
+    readings = iter([first, second])
+    for k, l in enumerate(lines):
+        record = json.loads(l)
+        if record["type"] == "event":
+            record["reading"] = next(readings)
+            lines[k] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, first, second",
+    [("erroneous", True, 1), ("erroneous", 1, True), ("user", -0.0, 0.0), ("user", 2, 2.0)],
+)
+def test_equal_readings_of_other_json_types_load_apart(tmp_path, key, first, second):
+    # 1 == True and 0.0 == -0.0, so a reading keyed on its values alone
+    # would come back as the earlier one and save other bytes.
+    base = {"user": "u0", "location": "R101", "true_location": "R102", "erroneous": True}
+    path = _with_readings(tmp_path, {**base, key: first}, {**base, key: second})
+    loaded = load_trace(path)
+    got = [getattr(ev.reading, key) for ev in loaded.events]
+    assert [(v, type(v)) for v in got] == [(first, type(first)), (second, type(second))]
+    again = tmp_path / "again.jsonl"
+    save_trace(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_equal_readings_are_shared(tmp_path):
+    reading = {"user": "u0", "location": "R101", "true_location": "R101", "erroneous": False}
+    first, second = load_trace(_with_readings(tmp_path, reading, dict(reading))).events
+    assert first.reading is second.reading
+    assert first.reading == ContextReading(**reading)
+
+
+def test_unhashable_reading_value_loads_as_the_constructor_builds_it(tmp_path):
+    reading = {"user": ["u0"], "location": "R101", "true_location": "R101", "erroneous": False}
+    events = load_trace(_with_readings(tmp_path, reading, reading)).events
+    assert [ev.reading for ev in events] == [ContextReading(**reading)] * 2
+
+
+@pytest.mark.parametrize("dropped", ["x", -5, 1.5, True, None])
+def test_meta_dropped_messages_must_be_a_non_negative_int(tmp_path, dropped):
+    path, line = _with_record(tmp_path, "meta", lambda rec: rec.update(dropped_messages=dropped))
+    with pytest.raises(TraceFormatError) as info:
+        load_trace(path)
+    want = f"{path}:{line}: meta record: 'dropped_messages' must be a non-negative int, got {dropped!r}"
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize("record_type", ["config", "meta"])
+def test_second_config_or_meta_record_is_named(tmp_path, record_type):
+    path, line = _with_record(tmp_path, record_type, lambda rec: None)
+    lines = path.read_text().splitlines()
+    lines.append(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as info:
+        load_trace(path)
+    want = f"{path}:{len(lines)}: second {record_type} record (the first is on line {line})"
+    assert str(info.value) == want
