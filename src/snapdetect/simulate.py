@@ -21,6 +21,7 @@ import enum
 import functools
 import hashlib
 import itertools
+import operator
 import random
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
@@ -215,9 +216,6 @@ class Trace:
     def readings(self) -> dict[EventId, ContextReading]:
         return {e.id: e.reading for e in self.events if e.reading is not None}
 
-    def spans(self) -> dict[EventId, tuple[int, int]]:
-        return {e.id: (e.start_us, e.end_us) for e in self.events}
-
     @functools.cached_property
     def makespan_us(self) -> int:
         """The last end or delivery time, computed on first use and kept with the trace."""
@@ -253,6 +251,8 @@ class Trace:
         ids = [e.id for e in self.events]
         pairs = physical_detect(ids, columns.start_us, columns.end_us, counters)
         violations = violation_filter(pairs, self.readings())
+        # frozenset(set) right-sizes the hash table: each kept pair set takes
+        # about half the memory of the grown set it copies.
         return GroundTruth(frozenset(pairs), frozenset(violations), counters.pair_checks)
 
 
@@ -311,21 +311,22 @@ def _event_columns(events) -> EventColumns:
     repeats, then the first that starts before an event of its process
     with a lower seq.  The snapshot replay's heard-of test reads a
     process's latest start as its highest seq, so the last is as wrong
-    as the others.
+    as the others.  Before any of these, a value that does not fit its
+    column is named.
     """
-    e = len(events)
-    process = np.fromiter((ev.process for ev in events), np.int32, e)
-    seq = np.fromiter((ev.id.seq for ev in events), np.int32, e)
-    start = np.fromiter((ev.start_us for ev in events), np.int64, e)
-    end = np.fromiter((ev.end_us for ev in events), np.int64, e)
-    named = np.fromiter((ev.id.process for ev in events), np.int64, e)
+
+    def bad(i: int, what: str) -> EventIdentityError:
+        return EventIdentityError(i, f"event {tuple(events[i].id)}: {what}")
+
+    process = _column(events, "process", np.int32, bad)
+    seq = _column(events, "id.seq", np.int32, bad)
+    start = _column(events, "start_us", np.int64, bad)
+    end = _column(events, "end_us", np.int64, bad)
+    named = _column(events, "id.process", np.int64, bad)
     foreign = np.flatnonzero(named != process)
     if foreign.size:
         i = int(foreign[0])
-        ev = events[i]
-        raise EventIdentityError(
-            i, f"event {tuple(ev.id)}: id names process {ev.id.process}, but it runs on {ev.process}"
-        )
+        raise bad(i, f"id names process {events[i].id.process}, but it runs on {events[i].process}")
     # Each process's events by seq; the sort is stable, so of two events
     # with one id the later-listed comes second.
     order = np.lexsort((seq, process))
@@ -334,17 +335,31 @@ def _event_columns(events) -> EventColumns:
     repeats = same & (seq[later] == seq[earlier])
     if repeats.any():
         i = int(later[repeats].min())
-        raise EventIdentityError(i, f"event {tuple(events[i].id)}: id repeats")
+        raise bad(i, "id repeats")
     early = np.flatnonzero(same & (start[later] < start[earlier]))
     if early.size:
         k = early[np.argmin(later[early])]
         a, b = events[later[k]], events[earlier[k]]
-        raise EventIdentityError(
-            int(later[k]),
-            f"event {tuple(a.id)}: starts at {a.start_us} us,"
-            f" before event {tuple(b.id)} at {b.start_us} us",
-        )
+        raise bad(int(later[k]), f"starts at {a.start_us} us, before event {tuple(b.id)} at {b.start_us} us")
     return EventColumns(process, seq, start, end)
+
+
+def _column(records, field: str, dtype, bad) -> np.ndarray:
+    """Each record's ``field``, an attribute path, as a ``dtype`` column.
+
+    ``bad(i, what)`` is the error naming record i; it is raised for the
+    first record whose value does not fit ``dtype``.  Only then are the
+    values scanned in Python.
+    """
+    values = operator.attrgetter(field)
+    try:
+        return np.fromiter(map(values, records), dtype, len(records))
+    except OverflowError:
+        bounds = np.iinfo(dtype)
+        for i, value in enumerate(map(values, records)):
+            if not bounds.min <= value <= bounds.max:
+                raise bad(i, f"{field} {value} does not fit {bounds.dtype}") from None
+        raise
 
 
 def _stream(seed: int, name: str) -> random.Random:
@@ -652,12 +667,10 @@ class DetectorFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class RunResult:
-    family: DetectorFamily
     detected_pairs: frozenset[PairKey]
     violations: frozenset[Violation]
     counters: OpCounters
     dropped: int
-    sim_wall_ms: float
 
 
 # Replay point kinds, in tie-break order at equal times.
@@ -667,18 +680,15 @@ _START, _SEND, _DELIVER, _END = 0, 1, 2, 3
 class Timeline(NamedTuple):
     """A trace's replay points as parallel columns, in replay order.
 
-    Point i happens at ``time_us[i]`` (int64) on ``process[i]``, and
-    ``kind[i]`` (int8) is ``_START``, ``_SEND``, ``_DELIVER`` or ``_END``.
-    ``sub[i]`` is the event's seq for a start or end and the message index
-    for a send or delivery; ``item[i]`` is the point's index into
-    ``trace.events`` (start, end) or ``trace.messages`` (send, delivery).
-    The index columns are int32.
+    Point i happens on ``process[i]``, and ``kind[i]`` (int8) is
+    ``_START``, ``_SEND``, ``_DELIVER`` or ``_END``; ``item[i]`` is the
+    point's index into ``trace.events`` (start, end) or ``trace.messages``
+    (send, delivery).  ``process`` and ``item`` are int32.  The times and
+    seqs that order the points are sort keys only, so they are not kept.
     """
 
-    time_us: np.ndarray
     kind: np.ndarray
     process: np.ndarray
-    sub: np.ndarray
     item: np.ndarray
 
 
@@ -712,68 +722,69 @@ def _timeline(trace: Trace) -> Timeline:
     sub = np.concatenate((seq, seq, msg, msg))
     item = np.concatenate((event, event, msg, msg))
     order = np.lexsort((sub, process, kind, time_us))
-    return Timeline(time_us[order], kind[order], process[order], sub[order], item[order])
+    return Timeline(kind[order], process[order], item[order])
 
 
 def _message_columns(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each message's send and delivery time (int64) and its sender's and receiver's event index.
 
     Each message field is read once.  The replays read a send's stamp at
-    its delivery, so ``MessageError`` names the first message whose sender
-    or receiver is no event of the trace, then the first sent outside its
-    sender's ``[start, end)``, then the first delivered before its send
-    (``deliver_us < send_us``; at equal times the send comes first), then
-    the first delivered at or after its receiver's end, which the snapshot
-    replay would fold into an event that is over.  A delivery before its
-    receiver starts is allowed: the snapshot family counts it as a drop.
+    its delivery, so ``MessageError`` names the first message with a time
+    that does not fit int64, then the first whose sender or receiver is no
+    event of the trace, then the first sent from an event to itself, then
+    the first sent outside its sender's ``[start, end)``, then the first
+    delivered before its send (``deliver_us < send_us``; at equal times the
+    send comes first), then the first delivered at or after its receiver's
+    end, which the snapshot replay would fold into an event that is over.
+    A delivery before its receiver starts is allowed: the snapshot family
+    counts it as a drop.
     """
     columns, messages = trace.event_columns, trace.messages
-    procs, n = trace.config.n_processes, len(messages)
-    sent = np.fromiter((m.send_us for m in messages), np.int64, n)
-    delivered = np.fromiter((m.deliver_us for m in messages), np.int64, n)
-    sender = _event_index(columns, procs, (m.from_event for m in messages), n)
-    receiver = _event_index(columns, procs, (m.to_event for m in messages), n)
+    procs = trace.config.n_processes
+
+    def bad(i: int, what: str) -> MessageError:
+        return MessageError(i, f"message {i}: {what}")
+
+    sent = _column(messages, "send_us", np.int64, bad)
+    delivered = _column(messages, "deliver_us", np.int64, bad)
+    sender = _event_index(columns, procs, messages, "from_event")
+    receiver = _event_index(columns, procs, messages, "to_event")
     unknown = np.flatnonzero((sender < 0) | (receiver < 0))
     if unknown.size:
         i = int(unknown[0])
         m = messages[i]
         role, ref = ("sender", m.from_event) if sender[i] < 0 else ("receiver", m.to_event)
-        raise MessageError(i, f"message {i}: {role} {tuple(ref)} is no event of the trace")
+        raise bad(i, f"{role} {tuple(ref)} is no event of the trace")
+    own = np.flatnonzero(sender == receiver)
+    if own.size:
+        i = int(own[0])
+        raise bad(i, f"sent from {tuple(messages[i].from_event)} to itself")
     astray = np.flatnonzero((sent < columns.start_us[sender]) | (sent >= columns.end_us[sender]))
     if astray.size:
         i = int(astray[0])
         ev = trace.events[sender[i]]
-        raise MessageError(
-            i,
-            f"message {i}: sent at {messages[i].send_us} us, outside its sender"
-            f" {tuple(ev.id)}'s span [{ev.start_us}, {ev.end_us}) us",
-        )
+        span = f"[{ev.start_us}, {ev.end_us}) us"
+        raise bad(i, f"sent at {messages[i].send_us} us, outside its sender {tuple(ev.id)}'s span {span}")
     late = np.flatnonzero(delivered < sent)
     if late.size:
         i = int(late[0])
-        raise MessageError(
-            i,
-            f"message {i}: delivered at {messages[i].deliver_us} us,"
-            f" before its send at {messages[i].send_us} us",
-        )
+        raise bad(i, f"delivered at {messages[i].deliver_us} us, before its send at {messages[i].send_us} us")
     ended = np.flatnonzero(delivered >= columns.end_us[receiver])
     if ended.size:
         i = int(ended[0])
         ev = trace.events[receiver[i]]
-        raise MessageError(
-            i,
-            f"message {i}: delivered at {messages[i].deliver_us} us,"
-            f" at or after its receiver {tuple(ev.id)}'s end at {ev.end_us} us",
-        )
+        when = f"delivered at {messages[i].deliver_us} us"
+        raise bad(i, f"{when}, at or after its receiver {tuple(ev.id)}'s end at {ev.end_us} us")
     return sent, delivered, sender, receiver
 
 
-def _event_index(columns: EventColumns, procs: int, ids, n: int) -> np.ndarray:
-    """Where each of the ``n`` ``ids`` is in the events, or -1 where no event has it.
+def _event_index(columns: EventColumns, procs: int, messages, role: str) -> np.ndarray:
+    """Where each message's ``role`` id is in the events, or -1 where no event has it.
 
     An id is keyed as ``process << 32`` plus its seq's low 32 bits.  Event
     seqs are int32 and event processes lie in ``0..procs - 1``, so event
     keys are unique and below the int64 maximum, which ends the search.
+    An id with a part past int64 is no event's, as one past int32 is.
     """
 
     def key(process: np.ndarray, seq: np.ndarray) -> np.ndarray:
@@ -782,8 +793,13 @@ def _event_index(columns: EventColumns, procs: int, ids, n: int) -> np.ndarray:
     keys = key(columns.process, columns.seq)
     order = np.argsort(keys)
     ranked = np.append(keys[order], np.iinfo(np.int64).max)
-    pairs = np.fromiter(itertools.chain.from_iterable(ids), np.int64, 2 * n).reshape(n, 2)
-    process, seq = pairs[:, 0], pairs[:, 1]
+    ids, n = operator.attrgetter(role), len(messages)
+    try:
+        pairs = np.fromiter(itertools.chain.from_iterable(map(ids, messages)), np.int64, 2 * n)
+    except OverflowError:
+        refs = map(ids, messages)
+        pairs = np.array([r if -(2**63) <= min(r) and max(r) < 2**63 else (-1, 0) for r in refs], np.int64)
+    process, seq = pairs.reshape(n, 2).T
     fits = (0 <= process) & (process < procs) & (-(2**31) <= seq) & (seq < 2**31)
     want = np.where(fits, key(process, seq), -1)
     at = np.searchsorted(ranked, want)
@@ -975,16 +991,6 @@ def _stamps(known: np.ndarray, rows: np.ndarray, counts: np.ndarray, owner: np.n
     return out
 
 
-def vector_point_stamps(trace: Trace) -> np.ndarray:
-    """Vector stamps of every replay point, for causality audits.
-
-    An int64 (points, n_processes) array whose row i is the stamp of
-    ``trace.timeline`` point i.
-    """
-    known, row, count = _vector_rows(trace)
-    return _stamps(known, row, count, trace.timeline.process)
-
-
 def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
     """Replay a trace through one detector family and collect its output."""
     counters = OpCounters()
@@ -1002,11 +1008,5 @@ def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
             ids, lo, hi = _replay_vector(trace, counters)
             detected = vector_detect(ids, lo, hi, counters)
         violations = violation_filter(detected, trace.readings())
-    return RunResult(
-        family=family,
-        detected_pairs=frozenset(detected),
-        violations=frozenset(violations),
-        counters=counters,
-        dropped=dropped,
-        sim_wall_ms=trace.makespan_us / 1000.0,
-    )
+    # Copied as in ``Trace.truth``: the copy right-sizes the hash table.
+    return RunResult(frozenset(detected), frozenset(violations), counters, dropped)

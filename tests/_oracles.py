@@ -29,8 +29,10 @@ from snapdetect.simulate import (
     Trace,
     TraceEvent,
     TraceMessage,
+    _stamps,
     _stream,
     _Trajectories,
+    _vector_rows,
 )
 
 # Point kinds, matching the replay tie-break order.
@@ -282,16 +284,17 @@ def keyed_timeline(trace: Trace) -> list[tuple]:
 
 
 def keyed_columns(trace: Trace) -> list[list[int]]:
-    """``keyed_timeline`` as the lists ``time_us``, ``kind``, ``process``, ``sub``, ``item``.
+    """``keyed_timeline`` as the lists ``kind``, ``process``, ``item``, as in ``simulate.Timeline``.
 
     ``item`` is the payload's index in ``trace.events`` (start, end) or
-    ``trace.messages`` (send, delivery), as in ``simulate.Timeline``.
+    ``trace.messages`` (send, delivery).  ``(kind, item)`` is unique per
+    point, so the three lists fix the whole order.
     """
     index = {id(ev): i for i, ev in enumerate(trace.events)}
-    columns: list[list[int]] = [[], [], [], [], []]
-    for t, kind, proc, sub, payload in keyed_timeline(trace):
+    columns: list[list[int]] = [[], [], []]
+    for _t, kind, proc, sub, payload in keyed_timeline(trace):
         item = sub if kind in (SEND, DELIVER) else index[id(payload)]
-        for column, value in zip(columns, (t, kind, proc, sub, item)):
+        for column, value in zip(columns, (kind, proc, item)):
             column.append(value)
     return columns
 
@@ -327,6 +330,17 @@ def stamp_replay_vector(trace: Trace, counters: OpCounters):
         points.append(clocks[proc])
     intervals = {e: Interval(lo[e], hi[e]) for e in lo}
     return intervals, points
+
+
+def vector_point_stamps(trace: Trace) -> np.ndarray:
+    """Vector stamps of every replay point, for causality audits.
+
+    An int64 (points, n_processes) array whose row i is the stamp of
+    ``trace.timeline`` point i, built from the replay's own ``known`` rows
+    (``simulate._vector_rows``) by ``simulate._stamps``.
+    """
+    known, row, count = _vector_rows(trace)
+    return _stamps(known, row, count, trace.timeline.process)
 
 
 def timeline_point_stamps(trace: Trace, stamps: np.ndarray) -> dict:

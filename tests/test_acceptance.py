@@ -3,13 +3,21 @@
 Each test prints a single pass/fail line (bypassing capture) so the
 suite's acceptance status is readable straight from the pytest run.
 """
+import hashlib
 import sys
+from pathlib import Path
 
 import pytest
 
-from _oracles import brute_force_overlap, causal_closure, timeline_point_stamps, vector_lt
+from _oracles import (
+    brute_force_overlap,
+    causal_closure,
+    timeline_point_stamps,
+    vector_lt,
+    vector_point_stamps,
+)
 from snapdetect.detectors import EventId
-from snapdetect.experiment import parse_spec, read_results, run_sweep, summarize
+from snapdetect.experiment import load_spec, parse_spec, read_results, run_sweep, summarize
 from snapdetect.metrics import complexity_fit, score, trend
 from snapdetect.scenarios import (
     FIXTURE_NAMES,
@@ -23,7 +31,6 @@ from snapdetect.simulate import (
     generate_trace,
     ground_truth,
     run_trace,
-    vector_point_stamps,
 )
 
 NODE_SWEEP_SPEC = {
@@ -38,6 +45,21 @@ DELAY_SWEEP_SPEC = {
     "sweep": {"axis": "delay_ms", "points": [0.25, 1, 4, 16, 64, 250, 1000, 8000]},
     "seeds": {"count": 30, "base": 1},
     "detectors": ["snapshot", "vector"],
+}
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+#: sha256 of each sweep's results.csv and manifest.json.  A change to
+#: either file's bytes must update these pins where reviewers see it.
+PINNED = {
+    "node_sweep": (
+        "0b606d8ca80de364b16993f27f722318c0e34c20b3b61b50dd4b3917bd7db879",
+        "37331de74325a585f7ebeb833bdeb9527ec025a623460b901e40f43245479dd7",
+    ),
+    "delay_sweep": (
+        "aac7c7201a6468cf7cc44ef6cbc09164c06e7a1b140ca240adb781ebad2161cc",
+        "458b545aa73774104eeb9b816f85183c0a2ccb56c1f3cdfd9d6f0faf9129ab09",
+    ),
 }
 
 
@@ -56,6 +78,14 @@ def node_sweep(tmp_path_factory):
     second = run_sweep(spec, tmp_path_factory.mktemp("nodes2"))
     assert first.failed_jobs == 0 and second.failed_jobs == 0
     return first, second
+
+
+@pytest.fixture(scope="module")
+def delay_sweep(tmp_path_factory):
+    """Criterion 3's sweep, run once for the criterion and the byte pin."""
+    outcome = run_sweep(parse_spec(DELAY_SWEEP_SPEC), tmp_path_factory.mktemp("delays"))
+    assert outcome.failed_jobs == 0
+    return outcome
 
 
 def test_criterion_1_scenario_fidelity():
@@ -87,11 +117,8 @@ def test_criterion_2_node_sweep_dominance(node_sweep):
     _report(2, "node sweep dominance", dominance and trends_ok, detail)
 
 
-def test_criterion_3_delay_sweep(tmp_path):
-    spec = parse_spec(DELAY_SWEEP_SPEC)
-    outcome = run_sweep(spec, tmp_path)
-    assert outcome.failed_jobs == 0
-    summary = summarize(read_results(outcome.results_csv))
+def test_criterion_3_delay_sweep(delay_sweep):
+    summary = summarize(read_results(delay_sweep.results_csv))
     trends_ok = all(summary["trends"][det] <= -0.8 for det in ("snapshot", "vector"))
     dominance = summary["dominance"]["snapshot_ge_vector_everywhere"]
     detail = (
@@ -201,6 +228,27 @@ def test_criterion_6_byte_identical_rerun(node_sweep):
     first, second = node_sweep
     identical = first.results_csv.read_bytes() == second.results_csv.read_bytes()
     _report(6, "deterministic rerun", identical, f"rows={first.rows_written}")
+
+
+@pytest.mark.parametrize(
+    ("name", "spec"), [("node_sweep", NODE_SWEEP_SPEC), ("delay_sweep", DELAY_SWEEP_SPEC)]
+)
+def test_in_test_specs_are_the_checked_in_specs(name, spec):
+    assert load_spec(SPECS / f"{name}.json") == parse_spec(spec)
+
+
+def _assert_pinned(outcome, name: str) -> None:
+    csv_digest, manifest_digest = PINNED[name]
+    assert hashlib.sha256(outcome.results_csv.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(outcome.manifest.read_bytes()).hexdigest() == manifest_digest
+
+
+def test_node_sweep_bytes_are_pinned(node_sweep):
+    _assert_pinned(node_sweep[0], "node_sweep")
+
+
+def test_delay_sweep_bytes_are_pinned(delay_sweep):
+    _assert_pinned(delay_sweep, "delay_sweep")
 
 
 def test_criterion_7_error_rate_calibration():

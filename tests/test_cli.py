@@ -55,20 +55,29 @@ class TestScenariosCommand:
         assert "b" in result.output.split("scenario(s):")[-1]
 
 
-    def test_delivery_before_send_exits_2_naming_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        ("field", "value", "error"),
+        [
+            ("deliver_us", lambda rec: rec["send_us"] - 1, "message 0: delivered at"),
+            ("to", lambda rec: rec["from"], "message 0: sent from (0, 0) to itself"),
+            ("send_us", lambda rec: 2**63, f"message 0: send_us {2**63} does not fit int64"),
+        ],
+        ids=["delivered-before-send", "sent-to-itself", "send-past-int64"],
+    )
+    def test_delivery_before_send_exits_2_naming_line(self, tmp_path, field, value, error):
         scenarios.write_fixtures(tmp_path)
         path = tmp_path / "scenario_a.jsonl"
         lines = path.read_text().splitlines()
         k = next(i for i, l in enumerate(lines) if '"message"' in l)
         record = json.loads(lines[k])
-        record["deliver_us"] = record["send_us"] - 1
+        record[field] = value(record)
         lines[k] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         result = CliRunner().invoke(main, ["scenarios", "--fixtures", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"{path}:{k + 1}:" in result.output
-        assert "message 0: delivered at" in result.output
+        assert error in result.output
 
     def test_event_without_start_exits_2_naming_line(self, tmp_path):
         scenarios.write_fixtures(tmp_path)

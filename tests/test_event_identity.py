@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+from _oracles import vector_point_stamps
 from snapdetect import simulate
 from snapdetect.detectors import EventId
 from snapdetect.simulate import (
@@ -23,7 +24,6 @@ from snapdetect.simulate import (
     ground_truth,
     run_trace,
     snapshot_intervals,
-    vector_point_stamps,
 )
 from snapdetect.tracefile import TraceFormatError, load_trace, save_trace
 

@@ -2,18 +2,27 @@ from dataclasses import replace
 
 import pytest
 
-from _oracles import END, START, brute_force_overlap, causal_closure, timeline_point_stamps, vector_lt
-from snapdetect.detectors import pair_key
+from _oracles import (
+    END,
+    START,
+    brute_force_overlap,
+    causal_closure,
+    timeline_point_stamps,
+    vector_lt,
+    vector_point_stamps,
+)
+from snapdetect.detectors import EventId, pair_key
 from snapdetect.metrics import score
 from snapdetect.simulate import (
     ConfigError,
     DetectorFamily,
     SimConfig,
+    Trace,
+    TraceEvent,
     generate_trace,
     ground_truth,
     run_trace,
     snapshot_intervals,
-    vector_point_stamps,
 )
 
 
@@ -104,7 +113,7 @@ class TestGeneration:
 
     def test_message_sanity(self):
         trace = generate_trace(small_config())
-        spans = trace.spans()
+        spans = {e.id: (e.start_us, e.end_us) for e in trace.events}
         assert trace.messages
         for m in trace.messages:
             assert m.deliver_us >= m.send_us
@@ -185,14 +194,16 @@ class TestCausalProperties:
                     assert not b_hi <= a_lo
 
     def test_scalar_interval_order_does_not_imply_causality(self):
-        # Stored counterexample: two causally unrelated events with
-        # ordered scalar intervals.
-        from snapdetect.scenarios import build_scalar_order_counterexample
-
-        trace = build_scalar_order_counterexample()
+        # Counterexample: no messages flow, yet the second event's scalar
+        # interval sits entirely after the first's.  Scalar interval order
+        # does not imply causal order; the converse holds only for vector
+        # stamps.
+        e1, e2 = EventId(0, 0), EventId(1, 0)
+        events = (TraceEvent(e1, 0, 0, 10_000), TraceEvent(e2, 1, 20_000, 30_000))
+        config = SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=0)
+        trace = Trace(events, (), config)
         closure = causal_closure(trace)
         intervals = snapshot_intervals(trace)
-        e1, e2 = trace.events[0].id, trace.events[1].id
         (_, e1_hi), (e2_lo, _) = intervals[e1], intervals[e2]
         assert e1_hi <= e2_lo  # e1's interval is BEFORE e2's
         assert (START, e2) not in closure[(END, e1)]

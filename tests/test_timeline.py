@@ -5,19 +5,27 @@
 kind, process and sub, with events and messages listed in any order.  On
 the same traces both replays must match their references.  A trace with
 a message delivered before its send or at or after its receiver's end,
-sent outside its sender's span or naming an event the trace lacks, or
-with an event on a process outside the config, raises one ``ValueError``
-in both replaying families, and ``load_trace`` names the record's line.
+sent outside its sender's span or to its own event, or naming an event
+the trace lacks, with an event on a process outside the config, or with
+a value that does not fit its column, raises one ``ValueError`` in both
+replaying families, and ``load_trace`` names the record's line.
 A delivery before its receiver starts is kept, and the snapshot family
 drops it.  A trace builds its timeline once, however many families
 replay it.
 """
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import keyed_columns, per_peer_replay_snapshot, stamp_replay_vector, vector_arrays
+from _oracles import (
+    keyed_columns,
+    per_peer_replay_snapshot,
+    stamp_replay_vector,
+    vector_arrays,
+    vector_point_stamps,
+)
 from snapdetect import simulate
 from snapdetect.detectors import EventId, pair_key
 from snapdetect.metrics import OpCounters
@@ -33,7 +41,6 @@ from snapdetect.simulate import (
     generate_trace,
     run_trace,
     snapshot_intervals,
-    vector_point_stamps,
 )
 from snapdetect.tracefile import TraceFormatError, load_trace, save_trace
 
@@ -74,7 +81,9 @@ def tied_traces(draw) -> Trace:
 
 @given(tied_traces())
 def test_timeline_matches_keyed_sort_under_ties(trace):
-    assert [c.tolist() for c in _timeline(trace)] == keyed_columns(trace)
+    timeline = _timeline(trace)
+    assert [c.dtype for c in timeline] == [np.int8, np.int32, np.int32]
+    assert [c.tolist() for c in timeline] == keyed_columns(trace)
 
 
 def replay_state(dets):
@@ -226,6 +235,54 @@ MALFORMED = {
         "message",
         1,
         f"message 1: delivered at {2**40} us, at or after its receiver (0, 0)'s end at 100 us",
+    ),
+    "sent-to-itself": (
+        malformed(message=TraceMessage(A, A, 20, 30)),
+        "message",
+        1,
+        "message 1: sent from (0, 0) to itself",
+    ),
+    "send-past-int64": (
+        malformed(message=TraceMessage(A, B, 2**63, 30)),
+        "message",
+        1,
+        f"message 1: send_us {2**63} does not fit int64",
+    ),
+    "delivery-past-int64": (
+        malformed(message=TraceMessage(A, B, 20, 2**64)),
+        "message",
+        1,
+        f"message 1: deliver_us {2**64} does not fit int64",
+    ),
+    "sender-seq-past-int64": (
+        malformed(message=TraceMessage(EventId(0, 2**63), B, 20, 30)),
+        "message",
+        1,
+        f"message 1: sender (0, {2**63}) is no event of the trace",
+    ),
+    "seq-past-int32": (
+        malformed(TraceEvent(EventId(0, 2**31), 0, 200, 300)),
+        "event",
+        2,
+        f"event (0, {2**31}): id.seq {2**31} does not fit int32",
+    ),
+    "process-past-int32": (
+        malformed(TraceEvent(EventId(2**31, 0), 2**31, 0, 50)),
+        "event",
+        2,
+        f"event ({2**31}, 0): process {2**31} does not fit int32",
+    ),
+    "start-past-int64": (
+        malformed(TraceEvent(EventId(0, 1), 0, 2**63, 2**63 + 1)),
+        "event",
+        2,
+        f"event (0, 1): start_us {2**63} does not fit int64",
+    ),
+    "end-past-int64": (
+        malformed(TraceEvent(EventId(0, 1), 0, 200, 2**64)),
+        "event",
+        2,
+        f"event (0, 1): end_us {2**64} does not fit int64",
     ),
     "process-past-config": (
         malformed(TraceEvent(EventId(2, 0), 2, 0, 50)),

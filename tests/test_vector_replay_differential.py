@@ -14,7 +14,7 @@ import pytest
 
 import _oracles
 from _corpora import DELAYS_US, vector_corpus
-from _oracles import keyed_columns, stamp_replay_vector, vector_arrays
+from _oracles import keyed_columns, stamp_replay_vector, vector_arrays, vector_point_stamps
 from snapdetect import detectors, scenarios, simulate
 from snapdetect.detectors import EventId, StampOverflowError, vector_detect
 from snapdetect.metrics import OpCounters
@@ -28,7 +28,6 @@ from snapdetect.simulate import (
     _timeline,
     generate_trace,
     run_trace,
-    vector_point_stamps,
 )
 
 DENSE_SEEDS = 100
@@ -82,7 +81,7 @@ def test_timeline_matches_keyed_sort():
     traces = 0
     for trace in full_corpus():
         timeline = _timeline(trace)
-        assert [c.dtype for c in timeline] == [np.int64, np.int8, np.int32, np.int32, np.int32]
+        assert [c.dtype for c in timeline] == [np.int8, np.int32, np.int32]
         assert [c.tolist() for c in timeline] == keyed_columns(trace), trace.config
         traces += 1
     assert traces == 643
