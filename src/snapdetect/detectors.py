@@ -17,16 +17,21 @@ families replay it in one order, the columnar timeline that
   m(m-1)/2 pairs (counted in ``pair_checks``); the host finds the
   candidates by range search on each process's own slot and evaluates the
   full slot-wise predicate on those alone.
-* ``physical_detect`` -- wall-clock interval overlap under synchronized
+* ``overlap_columns`` -- wall-clock interval overlap under synchronized
   physical clocks: one ``searchsorted`` over the spans sorted by start
   finds each span's later partners.  It takes the spans as int64
-  columns, as ``simulate.EventColumns`` holds them.  It is the one overlap
-  kernel: ``simulate.Trace.truth`` runs it once per trace, and both
-  ground truth and the physical family read that result.
+  columns, as ``simulate.EventColumns`` holds them, and returns the pairs
+  as two columns of indices into the ids.  It is the one overlap kernel:
+  ``simulate.Trace.truth`` runs it once per trace, and both ground truth
+  and the physical family read that result.  ``physical_detect`` is the
+  same kernel with the pairs as a set.
 
 ``violation_filter`` lifts detected concurrent pairs into context
 violations under the constraint that one user cannot be read at two
-different locations at the same time.
+different locations at the same time.  ``lift_violations`` gives the same
+result on the kernel's index columns: a numpy mask over int32 codes of
+``str`` users and locations, with ``violation_filter`` kept for pairs that
+touch any other reading value.
 """
 from __future__ import annotations
 
@@ -44,9 +49,9 @@ PairKey = tuple["EventId", "EventId"]
 #: never wraparound; desk-scale traces cannot approach this bound.
 MAX_TICK = 2**63 - 1
 
-#: Slot comparisons (candidate pairs x slots) per row chunk of the vector
+#: Slot comparisons (candidate pairs x slots) per chunk of the vector
 #: pair scan.  A chunk's gathered stamp rows are int64 arrays of at most
-#: this many cells (512 KB each), unless one row alone has more.
+#: this many cells (512 KB each), unless one pair alone has more slots.
 VECTOR_SCAN_BLOCK_CELLS = 1 << 16
 
 
@@ -324,8 +329,10 @@ def vector_detect(
     they are also sufficient: the candidates are the pairs found.  When
     they nest, ends leave seq order and a few extra candidates fail the
     predicate.  The full predicate runs on the
-    candidates in row chunks of at most ``VECTOR_SCAN_BLOCK_CELLS`` slot
-    comparisons (a single row may exceed it).  The searches key run
+    candidates in chunks of at most ``VECTOR_SCAN_BLOCK_CELLS`` slot
+    comparisons; a row's candidates may span several chunks, and only when
+    n alone exceeds the block does a chunk hold one candidate over it.
+    The searches key run
     indices, row indices and ranks, never raw stamps, so no key can
     overflow.  O(m n log m + candidates n).
     """
@@ -366,42 +373,53 @@ def vector_detect(
     keep = count > 0
     i, start, count = i[keep], start[keep], count[keep]
     del keep
-    # Rows in chunks of at most VECTOR_SCAN_BLOCK_CELLS slot comparisons.
-    bounds = np.concatenate(([0], (i[1:] != i[:-1]).nonzero()[0] + 1, [len(i)]))
-    spent = np.concatenate(([0], (count * n).cumsum()))[bounds]
+    # Cells of more than ``per`` candidates are split into pieces of at
+    # most ``per``, then runs of pieces are chunked, each of at most
+    # VECTOR_SCAN_BLOCK_CELLS slot comparisons (or one candidate, if n
+    # alone exceeds it).
+    per = max(1, VECTOR_SCAN_BLOCK_CELLS // n)
+    pieces = (count - 1) // per + 1
+    if (pieces > 1).any():
+        cell = np.repeat(np.arange(len(count)), pieces)
+        skip = (np.arange(len(cell)) - np.repeat(pieces.cumsum() - pieces, pieces)) * per
+        i, start, count = i[cell], start[cell] + skip, np.minimum(count[cell] - skip, per)
+        del cell, skip
+    del pieces
+    spent = np.concatenate(([0], (count * n).cumsum()))
     found: set[PairKey] = set()
     pick = ids.__getitem__
-    t, last = 0, len(bounds) - 1
-    while t < last:
-        u = max(t + 1, int(spent.searchsorted(spent[t] + VECTOR_SCAN_BLOCK_CELLS, "right")) - 1)
-        a, e = bounds[t], bounds[u]
+    a, last = 0, len(count)
+    while a < last:
+        e = max(a + 1, int(spent.searchsorted(spent[a] + VECTOR_SCAN_BLOCK_CELLS, "right")) - 1)
         k = count[a:e]
         row = np.repeat(i[a:e], k)
         col = np.repeat(start[a:e] - k.cumsum() + k, k) + np.arange(len(row))
         hit = _strictly_below(lo[row], hi[col])
         hit &= _strictly_below(lo[col], hi[row])
         found.update(zip(map(pick, row[hit].tolist()), map(pick, col[hit].tolist())))
-        t = u
+        a = e
     return found
 
 
-def physical_detect(
+def overlap_columns(
     ids: Sequence[EventId],
     start: np.ndarray,
     end: np.ndarray,
     counters: Optional[OpCounters] = None,
-) -> set[PairKey]:
-    """Wall-clock overlap of half-open ``[start, end)`` spans.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wall-clock overlap of half-open ``[start, end)`` spans, as index columns.
 
     ``start`` and ``end`` are int64 columns whose entry i is the span of
-    ``ids[i]``; the ids may come in any order.  The spans are sorted by
-    (start, id).  A later span starts no earlier than span j, so it
-    overlaps j exactly when it starts before j ends: j's later partners
-    are the positions j + 1 up to ``searchsorted(starts, end_j, "left")``
-    - 1, and touching spans stay apart.  Each pairing is one
-    ``pair_checks``, so the count is the number of pairs found.
-    O(m log m + output).  An empty span (``start >= end``) raises
-    ``ValueError`` naming the first in (start, id) order.
+    ``ids[i]``; the ids may come in any order.  Returns the columns
+    ``first`` and ``second`` of indices into ``ids``: pair k is
+    ``(ids[first[k]], ids[second[k]])``, in ``pair_key`` order, and every
+    overlapping pair appears once.  The spans are sorted by (start, id).  A
+    later span starts no earlier than span j, so it overlaps j exactly when
+    it starts before j ends: j's later partners are the positions j + 1 up
+    to ``searchsorted(starts, end_j, "left")`` - 1, and touching spans stay
+    apart.  Each pairing is one ``pair_checks``, so the count is the number
+    of pairs found.  O(m log m + output).  An empty span (``start >= end``)
+    raises ``ValueError`` naming the first in (start, id) order.
     """
     m = len(ids)
     if start.shape != (m,) or end.shape != (m,):
@@ -428,10 +446,27 @@ def physical_detect(
     col += np.arange(pairs)
     a, b = rank[row], rank[col]
     del row, col, rank, order, starts, ends, count
-    first, second = by_id[np.minimum(a, b)], by_id[np.maximum(a, b)]
-    del a, b
+    return by_id[np.minimum(a, b)], by_id[np.maximum(a, b)]
+
+
+def id_pairs(ids: Sequence[EventId], first: np.ndarray, second: np.ndarray) -> Iterable[PairKey]:
+    """The pairs ``(ids[first[k]], ids[second[k]])``, read from lists copied off the columns.
+
+    The iterator keeps no reference to the columns, so a caller can free
+    them before it builds a set from the pairs.
+    """
     pick = ids.__getitem__
-    return set(zip(map(pick, first.tolist()), map(pick, second.tolist())))
+    return zip(map(pick, first.tolist()), map(pick, second.tolist()))
+
+
+def physical_detect(
+    ids: Sequence[EventId],
+    start: np.ndarray,
+    end: np.ndarray,
+    counters: Optional[OpCounters] = None,
+) -> set[PairKey]:
+    """Wall-clock overlap of half-open ``[start, end)`` spans: the pairs of ``overlap_columns``."""
+    return set(id_pairs(ids, *overlap_columns(ids, start, end, counters)))
 
 
 def violation_filter(
@@ -451,3 +486,54 @@ def violation_filter(
         ra, rb = readings[a], readings[b]
         violations.add(Violation(pair=(a, b), user=ra.user, locations=(ra.location, rb.location)))
     return violations
+
+
+def lift_violations(
+    ids: Sequence[EventId],
+    readings: Sequence[Optional[ContextReading]],
+    first: np.ndarray,
+    second: np.ndarray,
+) -> set[Violation]:
+    """``violation_filter`` of the pairs ``(ids[first[k]], ids[second[k]])``, lifted on the columns.
+
+    ``readings[i]`` is the reading of ``ids[i]``, or None, and each pair is
+    in ``pair_key`` order, as ``overlap_columns`` gives them.  An event whose
+    user and location are both ``str`` is plain: its user and location are
+    coded as int32 ids of their values, and a pair of plain events is a
+    violation exactly when its user codes are equal and its location codes
+    differ.  One numpy mask finds those pairs, and a ``Violation`` is built
+    for the hits alone.  A pair that touches an event with a reading whose
+    user or location is of any other type goes through ``violation_filter``,
+    so ``==`` decides it there (``1 == True``; a list is unhashable).
+    """
+    m = len(ids)
+    kind = np.zeros(m, dtype=np.int8)  # 0: no reading, 1: plain, 2: other
+    user = np.zeros(m, dtype=np.int32)
+    place = np.zeros(m, dtype=np.int32)
+    codes: dict[str, int] = {}
+    for i, r in enumerate(readings):
+        if r is None:
+            continue
+        u, loc = r.user, r.location
+        if type(u) is str and type(loc) is str:
+            kind[i] = 1
+            user[i] = codes.setdefault(u, len(codes))
+            place[i] = codes.setdefault(loc, len(codes))
+        else:
+            kind[i] = 2
+    plain = kind == 1
+    hit = plain[first] & plain[second]
+    hit &= user[first] == user[second]
+    hit &= place[first] != place[second]
+    hits = np.flatnonzero(hit)
+    del hit, plain, user, place
+    found = set()
+    for a, b in zip(first[hits].tolist(), second[hits].tolist()):
+        ra, rb = readings[a], readings[b]
+        found.add(Violation(pair=(ids[a], ids[b]), user=ra.user, locations=(ra.location, rb.location)))
+    other = kind == 2
+    if other.any():
+        touched = np.flatnonzero(other[first] | other[second])
+        present = {e: r for e, r in zip(ids, readings) if r is not None}
+        found |= violation_filter(id_pairs(ids, first[touched], second[touched]), present)
+    return found

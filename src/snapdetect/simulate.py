@@ -36,7 +36,10 @@ from .detectors import (
     SnapshotDetector,
     StampOverflowError,
     Violation,
-    physical_detect,
+    id_pairs,
+    lift_violations,
+    overlap_columns,
+    physical_detect,  # noqa: F401  (perfbench/tracing.py wraps it in this module)
     vector_detect,
     violation_filter,
 )
@@ -242,18 +245,21 @@ class Trace:
     def truth(self) -> GroundTruth:
         """Wall-time overlap and its violations, built on first use and kept with the trace.
 
-        ``physical_detect`` runs here and nowhere else in a run, and
-        ``violation_filter`` lifts its pairs: ``ground_truth`` and the
-        physical family both return this result.
+        The overlap kernel ``overlap_columns`` runs here and nowhere else in
+        a run, and ``lift_violations`` lifts its pairs on the same index
+        columns: ``ground_truth`` and the physical family both return this
+        result.
         """
         columns = self.event_columns  # rejects a malformed event identity
         counters = OpCounters()
         ids = [e.id for e in self.events]
-        pairs = physical_detect(ids, columns.start_us, columns.end_us, counters)
-        violations = violation_filter(pairs, self.readings())
+        first, second = overlap_columns(ids, columns.start_us, columns.end_us, counters)
+        violations = lift_violations(ids, [e.reading for e in self.events], first, second)
+        pairs = id_pairs(ids, first, second)
+        del first, second  # the pairs are read from lists now
         # frozenset(set) right-sizes the hash table: each kept pair set takes
         # about half the memory of the grown set it copies.
-        return GroundTruth(frozenset(pairs), frozenset(violations), counters.pair_checks)
+        return GroundTruth(frozenset(set(pairs)), frozenset(violations), counters.pair_checks)
 
 
 @dataclass(frozen=True)
@@ -386,62 +392,59 @@ class _Words(random.Random):
     """One stream's MT19937 words, drawn ``CHUNK_WORDS`` at a time and read in order.
 
     ``source.getrandbits(32 * c)`` is the stream's next ``c`` words, least
-    significant first.  ``getrandbits`` reads them as CPython's does: for
-    ``k <= 32`` one word shifted right by ``32 - k``; for wider ``k``,
-    ``ceil(k / 32)`` words, least significant first, the last shifted right
-    to fit.  So ``sample``, ``randint`` and every other ``random.Random``
-    method, all of which draw through ``getrandbits``, give what they give
-    on ``source``.
+    significant first.  They are read through one iterator over the current
+    chunk, refilled when it runs dry.  ``getrandbits`` reads them as
+    CPython's does: for ``k <= 32`` one word shifted right by ``32 - k``;
+    for wider ``k``, ``ceil(k / 32)`` words, least significant first, the
+    last shifted right to fit.  So ``sample``, ``randint`` and every other
+    ``random.Random`` method, all of which draw through ``getrandbits``,
+    give what they give on ``source``, and they interleave with ``below``
+    exactly as on ``source``.
     """
 
     def __init__(self, source: random.Random):
         super().__init__(0)  # the inherited generator state is never read
         self._source = source
-        self._words: list[int] = []
-        self._pos = 0  # the next unread word
+        self._words = iter(())
 
     def _refill(self) -> None:
         """Replace the words, all read, with the source's next ``CHUNK_WORDS``."""
-        self._words = _chunk(self._source, CHUNK_WORDS).tolist()
-        self._pos = 0
+        self._words = iter(_chunk(self._source, CHUNK_WORDS).tolist())
 
     def getrandbits(self, k: int) -> int:
         if k < 0:
             raise ValueError("number of bits must be non-negative")
         value = 0
         for i in range((k + 31) // 32):
-            if self._pos == len(self._words):
+            word = next(self._words, None)
+            if word is None:
                 self._refill()
-            word = self._words[self._pos]
-            self._pos += 1
+                word = next(self._words)
             value |= word >> max(0, 32 * (i + 1) - k) << 32 * i
         return value
 
-    def below(self, n: int, count: int) -> list[int]:
-        """The next ``count`` values of ``randint(0, n - 1)``.
+    def below(self, n: int, count: int, out: array.array) -> int:
+        """Append the next ``count`` draws of ``randint(0, n - 1)`` to ``out``; return their shift.
 
-        For ``k = n.bit_length() <= 32`` a draw is the next word shifted
-        right by ``32 - k`` and kept when below ``n``: randint's rejection
-        loop, one list read per word.
+        For ``k = n.bit_length() <= 32``, randint keeps a word exactly
+        when ``word >> (32 - k) < n``, that is when ``word < n << (32 - k)``.
+        So the kept words are a C-level ``filter`` over the word iterator,
+        and ``out`` gets the words themselves: each value is its word
+        shifted right by the returned ``32 - k``, which the caller applies.
+        Wider draws take several words each; they go one at a time through
+        ``getrandbits``, and ``out`` gets the values, with shift 0.
         """
         k = n.bit_length()
         if k > 32:
-            return [_randint(self.getrandbits, 0, n - 1) for _ in range(count)]
-        shift = 32 - k
-        words, pos, end = self._words, self._pos, len(self._words)
-        out = []
-        while count:
-            if pos == end:
-                self._pos = pos
-                self._refill()
-                words, pos, end = self._words, self._pos, len(self._words)
-            r = words[pos] >> shift
-            pos += 1
-            if r < n:
-                out.append(r)
-                count -= 1
-        self._pos = pos
-        return out
+            out.extend(_randint(self.getrandbits, 0, n - 1) for _ in range(count))
+            return 0
+        kept = (n << 32 - k).__gt__
+        want = len(out) + count
+        out.extend(itertools.islice(filter(kept, self._words), count))
+        while len(out) < want:
+            self._refill()
+            out.extend(itertools.islice(filter(kept, self._words), want - len(out)))
+        return 32 - k
 
 
 def _chunk(rng: random.Random, words: int) -> np.ndarray:
@@ -526,23 +529,23 @@ def generate_trace(config: SimConfig) -> Trace:
     horizon = max(end for spans in per_proc for _, end in spans)
     traj = _Trajectories(user_rng, config.n_users, config.rooms, config.stay_mean_us, horizon)
 
+    # The users stream serves the trajectories, then one user per event.
+    users = _randints(user_rng, config.n_users, procs * config.events_per_process).tolist()
+    shared: dict[tuple[int, str, str], ContextReading] = {}  # one reading per distinct value
     events: list[TraceEvent] = []
     for p in range(procs):
         for s, (start, end) in enumerate(per_proc[p]):
-            user = user_rng.randrange(config.n_users)
+            user = users[len(events)]
             true_loc = traj.location(user, start)
-            if err_rng.random() < config.error_rate:
-                reading = ContextReading(
-                    user=f"u{user}",
-                    location=traj.wrong_room(err_rng, true_loc),
-                    true_location=true_loc,
-                    erroneous=True,
+            loc = traj.wrong_room(err_rng, true_loc) if err_rng.random() < config.error_rate else true_loc
+            reading = shared.get((user, loc, true_loc))
+            if reading is None:
+                reading = shared[user, loc, true_loc] = ContextReading(
+                    user=f"u{user}", location=loc, true_location=true_loc, erroneous=loc != true_loc
                 )
-            else:
-                reading = ContextReading(
-                    user=f"u{user}", location=true_loc, true_location=true_loc, erroneous=False
-                )
-            events.append(TraceEvent(EventId(p, s), p, start, end, reading))
+            # tuple.__new__ skips the NamedTuple constructors' Python frames.
+            event_id = tuple.__new__(EventId, (p, s))
+            events.append(tuple.__new__(TraceEvent, (event_id, p, start, end, reading)))
 
     # Every message attempt as a column entry, in the order the attempts
     # are made: event by event, each event's peers in ascending order.
@@ -550,19 +553,21 @@ def generate_trace(config: SimConfig) -> Trace:
     peers_of = [[q for q in range(procs) if q != p] for p in range(procs)]
     fanout = config.peer_fanout
     receivers = array.array("q")
-    offsets = array.array("q")  # each send time, less its event's start
+    drawn = array.array("q")  # each send time less its event's start, shifted left
+    shifts = array.array("q")  # per event, the right shift that undoes it
     for ev in events:
         peers = peers_of[ev.process]
         if fanout is not None and fanout < len(peers):
             peers = sorted(words.sample(peers, fanout))
         receivers.extend(peers)
-        offsets.extend(words.below(ev.end_us - ev.start_us, len(peers)))
+        shifts.append(words.below(ev.end_us - ev.start_us, len(peers), drawn))
     per_event = len(receivers) // len(events)  # every event messages as many peers
     receiver = np.frombuffer(receivers, dtype=np.int64)
     span_us = np.array(per_proc, dtype=np.int64)  # (process, seq, [start, end])
     starts, ends = span_us[..., 0], span_us[..., 1]
     starts_by_proc, ends_by_proc = starts.tolist(), ends.tolist()
-    send = np.frombuffer(offsets, dtype=np.int64) + np.repeat(starts.ravel(), per_event)
+    shift = np.repeat(np.frombuffer(shifts, dtype=np.int64), per_event)
+    send = (np.frombuffer(drawn, dtype=np.int64) >> shift) + np.repeat(starts.ravel(), per_event)
 
     # Each attempt's delivery window, [send + lo, send + hi], with times
     # past the horizon clipped to horizon + 1: no event is live there, and
@@ -590,10 +595,14 @@ def generate_trace(config: SimConfig) -> Trace:
     tried = zip(
         uncertain.tolist(), first[uncertain].tolist(), send[uncertain].tolist(), receiver[uncertain].tolist()
     )
+    # Tried attempts read their delays through one view of the array, with
+    # no numpy slice per attempt.  Delays over a span of 2**32 or more are
+    # Python ints; they are below the span, so they fit int64.
+    window = memoryview(delays.astype(np.int64) if delays.dtype == object else delays)
     for i, at, send_us, q in tried:
         at -= saved
         q_starts, q_ends = starts_by_proc[q], ends_by_proc[q]
-        for tries, delay in enumerate(delays[at : at + MESSAGE_RETRIES].tolist(), 1):
+        for tries, delay in enumerate(window[at : at + MESSAGE_RETRIES], 1):
             deliver_us = send_us + delay_lo + delay
             j = bisect.bisect_right(q_starts, deliver_us) - 1
             if j >= 0 and deliver_us < q_ends[j]:

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from pathlib import Path
 
 from snapdetect import scenarios
+from snapdetect.experiment import config_for_point, load_spec
 from snapdetect.detectors import EventId
 from snapdetect.simulate import SimConfig, Trace, TraceEvent, TraceMessage, generate_trace
 
@@ -133,3 +135,12 @@ def long_traces_corpus():
             seed=seed,
         )
         yield generate_trace(config)
+
+
+def spec_corpus():
+    """The 390 traces of the checked-in specs, one per (point, seed) cell."""
+    for path in sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json")):
+        spec = load_spec(path)
+        for point in spec.points:
+            for seed in spec.seeds:
+                yield generate_trace(config_for_point(spec.base, spec.axis, point, seed))

@@ -1,23 +1,26 @@
 """The one wall-time overlap per trace, against the kernels it replaced.
 
-``Trace.truth`` runs ``physical_detect`` once per trace; ``ground_truth``
-and the physical family both return it.  Its pairs, violations and the
+``Trace.truth`` runs the overlap kernel ``overlap_columns`` and the
+violation lift ``lift_violations`` once per trace; ``ground_truth`` and
+the physical family both return it.  Its pairs, violations and the
 physical family's counters must equal what the searchsorted kernel
 replaced: the heap scan ``ground_truth`` and then ``physical_detect`` ran
 (``_oracles.heap_scan_overlap``) and the boundary sweep before it
 (``_oracles.boundary_sweep_overlap``), on the snapshot and vector corpora
-and on the benchmark's traces.
+and on the benchmark's traces.  The lift must equal ``violation_filter``
+of the truth's pairs on every spec trace and on readings that are absent,
+unhashable or of equal value but other type.
 """
 import dataclasses
 
 import pytest
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from _corpora import long_traces_corpus, scale_dense_corpus, snapshot_corpus, vector_corpus
+from _corpora import long_traces_corpus, scale_dense_corpus, snapshot_corpus, spec_corpus, vector_corpus
 from _oracles import boundary_sweep_overlap, brute_force_overlap, heap_scan_overlap, span_columns
 from snapdetect import simulate
-from snapdetect.detectors import EventId, physical_detect, violation_filter
+from snapdetect.detectors import ContextReading, EventId, physical_detect, violation_filter
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
@@ -93,7 +96,7 @@ def test_overlap_of_tiny_spans(shape):
 
 
 def test_ground_truth_and_all_families_run_the_kernel_once(monkeypatch):
-    calls = {"physical_detect": 0, "violation_filter": 0}
+    calls = {"overlap_columns": 0, "lift_violations": 0, "violation_filter": 0}
 
     def counting(name):
         fn = getattr(simulate, name)
@@ -112,9 +115,11 @@ def test_ground_truth_and_all_families_run_the_kernel_once(monkeypatch):
     assert truth.concurrent_pairs
     results = {family: run_trace(trace, family) for family in DetectorFamily}
     assert ground_truth(trace) is truth
-    assert calls["physical_detect"] == 1
-    # Truth lifts its pairs once; the physical family lifts none of its own.
-    assert calls["violation_filter"] == 1 + 2
+    assert calls["overlap_columns"] == 1
+    # Truth lifts its pairs once, on the kernel's columns; the physical
+    # family lifts none of its own, and each other family filters its own.
+    assert calls["lift_violations"] == 1
+    assert calls["violation_filter"] == 2
     physical = results[DetectorFamily.PHYSICAL]
     assert physical.detected_pairs is truth.concurrent_pairs
     assert physical.violations is truth.violations
@@ -146,3 +151,62 @@ def test_kernel_matches_heap_scan_in_any_order(shape):
         return
     assert physical_detect(*span_columns(spans), counters) == want
     assert counters == scanned
+
+
+def test_lift_matches_violation_filter_on_spec_traces():
+    traces = violations = 0
+    for trace in spec_corpus():
+        truth = ground_truth(trace)
+        assert truth.violations == violation_filter(truth.concurrent_pairs, trace.readings()), trace.config
+        traces += 1
+        violations += len(truth.violations)
+    assert traces == 390
+    assert violations > 0
+
+
+def reading(user, location) -> ContextReading:
+    return ContextReading(user=user, location=location, true_location=location, erroneous=False)
+
+
+#: Readings a loaded file may carry: none; one user in one room and in two;
+#: a second user; an unhashable user; users 1 and True, equal under ``==``;
+#: locations 1 and True.
+READINGS = (
+    None,
+    reading("u0", "R101"),
+    reading("u0", "R102"),
+    reading("u1", "R101"),
+    reading(["u0"], "R101"),
+    reading(["u0"], "R102"),
+    reading(1, "R101"),
+    reading(True, "R102"),
+    reading("u0", 1),
+    reading("u0", True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4), st.sampled_from(READINGS)), min_size=1, max_size=8)
+)
+@example([(0, 3, None), (1, 3, READINGS[1]), (2, 3, READINGS[2])])  # one user, two rooms, and no reading
+@example([(0, 3, READINGS[6]), (1, 3, READINGS[7])])  # 1 == True: one user in two rooms
+@example([(0, 3, READINGS[8]), (1, 3, READINGS[9]), (2, 3, READINGS[1])])  # location 1 == True
+@example([(0, 3, READINGS[4]), (1, 3, READINGS[5]), (2, 3, READINGS[1])])  # an unhashable user in two rooms
+def test_lift_matches_violation_filter_on_odd_readings(shape):
+    # Event k runs alone on process k, so any spans make a well-formed trace.
+    events = tuple(
+        TraceEvent(EventId(k, 0), k, start, start + length, r) for k, (start, length, r) in enumerate(shape)
+    )
+    trace = Trace(events, (), SimConfig(nodes=max(2, len(events)), instances_per_node=1, seed=0))
+    pairs = brute_force_overlap(trace)
+    try:
+        want = violation_filter(pairs, trace.readings())
+    except TypeError as exc:  # a violation of an unhashable user cannot be hashed
+        with pytest.raises(TypeError, match="unhashable"):
+            ground_truth(trace)
+        assert "unhashable" in str(exc)
+        return
+    truth = ground_truth(trace)
+    assert truth.concurrent_pairs == pairs
+    assert truth.violations == want

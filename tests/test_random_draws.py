@@ -6,11 +6,14 @@ give exactly the successive ``randint(lo, hi)`` values of a fresh
 one-word chunks and with chunks that leave a ragged tail.  The message
 stream's word buffer ``simulate._Words`` must give what the stream itself
 gives for any mix of ``below``, ``sample`` and ``getrandbits`` calls, also
-when a draw of several words straddles a refill.  If CPython changes how
+when a draw of several words or a run of ``below`` draws straddles a
+refill, and at the edges of ``below``'s keep threshold
+``n << (32 - n.bit_length())``.  If CPython changes how
 ``randint``, ``sample`` or ``getrandbits`` consume its stream, these fail
 first.  A guard also keeps ``numpy.random`` (and its memory) out of trace
 generation.
 """
+import array
 import os
 import random
 import subprocess
@@ -72,24 +75,65 @@ CALLS = st.one_of(
 )
 
 
+def below(words: _Words, n: int, count: int) -> list[int]:
+    """``words.below(n, count)`` as values: each appended entry shifted right by the returned shift."""
+    out = array.array("q", [-1])  # below appends after what is there
+    shift = words.below(n, count, out)
+    assert out[0] == -1 and len(out) == 1 + count
+    return [v >> shift for v in out[1:]]
+
+
+def check_calls(seed, calls, chunk_words):
+    """Each call on a word buffer gives what the same call gives on its stream."""
+    words, ref = _Words(random.Random(seed)), random.Random(seed)
+    with mock.patch.object(simulate, "CHUNK_WORDS", chunk_words):
+        for name, a, b in calls:
+            if name == "below":
+                assert below(words, a, b) == [ref.randint(0, a - 1) for _ in range(b)], (a, b)
+            elif name == "sample":
+                k = min(a, b)
+                assert words.sample(range(a), k) == ref.sample(range(a), k)
+            else:
+                assert words.getrandbits(a) == ref.getrandbits(a)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=SEEDS, calls=st.lists(CALLS, min_size=1, max_size=12), chunk_words=CHUNKS)
 @example(seed=5, calls=[("getrandbits", 65, 0), ("below", 2**32 + 1, 3), ("sample", 7, 3)], chunk_words=1)
 @example(seed=6, calls=[("below", 30_001, 39), ("sample", 39, 4), ("below", 2**33, 2)], chunk_words=5)
 def test_word_buffer_matches_its_stream(seed, calls, chunk_words):
     """Sends and peer samples read the message stream's words as the stream's own draws do."""
-    words, ref = _Words(random.Random(seed)), random.Random(seed)
-    with mock.patch.object(simulate, "CHUNK_WORDS", chunk_words):
-        for name, a, b in calls:
-            if name == "below":
-                got = words.below(a, b)
-                assert all(type(v) is int for v in got)
-                assert got == [ref.randint(0, a - 1) for _ in range(b)]
-            elif name == "sample":
-                k = min(a, b)
-                assert words.sample(range(a), k) == ref.sample(range(a), k)
-            else:
-                assert words.getrandbits(a) == ref.getrandbits(a)
+    check_calls(seed, calls, chunk_words)
+
+
+#: n = 2**k - 1, 2**k and 2**k + 1 for k in 1, 31 and 32: the largest n of
+#: a width, its smallest and the one after (2**32 and 2**32 + 1 take two words).
+THRESHOLD_EDGES = sorted({2**k + d for k in (1, 31, 32) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("n", THRESHOLD_EDGES)
+def test_below_at_threshold_edges(n):
+    """``word < n << (32 - k)`` keeps the words randint keeps, at each edge of a width."""
+    for seed in range(4):
+        check_calls(seed, [("below", n, 200), ("getrandbits", 32, 0), ("below", n, 7)], CHUNK_WORDS)
+
+
+@pytest.mark.parametrize("chunk_words", [1, 5, 7])
+def test_below_straddles_refills_between_samples(chunk_words):
+    """A run of draws longer than a chunk refills mid-run; samples read on from where it stopped."""
+    calls = [("sample", 39, 5), ("below", 3_001, 3 * chunk_words + 2), ("sample", 12, 12)]
+    calls += [("below", 2**31 + 1, 2 * chunk_words + 1), ("sample", 7, 1), ("below", 1, 4)]
+    for seed in range(6):
+        check_calls(seed, calls, chunk_words)
+
+
+@pytest.mark.parametrize("chunk_words", [1, 5, 7])
+def test_wide_below_straddles_refills(chunk_words):
+    """Draws of two words each, across refills, with one-word draws between."""
+    calls = [("below", 1_000, 2), ("below", 2**32 + 50_001, 2 * chunk_words + 1), ("below", 7, 3)]
+    calls += [("below", 2**62 + 3, chunk_words + 1), ("sample", 9, 2)]
+    for seed in range(6):
+        check_calls(seed, calls, chunk_words)
 
 
 def test_word_buffer_rejects_negative_width():

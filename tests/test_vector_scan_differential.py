@@ -4,9 +4,10 @@
 Detected pairs and ``pair_checks`` must be identical on replayed traces,
 on traces whose events nest on one process and on hand-built interval
 maps that meet the scan's contract, with the default chunk size, with
-one-row chunks and with chunks that end at uneven rows.  Input that breaks
-the contract must raise ``ValueError`` naming the first offending event.
-Separate tests bound the scan's peak allocation.
+one-pair chunks and with chunks of uneven size.  A row whose candidates
+exceed the chunk size is split across chunks, none over it.  Input that
+breaks the contract must raise ``ValueError`` naming the first offending
+event.  Separate tests bound the scan's peak allocation.
 """
 import random
 import re
@@ -34,7 +35,7 @@ from snapdetect.simulate import (
 
 
 def ragged_cells(n: int) -> int:
-    """Chunk cells for two candidates of n slots, and one over: chunks end at uneven rows."""
+    """Chunk cells for two candidates of n slots, and one over: chunks end at uneven places."""
     return 2 * n + 1
 
 
@@ -188,8 +189,8 @@ def test_nested_events_match_scalar_loop():
     assert pairs > 0
 
 
-def chunk_sizes(trace: Trace, cells: int) -> list[int]:
-    """Candidate pairs per chunk of ``trace``'s scan with ``cells`` per chunk."""
+def chunked_scan(ids, lo, hi, cells: int) -> tuple[set, list[int]]:
+    """The scan's pairs with ``cells`` per chunk, and its candidate pairs per chunk."""
     sizes = []
     real = detectors._strictly_below
 
@@ -197,23 +198,43 @@ def chunk_sizes(trace: Trace, cells: int) -> list[int]:
         sizes.append(len(a))
         return real(a, b)
 
-    ids, lo, hi = _replay_vector(trace, OpCounters())
     with mock.patch.object(detectors, "VECTOR_SCAN_BLOCK_CELLS", cells):
         with mock.patch.object(detectors, "_strictly_below", spy):
-            vector_detect(ids, lo, hi)
-    return sizes[::2]  # two calls per chunk
+            pairs = vector_detect(ids, lo, hi)
+    return pairs, sizes[::2]  # two calls per chunk
+
+
+def chunk_sizes(trace: Trace, cells: int) -> list[int]:
+    """Candidate pairs per chunk of ``trace``'s scan with ``cells`` per chunk."""
+    return chunked_scan(*_replay_vector(trace, OpCounters()), cells)[1]
 
 
 def test_chunk_mocks_split_each_process_rows():
     trace = scale_dense_corpus()[0]
     default = chunk_sizes(trace, detectors.VECTOR_SCAN_BLOCK_CELLS)
-    one_row = chunk_sizes(trace, 1)
+    one_pair = chunk_sizes(trace, 1)
     ragged = chunk_sizes(trace, ragged_cells(trace.config.n_processes))
     assert len(default) == 1
-    assert sum(one_row) == sum(ragged) == sum(default)
+    assert sum(one_pair) == sum(ragged) == sum(default)
     # Far more chunks than processes, so some process's rows span several.
-    assert len(one_row) > len(ragged) > 2 * trace.config.n_processes
+    assert len(one_pair) > len(ragged) > 2 * trace.config.n_processes
     assert len(set(ragged)) > 1
+
+
+def test_a_row_over_the_block_is_split_across_chunks():
+    """Event (0, 0) is concurrent with all 12 events of process 1: one row of 12 candidates."""
+    intervals = {EventId(0, 0): vec_interval((1, 0), (2, 100))}
+    for k in range(12):
+        intervals[EventId(1, k)] = vec_interval((0, 2 * k + 1), (1, 2 * k + 2))
+    want = {(EventId(0, 0), EventId(1, k)) for k in range(12)}
+    assert oracle(intervals) == (want, 13 * 12 // 2)
+    n = 2
+    for cells in (1, n, ragged_cells(n), 5 * n):
+        pairs, sizes = chunked_scan(*vector_arrays(intervals), cells)
+        assert pairs == want, f"block cells {cells}"
+        assert sum(sizes) == 12
+        assert len(sizes) > 1
+        assert max(sizes) * n <= max(cells, n), f"block cells {cells}: chunks of {sizes} pairs"
 
 
 @pytest.mark.parametrize(
