@@ -44,15 +44,12 @@ CSV_COLUMNS = (
     "wall_ms",
 )
 
-AXES = ("nodes", "delay_ms", "error_rate")
+#: Sweep axes by spec key: every ``SPEC_FIELDS`` key, and ``delay_ms``.
+AXIS_FIELDS = {**SPEC_FIELDS, "delay_ms": SPEC_FIELDS["message_delay_ms"]}
 
 
-class SpecError(ValueError):
+class SpecError(ConfigError):
     """Invalid experiment spec; ``field`` names the offender."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field = field_name
 
 
 @dataclass(frozen=True)
@@ -64,36 +61,45 @@ class ExperimentSpec:
     detectors: tuple[DetectorFamily, ...]
 
 
-def _ms_to_us(value: float) -> int:
-    return int(round(value * 1000))
+def _ms_to_us(ms) -> int:
+    if type(ms) not in (int, float):
+        raise TypeError(f"expected milliseconds, got {ms!r}")
+    return int(round(ms * 1000))
+
+
+def spec_value(key: str, value):
+    """The ``SimConfig`` field value of spec key ``key`` in a base or a point.
+
+    A time (a ``_us`` field) is given in milliseconds and becomes integer
+    microseconds.  A range field takes ``[lo, hi]`` or one number ``v``,
+    read as ``[v, v]``.  Other values pass as given, for ``validate``.
+    """
+    f = AXIS_FIELDS[key]
+    convert = _ms_to_us if f.name.endswith("_us") else (lambda v: v)
+    if not is_range(f):
+        return convert(value)
+    bounds = value if isinstance(value, (list, tuple)) else (value, value)
+    if len(bounds) != 2:
+        raise ValueError(f"expected [lo, hi], got {value!r}")
+    return tuple(map(convert, bounds))
 
 
 def _base_config(raw: dict) -> SimConfig:
-    for key in raw:
+    kwargs = {}
+    for key, value in raw.items():
         if key not in SPEC_FIELDS:
             raise SpecError(f"base.{key}", "unknown field")
+        try:
+            kwargs[SPEC_FIELDS[key].name] = spec_value(key, value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SpecError(f"base.{key}", str(exc)) from None
     if "nodes" not in raw:
         raise SpecError("base.nodes", "required")
-    kwargs = {}
-    for key, f in SPEC_FIELDS.items():
-        if key not in raw:
-            continue
-        value = raw[key]
-        if is_range(f) and not (isinstance(value, (list, tuple)) and len(value) == 2):
-            raise SpecError(f"base.{key}", f"expected [lo_ms, hi_ms], got {value!r}")
-        if key != f.name:  # a time: milliseconds in a spec
-            try:
-                value = tuple(map(_ms_to_us, value)) if is_range(f) else _ms_to_us(value)
-            except (TypeError, ValueError, OverflowError):
-                raise SpecError(f"base.{key}", f"expected milliseconds, got {value!r}") from None
-        kwargs[f.name] = value
+    base = SimConfig(**kwargs)
     try:
-        base = SimConfig(**kwargs)
         base.validate()
     except ConfigError as exc:
         raise SpecError(f"base.{exc.field}", str(exc)) from exc
-    except TypeError as exc:
-        raise SpecError("base", str(exc)) from exc
     return base
 
 
@@ -109,30 +115,27 @@ def parse_spec(data: dict) -> ExperimentSpec:
     if not isinstance(sweep, dict):
         raise SpecError("sweep", "missing or not an object")
     axis = sweep.get("axis")
-    if axis not in AXES:
-        raise SpecError("sweep.axis", f"must be one of {AXES}, got {axis!r}")
+    if not isinstance(axis, str) or axis not in AXIS_FIELDS:
+        raise SpecError("sweep.axis", f"must be one of {tuple(AXIS_FIELDS)}, got {axis!r}")
     points = sweep.get("points")
     if not isinstance(points, list) or not points:
         raise SpecError("sweep.points", "must be a non-empty list")
 
-    seeds_raw = data.get("seeds", {"count": 30, "base": 1})
-    if not isinstance(seeds_raw, (list, dict)):
-        raise SpecError("seeds", "must be a list or {count, base}")
-    try:
-        if isinstance(seeds_raw, list):
-            seeds = tuple(int(s) for s in seeds_raw)
-        else:
-            base_seed = seeds_raw.get("base", 1)
-            seeds = tuple(range(base_seed, base_seed + seeds_raw.get("count", 30)))
-    except (TypeError, ValueError) as exc:
-        raise SpecError("seeds", f"must be integers: {exc}") from exc
-    if not seeds:
-        raise SpecError("seeds", "must be non-empty")
+    seeds = data.get("seeds", {"count": 30, "base": 1})
+    if isinstance(seeds, dict):
+        base_seed, count = seeds.get("base", 1), seeds.get("count", 30)
+        if type(base_seed) is not int or type(count) is not int:
+            raise SpecError("seeds", f"base and count must be integers, got {seeds!r}")
+        seeds = list(range(base_seed, base_seed + count))
+    if not isinstance(seeds, list) or not seeds:
+        raise SpecError("seeds", "must be a non-empty list or {count, base}")
     check_seeds(base, seeds)
     for point in points:
         try:
+            if point is None:  # peer_fanout takes null, but results.csv needs a number
+                raise TypeError("a point must be a number")
             config_for_point(base, axis, point, seeds[0]).validate()
-        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError("sweep.points", f"bad point {point!r}: {exc}") from exc
 
     det_names = data.get("detectors", ["snapshot", "vector"])
@@ -143,7 +146,7 @@ def parse_spec(data: dict) -> ExperimentSpec:
     except ValueError as exc:
         raise SpecError("detectors", str(exc)) from exc
 
-    return ExperimentSpec(base=base, axis=axis, points=tuple(points), seeds=seeds, detectors=detectors)
+    return ExperimentSpec(base=base, axis=axis, points=tuple(points), seeds=tuple(seeds), detectors=detectors)
 
 
 def check_seeds(base: SimConfig, seeds: Sequence[int]) -> None:
@@ -166,17 +169,7 @@ def load_spec(path: str | Path) -> ExperimentSpec:
 
 
 def config_for_point(base: SimConfig, axis: str, point, seed: int) -> SimConfig:
-    if axis == "nodes":
-        return replace(base, nodes=int(point), seed=seed)
-    if axis == "delay_ms":
-        if isinstance(point, (list, tuple)):
-            delay = (_ms_to_us(point[0]), _ms_to_us(point[1]))
-        else:
-            delay = (_ms_to_us(point), _ms_to_us(point))
-        return replace(base, message_delay_us=delay, seed=seed)
-    if axis == "error_rate":
-        return replace(base, error_rate=float(point), seed=seed)
-    raise SpecError("sweep.axis", f"unknown axis {axis!r}")
+    return replace(base, **{AXIS_FIELDS[axis].name: spec_value(axis, point)}, seed=seed)
 
 
 def _job(args: tuple) -> list[dict]:

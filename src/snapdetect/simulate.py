@@ -24,7 +24,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -91,18 +91,20 @@ class SimConfig:
         return self.users if self.users > 0 else max(2, self.nodes)
 
     def validate(self) -> None:
+        for name, kinds, expected in _FIELD_TYPES:
+            value = getattr(self, name)
+            kind = tuple(map(type, value)) if type(value) is tuple else type(value)
+            if kind not in kinds:
+                raise ConfigError(name, f"expected {expected}, got {value!r}")
+            if type(value) is tuple and not 0 <= value[0] <= value[1]:
+                raise ConfigError(name, f"range empty or negative: [{value[0]}, {value[1]}]")
         if not 2 <= self.nodes <= 1000:
             raise ConfigError("nodes", f"must be in 2..1000, got {self.nodes}")
         if self.instances_per_node < 1:
             raise ConfigError("instances_per_node", "must be >= 1")
         if self.events_per_process < 1:
             raise ConfigError("events_per_process", "must be >= 1")
-        for name in ("event_lifespan_us", "message_delay_us", "inter_event_gap_us"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ConfigError(name, f"range empty or negative: [{lo}, {hi}]")
-        lo, _ = self.event_lifespan_us
-        if lo < 1:
+        if self.event_lifespan_us[0] < 1:
             raise ConfigError("event_lifespan_us", "events need a positive lifespan")
         if not 0.0 <= self.error_rate < 1.0:
             raise ConfigError("error_rate", f"must be in [0, 1), got {self.error_rate}")
@@ -162,6 +164,18 @@ def is_range(f) -> bool:
     return isinstance(f.default, tuple)
 
 
+#: The types each annotation accepts (for a range, its items' types) and how
+#: errors name them: a float field takes an int too, and a bool is no int.
+_ACCEPTS = {
+    int: ({int}, "an int"),
+    float: ({int, float}, "a number"),
+    tuple[int, int]: ({(int, int)}, "[lo, hi] ints"),
+    Optional[int]: ({int, type(None)}, "an int or null"),
+}
+#: (field, kinds, expected) for every field, read from the annotations once.
+_FIELD_TYPES = tuple((name, *_ACCEPTS[hint]) for name, hint in get_type_hints(SimConfig).items())
+
+
 def config_record(config: SimConfig, schema=CONFIG_FIELDS) -> dict:
     """The ``schema`` fields of ``config`` by name, ranges as ``[lo, hi]`` lists."""
     return {
@@ -179,17 +193,10 @@ def config_from_record(record: dict) -> SimConfig:
     unknown = record.keys() - {f.name for f in CONFIG_FIELDS}
     if unknown:
         raise ConfigError(min(unknown), "unknown field")
-    values = {}
-    for f in CONFIG_FIELDS:
-        if f.name not in record:
-            raise ConfigError(f.name, "missing")
-        value = record[f.name]
-        if is_range(f):
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ConfigError(f.name, f"expected [lo, hi], got {value!r}")
-            value = tuple(value)
-        values[f.name] = value
-    config = SimConfig(**values)
+    missing = [f.name for f in CONFIG_FIELDS if f.name not in record]
+    if missing:
+        raise ConfigError(missing[0], "missing")
+    config = SimConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in record.items()})
     config.validate()
     return config
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -530,3 +530,23 @@ def randint_generate_trace(config: SimConfig, tally: Counter | None = None) -> T
                 tally["dropped"] += 1
 
     return Trace(tuple(events), tuple(messages), config, dropped)
+
+
+def three_axis_config_for_point(base: SimConfig, axis: str, point, seed: int) -> SimConfig:
+    """``experiment.config_for_point`` as it was with three hand-written axes.
+
+    Kept as the reference the field-derived axes are checked against; it
+    coerces with ``int`` and ``float`` and reads a range point's first two
+    items, so it agrees only on valid points.
+    """
+    if axis == "nodes":
+        return replace(base, nodes=int(point), seed=seed)
+    if axis == "delay_ms":
+        if isinstance(point, (list, tuple)):
+            delay = (int(round(point[0] * 1000)), int(round(point[1] * 1000)))
+        else:
+            delay = (int(round(point * 1000)), int(round(point * 1000)))
+        return replace(base, message_delay_us=delay, seed=seed)
+    if axis == "error_rate":
+        return replace(base, error_rate=float(point), seed=seed)
+    raise ValueError(f"unknown axis {axis!r}")

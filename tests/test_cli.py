@@ -5,7 +5,8 @@ from click.testing import CliRunner
 
 from snapdetect import scenarios
 from snapdetect.cli import main
-from snapdetect.experiment import read_results
+from snapdetect.experiment import read_results, summarize
+from snapdetect.simulate import SPEC_FIELDS
 
 SMALL_SPEC = {
     "base": {
@@ -79,6 +80,20 @@ class TestScenariosCommand:
         assert f"{path}:{k + 1}:" in result.output
         assert error in result.output
 
+    @pytest.mark.parametrize("key, value", [("nodes", 2.0), ("instances_per_node", 1.0)])
+    def test_mistyped_config_exits_2_naming_line(self, tmp_path, key, value):
+        scenarios.write_fixtures(tmp_path)
+        path = tmp_path / "scenario_a.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        record[key] = value
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(main, ["scenarios", "--fixtures", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{path}:1: config {key}: expected an int, got {value}" in result.output
+
     def test_event_without_start_exits_2_naming_line(self, tmp_path):
         scenarios.write_fixtures(tmp_path)
         path = tmp_path / "scenario_c.jsonl"
@@ -147,6 +162,16 @@ class TestSweepCommand:
             ("sweep", "points", [2, [3]]),
             (None, "seeds", [-1]),
             (None, "seeds", [1, 2**64]),
+            ("base", "nodes", 2.5),
+            ("base", "events_per_process", 2.5),
+            ("base", "users", 2.5),
+            ("base", "error_rate", "0.1"),
+            ("base", "stay_mean_ms", True),
+            ("sweep", "points", [2.7]),
+            ("sweep", "points", ["3"]),
+            (None, "seeds", [1.7]),
+            (None, "seeds", [True]),
+            (None, "seeds", {"count": True}),
         ],
         ids=[
             "scalar-time-string",
@@ -158,6 +183,16 @@ class TestSweepCommand:
             "point-list",
             "seed-negative",
             "seed-too-big",
+            "nodes-float",
+            "events-float",
+            "users-float",
+            "error-rate-string",
+            "time-bool",
+            "point-float",
+            "point-int-string",
+            "seed-float",
+            "seed-bool",
+            "seed-count-bool",
         ],
     )
     def test_malformed_spec_value_exits_2_naming_field(self, tmp_path, part, key, value):
@@ -168,6 +203,46 @@ class TestSweepCommand:
         assert result.exit_code == 2, result.output
         assert f"invalid spec: {part + '.' if part else ''}{key}:" in result.output
         assert not (tmp_path / "out").exists()
+
+    #: Per axis, a valid point and one its field rejects.
+    AXIS_POINTS = {
+        "nodes": (3, 2.7),
+        "instances_per_node": (1, 1.5),
+        "events_per_process": (3, "3"),
+        "event_lifespan_ms": ([10, 20], [10, 20, 30]),
+        "message_delay_ms": (2, "2"),
+        "delay_ms": ([1, 5], [1, 2, 3]),
+        "inter_event_gap_ms": ([5, 10], [None, 10]),
+        "start_jitter_ms": (5, [5, 6]),
+        "error_rate": (0.2, "0.2"),
+        "stay_mean_ms": (1000, True),
+        "users": (3, 2.5),
+        "rooms": (4, 4.0),
+        "peer_fanout": (1, None),
+    }
+
+    def test_every_config_field_is_an_axis(self):
+        assert set(self.AXIS_POINTS) == {*SPEC_FIELDS, "delay_ms"}
+
+    @pytest.mark.parametrize("axis", AXIS_POINTS)
+    def test_axis_point_round_trips_and_a_bad_one_exits_2(self, tmp_path, axis):
+        good, bad = self.AXIS_POINTS[axis]
+        runner = CliRunner()
+        spec = write_spec(tmp_path, dict(SMALL_SPEC, sweep={"axis": axis, "points": [good]}, seeds=[1]))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["sweep", "--spec", str(spec), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = read_results(out / "results.csv")
+        assert [r["detector"] for r in rows] == ["snapshot", "vector"]
+        numeric = sum(good) / 2 if isinstance(good, list) else good
+        assert {r["axis_numeric"] for r in rows} == {numeric}
+        assert len(summarize(rows)["points"]) == 2
+
+        spec = write_spec(tmp_path, dict(SMALL_SPEC, sweep={"axis": axis, "points": [good, bad]}))
+        result = runner.invoke(main, ["sweep", "--spec", str(spec), "--out", str(tmp_path / "bad")])
+        assert result.exit_code == 2, result.output
+        assert "invalid spec: sweep.points:" in result.output
+        assert not (tmp_path / "bad").exists()
 
     def test_bad_seed_override_is_a_usage_error(self, tmp_path):
         spec = write_spec(tmp_path)

@@ -1,19 +1,25 @@
 """The one SimConfig schema: sweep-spec ``base``, manifest echo, trace record."""
 import dataclasses
 import json
+import re
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import snapdetect
 from _corpora import long_traces_corpus, scale_dense_corpus
+from _oracles import three_axis_config_for_point
+from snapdetect import simulate
 from snapdetect.experiment import SpecError, config_for_point, load_spec, parse_spec, run_sweep
 from snapdetect.simulate import MAX_TRAJECTORY_STAYS, ConfigError, SimConfig, generate_trace
 from snapdetect.tracefile import load_trace, save_trace
 
 FIXTURES = sorted((Path(snapdetect.__file__).parent / "fixtures").glob("scenario_*.jsonl"))
-SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+SPECS = sorted((ROOT / "specs").glob("*.json"))
 
 #: Every field but the seed, off its default, under its spec name.
 SPEC_BASE = {
@@ -75,6 +81,82 @@ def test_spec_base_converts_every_field_exactly():
 def test_spec_values_other_than_times_pass_through_raw():
     base = parse_spec(spec(nodes=2, error_rate=0)).base
     assert base.error_rate == 0 and type(base.error_rate) is int
+
+
+def test_spec_range_takes_one_number_as_lo_and_hi():
+    base = parse_spec(spec(nodes=2, message_delay_ms=2.5, inter_event_gap_ms=[1, 3])).base
+    assert base.message_delay_us == (2500, 2500) and base.inter_event_gap_us == (1000, 3000)
+
+
+def test_readme_spec_example_parses_to_the_documented_defaults():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Sweep spec format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    parsed = parse_spec(json.loads(re.sub(r"//.*", "", example)))
+    # Every base value the example lists but two is SimConfig's default.
+    assert parsed.base == SimConfig(nodes=4, events_per_process=8)
+    assert parsed.axis == "delay_ms" and len(parsed.seeds) == 30
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("nodes", 2.0),
+        ("nodes", True),
+        ("users", "3"),
+        ("error_rate", "0.1"),
+        ("error_rate", False),
+        ("message_delay_us", [1, 2]),
+        ("message_delay_us", (1, 2.0)),
+        ("message_delay_us", (1, 2, 3)),
+        ("peer_fanout", 1.0),
+        ("seed", 1.5),
+    ],
+)
+def test_validate_checks_each_field_type_first(field, value):
+    with pytest.raises(ConfigError, match="expected") as err:
+        dataclasses.replace(SPEC_CONFIG, **{field: value}).validate()
+    assert err.value.field == field
+
+
+def test_validate_takes_an_int_error_rate_and_a_null_fanout():
+    dataclasses.replace(SPEC_CONFIG, error_rate=0, peer_fanout=None).validate()
+
+
+def test_field_types_are_read_from_the_annotations_once():
+    with mock.patch.object(simulate, "get_type_hints", side_effect=AssertionError("per call")):
+        SPEC_CONFIG.validate()
+    assert [name for name, _, _ in simulate._FIELD_TYPES] == [f.name for f in dataclasses.fields(SimConfig)]
+
+
+def test_spec_configs_match_the_three_axis_reference():
+    count = 0
+    for sweep in map(load_spec, SPECS):
+        for point in sweep.points:
+            for seed in sweep.seeds:
+                got = config_for_point(sweep.base, sweep.axis, point, seed)
+                assert got == three_axis_config_for_point(sweep.base, sweep.axis, point, seed)
+                count += 1
+    assert count == 390
+
+
+ms = st.one_of(st.integers(0, 10**7), st.floats(0, 1e7, allow_nan=False))
+DELAY_BASE = load_spec(ROOT / "specs" / "delay_sweep.json").base
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("nodes"), st.integers(2, 1000)),
+        st.tuples(st.just("delay_ms"), ms),
+        st.tuples(st.just("delay_ms"), st.lists(ms, min_size=2, max_size=2)),
+        st.tuples(st.just("error_rate"), st.one_of(st.just(0), st.floats(0, 1, exclude_max=True))),
+    ),
+    st.integers(0, 2**64 - 1),
+)
+def test_points_match_the_three_axis_reference(axis_point, seed):
+    axis, point = axis_point
+    want = three_axis_config_for_point(DELAY_BASE, axis, point, seed)
+    assert config_for_point(DELAY_BASE, axis, point, seed) == want
 
 
 def test_spec_base_nodes_is_required():

@@ -85,7 +85,16 @@ def test_config_unknown_key_is_named(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("nodes", 1), ("error_rate", 1.5), ("message_delay_us", [5, 1]), ("message_delay_us", 5)],
+    [
+        ("nodes", 1),
+        ("error_rate", 1.5),
+        ("message_delay_us", [5, 1]),
+        ("message_delay_us", 5),
+        ("nodes", 2.0),
+        ("instances_per_node", 1.0),
+        ("message_delay_us", [5, 10.0]),
+        ("peer_fanout", True),
+    ],
 )
 def test_invalid_config_is_a_format_error(tmp_path, key, value):
     path = _with_config(tmp_path, lambda rec: rec.update({key: value}))
