@@ -23,8 +23,10 @@ families replay it in one order, the columnar timeline that
   columns, as ``simulate.EventColumns`` holds them, and returns the pairs
   as two columns of indices into the ids.  It is the one overlap kernel:
   ``simulate.Trace.truth`` runs it once per trace, and both ground truth
-  and the physical family read that result.  ``physical_detect`` is the
-  same kernel with the pairs as a set.
+  and the physical family read that result as a ``PairKeys``: a read-only
+  set over one sorted int64 column of pair keys, which builds the
+  ``EventId`` pairs only when it is iterated.  ``physical_detect`` is the
+  same kernel with the pairs as a plain set.
 
 ``violation_filter`` lifts detected concurrent pairs into context
 violations under the constraint that one user cannot be read at two
@@ -35,8 +37,9 @@ touch any other reading value.
 """
 from __future__ import annotations
 
+from collections.abc import Collection, Iterator, Set
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -457,6 +460,68 @@ def id_pairs(ids: Sequence[EventId], first: np.ndarray, second: np.ndarray) -> I
     """
     pick = ids.__getitem__
     return zip(map(pick, first.tolist()), map(pick, second.tolist()))
+
+
+class PairKeys(Set):
+    """A read-only set of event pairs, held as one sorted int64 key column.
+
+    Built from ``overlap_columns``'s index columns: the pair
+    ``(ids[i], ids[j])`` is the key ``i * m + j``, m = ``len(ids)``, and
+    ``keys`` holds the keys sorted.  Each pair is in ``pair_key`` form,
+    and iteration yields them in key order, which is sorted ``pair_key``
+    order when ``ids`` is sorted, as in every generated trace.  ``len`` is
+    the column's length.  ``in`` and ``count_common`` look each event up in
+    ``index``, the id-to-index map built with the keys, and search the
+    keys; iteration, and the set operators inherited from ``Set``, build the
+    ``EventId`` pairs as they go and keep none.  The set operators return
+    a ``frozenset``.  A reversed pair, or one naming an event outside
+    ``ids``, is not in the set.  The hash is that of the equal
+    ``frozenset``.
+    """
+
+    __slots__ = ("ids", "keys", "index")
+
+    def __init__(self, ids: Sequence[EventId], first: np.ndarray, second: np.ndarray):
+        keys = first.astype(np.int64) * len(ids) + second
+        keys.sort()
+        keys.flags.writeable = False
+        self.ids = ids
+        self.keys = keys
+        self.index: dict[EventId, int] = dict(zip(ids, range(len(ids))))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[PairKey]:
+        first, second = np.divmod(self.keys, len(self.ids))
+        pick = self.ids.__getitem__
+        return zip(map(pick, first.tolist()), map(pick, second.tolist()))
+
+    def __contains__(self, pair: object) -> bool:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            return False
+        return self.count_common(((a, b),)) == 1
+
+    def count_common(self, pairs: Collection[PairKey]) -> int:
+        """How many of ``pairs`` are in this set; ``pairs`` holds no repeats."""
+        if pairs is self:
+            return len(self.keys)
+        if not len(self.keys) or not len(pairs):
+            return 0
+        flat = chain.from_iterable(pairs)
+        at = np.fromiter(map(self.index.get, flat, repeat(-1)), dtype=np.int64, count=2 * len(pairs))
+        first, second = at[::2], at[1::2]
+        query = (first * len(self.ids) + second)[(first | second) >= 0]  # -1: not in ``ids``
+        found = self.keys.take(self.keys.searchsorted(query), mode="clip") == query
+        return int(np.count_nonzero(found))
+
+    @classmethod
+    def _from_iterable(cls, pairs: Iterable[PairKey]) -> frozenset[PairKey]:
+        return frozenset(pairs)
+
+    __hash__ = Set._hash
 
 
 def physical_detect(

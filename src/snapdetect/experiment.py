@@ -84,13 +84,38 @@ def spec_value(key: str, value):
     return tuple(map(convert, bounds))
 
 
+def _checked_spec_value(key: str, value):
+    """``spec_value``, with an empty or negative range rejected as the spec wrote it.
+
+    ``SimConfig.validate`` rejects the same ranges, but quotes microseconds.
+    """
+    got = spec_value(key, value)
+    if is_range(AXIS_FIELDS[key]) and not 0 <= got[0] <= got[1]:
+        raise ValueError(f"range empty or negative: {value!r}")
+    return got
+
+
+#: The spec key of each ``SimConfig`` field: a time is written ``_ms``.
+_SPEC_KEYS = {f.name: key for key, f in SPEC_FIELDS.items()}
+
+
+def _spec_terms(exc: ConfigError, axis: Optional[str] = None) -> tuple[str, str]:
+    """The spec key of the field ``exc`` names, and its message naming that key.
+
+    The key is ``axis`` when ``exc`` names the axis's field, so a
+    ``delay_ms`` point's error says ``delay_ms``.
+    """
+    key = axis if axis is not None and AXIS_FIELDS[axis].name == exc.field else _SPEC_KEYS.get(exc.field, exc.field)
+    return key, f"{key}: {exc.reason}"
+
+
 def _base_config(raw: dict) -> SimConfig:
     kwargs = {}
     for key, value in raw.items():
         if key not in SPEC_FIELDS:
             raise SpecError(f"base.{key}", "unknown field")
         try:
-            kwargs[SPEC_FIELDS[key].name] = spec_value(key, value)
+            kwargs[SPEC_FIELDS[key].name] = _checked_spec_value(key, value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"base.{key}", str(exc)) from None
     if "nodes" not in raw:
@@ -99,7 +124,8 @@ def _base_config(raw: dict) -> SimConfig:
     try:
         base.validate()
     except ConfigError as exc:
-        raise SpecError(f"base.{exc.field}", str(exc)) from exc
+        key, message = _spec_terms(exc)
+        raise SpecError(f"base.{key}", message) from exc
     return base
 
 
@@ -134,7 +160,10 @@ def parse_spec(data: dict) -> ExperimentSpec:
         try:
             if point is None:  # peer_fanout takes null, but results.csv needs a number
                 raise TypeError("a point must be a number")
+            _checked_spec_value(axis, point)
             config_for_point(base, axis, point, seeds[0]).validate()
+        except ConfigError as exc:
+            raise SpecError("sweep.points", f"bad point {point!r}: {_spec_terms(exc, axis)[1]}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError("sweep.points", f"bad point {point!r}: {exc}") from exc
 
@@ -203,9 +232,10 @@ def _job(args: tuple) -> list[dict]:
 
 
 def _axis_repr(point) -> str:
+    """A point as ``results.csv`` writes it: ``repr`` keeps distinct floats distinct."""
     if isinstance(point, (list, tuple)):
-        return "-".join(format(p, "g") for p in point)
-    return format(point, "g") if isinstance(point, float) else str(point)
+        return "-".join(map(repr, point))
+    return repr(point)
 
 
 @dataclass
@@ -329,7 +359,7 @@ def read_results(csv_path: str | Path) -> list[dict]:
 
 
 #: The ``-`` between a range point's bounds: not leading, not an exponent sign
-#: (``_axis_repr`` writes floats with ``"g"``, so ``1e-05-1`` is a range).
+#: (``_axis_repr`` writes floats with ``repr``, so ``1e-05-1`` is a range).
 _RANGE_SEP = re.compile(r"(?<=[^eE])-")
 
 

@@ -24,7 +24,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional, get_type_hints
+from typing import AbstractSet, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -33,10 +33,10 @@ from .detectors import (
     ContextReading,
     EventId,
     PairKey,
+    PairKeys,
     SnapshotDetector,
     StampOverflowError,
     Violation,
-    id_pairs,
     lift_violations,
     overlap_columns,
     physical_detect,  # noqa: F401  (perfbench/tracing.py wraps it in this module)
@@ -57,11 +57,12 @@ MAX_TRAJECTORY_STAYS = 1 << 20
 
 
 class ConfigError(ValueError):
-    """Invalid simulation parameter; ``field`` names the offender."""
+    """Invalid simulation parameter; ``field`` names the offender, ``reason`` says what is wrong."""
 
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+        self.reason = message
 
 
 @dataclass(frozen=True)
@@ -255,18 +256,15 @@ class Trace:
         The overlap kernel ``overlap_columns`` runs here and nowhere else in
         a run, and ``lift_violations`` lifts its pairs on the same index
         columns: ``ground_truth`` and the physical family both return this
-        result.
+        result.  The pairs are kept as a ``PairKeys``, one int64 key per
+        pair, so no ``EventId`` pair is built unless a caller iterates them.
         """
         columns = self.event_columns  # rejects a malformed event identity
         counters = OpCounters()
         ids = [e.id for e in self.events]
         first, second = overlap_columns(ids, columns.start_us, columns.end_us, counters)
         violations = lift_violations(ids, [e.reading for e in self.events], first, second)
-        pairs = id_pairs(ids, first, second)
-        del first, second  # the pairs are read from lists now
-        # frozenset(set) right-sizes the hash table: each kept pair set takes
-        # about half the memory of the grown set it copies.
-        return GroundTruth(frozenset(set(pairs)), frozenset(violations), counters.pair_checks)
+        return GroundTruth(PairKeys(ids, first, second), frozenset(violations), counters.pair_checks)
 
 
 @dataclass(frozen=True)
@@ -277,7 +275,7 @@ class GroundTruth:
     family reports it as its own.
     """
 
-    concurrent_pairs: frozenset[PairKey]
+    concurrent_pairs: PairKeys
     violations: frozenset[Violation]
     pair_checks: int
 
@@ -683,7 +681,9 @@ class DetectorFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class RunResult:
-    detected_pairs: frozenset[PairKey]
+    """One family's output; the physical family's pairs are ground truth's ``PairKeys``."""
+
+    detected_pairs: AbstractSet[PairKey]
     violations: frozenset[Violation]
     counters: OpCounters
     dropped: int
@@ -1010,19 +1010,19 @@ def _stamps(known: np.ndarray, rows: np.ndarray, counts: np.ndarray, owner: np.n
 def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
     """Replay a trace through one detector family and collect its output."""
     counters = OpCounters()
-    dropped = 0
     if family is DetectorFamily.PHYSICAL:
         # Wall-time overlap is ground truth, computed once per trace.
         truth = trace.truth
         counters.events_processed += len(trace.events)
         counters.pair_checks += truth.pair_checks
-        detected, violations = truth.concurrent_pairs, truth.violations
+        return RunResult(truth.concurrent_pairs, truth.violations, counters, 0)
+    if family is DetectorFamily.SNAPSHOT:
+        detected, dropped = _run_snapshot(trace, counters)
     else:
-        if family is DetectorFamily.SNAPSHOT:
-            detected, dropped = _run_snapshot(trace, counters)
-        else:
-            ids, lo, hi = _replay_vector(trace, counters)
-            detected = vector_detect(ids, lo, hi, counters)
-        violations = violation_filter(detected, trace.readings())
-    # Copied as in ``Trace.truth``: the copy right-sizes the hash table.
+        ids, lo, hi = _replay_vector(trace, counters)
+        detected = vector_detect(ids, lo, hi, counters)
+        dropped = 0
+    violations = violation_filter(detected, trace.readings())
+    # frozenset(set) right-sizes the hash table: each kept pair set takes
+    # about half the memory of the grown set it copies.
     return RunResult(frozenset(detected), frozenset(violations), counters, dropped)

@@ -305,7 +305,7 @@ class TestReportCommand:
         ids=["exponent-point", "exponent-range"],
     )
     def test_exponent_axis_values_are_read_back(self, tmp_path, axis, points, numeric):
-        # format(p, "g") writes 0.00001 as 1e-05, whose "-" is not a range separator.
+        # repr writes 0.00001 as 1e-05, whose "-" is not a range separator.
         spec = write_spec(tmp_path, dict(SMALL_SPEC, sweep={"axis": axis, "points": points}))
         out = tmp_path / "out"
         result = CliRunner().invoke(main, ["sweep", "--spec", str(spec), "--out", str(out)])
@@ -314,6 +314,25 @@ class TestReportCommand:
         assert result.exit_code == 0, result.output
         rows = read_results(out / "results.csv")
         assert {r["axis_value"]: r["axis_numeric"] for r in rows} == numeric
+
+    @pytest.mark.parametrize(
+        "axis, points",
+        [
+            ("stay_mean_ms", [1234567.0, 1234568.0]),
+            ("error_rate", [0.1234567, 0.1234568]),
+            ("delay_ms", [[0.1234567, 0.1234568], [0.1234567, 0.1234569]]),
+        ],
+        ids=["large", "small", "range"],
+    )
+    def test_close_float_points_stay_two_cells(self, tmp_path, axis, points):
+        # Six significant digits would write both points as one axis_value.
+        spec = dict(SMALL_SPEC, sweep={"axis": axis, "points": points}, seeds=[1], detectors=["snapshot"])
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["sweep", "--spec", str(write_spec(tmp_path, spec)), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = read_results(out / "results.csv")
+        assert len({r["axis_value"] for r in rows}) == 2
+        assert len(summarize(rows)["points"]) == 2
 
     def test_missing_file_exits_2(self, tmp_path):
         result = CliRunner().invoke(main, ["report", str(tmp_path / "nope.csv")])

@@ -13,7 +13,7 @@ import snapdetect
 from _corpora import long_traces_corpus, scale_dense_corpus
 from _oracles import three_axis_config_for_point
 from snapdetect import simulate
-from snapdetect.experiment import SpecError, config_for_point, load_spec, parse_spec, run_sweep
+from snapdetect.experiment import SpecError, _axis_numeric, _axis_repr, config_for_point, load_spec, parse_spec, run_sweep
 from snapdetect.simulate import MAX_TRAJECTORY_STAYS, ConfigError, SimConfig, generate_trace
 from snapdetect.tracefile import load_trace, save_trace
 
@@ -159,6 +159,36 @@ def test_points_match_the_three_axis_reference(axis_point, seed):
     assert config_for_point(DELAY_BASE, axis, point, seed) == want
 
 
+finite = st.one_of(st.integers(-(10**20), 10**20), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(finite, finite)
+def test_axis_value_keeps_every_point_and_reads_back(a, b):
+    for point, want in ((a, float(a)), ([a, b], (float(a) + float(b)) / 2.0)):
+        written = _axis_repr(point)
+        assert _axis_numeric(written) == want, written
+    if a != b:
+        assert _axis_repr(a) != _axis_repr(b)
+
+
+@pytest.mark.parametrize(
+    "point, written",
+    [
+        (1234567.0, "1234567.0"),
+        (1234568.0, "1234568.0"),
+        (0.25, "0.25"),
+        (1e-05, "1e-05"),
+        (1e16, "1e+16"),
+        (-2.5e-07, "-2.5e-07"),
+        ([1e-05, 1], "1e-05-1"),
+        ([-1.5, -2e-05], "-1.5--2e-05"),
+        (5, "5"),
+    ],
+)
+def test_axis_value_is_the_repr_of_each_point(point, written):
+    assert _axis_repr(point) == written
+
+
 def test_spec_base_nodes_is_required():
     with pytest.raises(SpecError) as err:
         parse_spec(spec(instances_per_node=2))
@@ -175,8 +205,8 @@ def test_spec_base_rejects_unknown_keys(key):
 @pytest.mark.parametrize(
     "data, field",
     [
-        (spec(nodes=2, event_lifespan_ms=[1, 2**62]), "base.event_lifespan_us"),
-        (spec(nodes=2, message_delay_ms=[1, 1e16]), "base.message_delay_us"),
+        (spec(nodes=2, event_lifespan_ms=[1, 2**62]), "base.event_lifespan_ms"),
+        (spec(nodes=2, message_delay_ms=[1, 1e16]), "base.message_delay_ms"),
         (dict(spec(nodes=2), sweep={"axis": "delay_ms", "points": [1, 1e16]}), "sweep.points"),
     ],
     ids=["lifespan", "delay", "delay-point"],
@@ -187,6 +217,39 @@ def test_spec_horizon_past_int64_is_rejected(tmp_path, data, field):
     with pytest.raises(SpecError, match="exceeds 2\\*\\*63 - 1") as err:
         load_spec(path)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "data, field, message",
+    [
+        (spec(nodes=2, event_lifespan_ms=[50, 20]), "base.event_lifespan_ms", "range empty or negative: [50, 20]"),
+        (spec(nodes=2, message_delay_ms=-2), "base.message_delay_ms", "range empty or negative: -2"),
+        (spec(nodes=2, start_jitter_ms=-1), "base.start_jitter_ms", "start_jitter_ms: must be non-negative"),
+        (spec(nodes=2, event_lifespan_ms=[0, 1]), "base.event_lifespan_ms", "event_lifespan_ms: events need"),
+        (
+            dict(spec(nodes=2), sweep={"axis": "delay_ms", "points": [[5, 1]]}),
+            "sweep.points",
+            "bad point [5, 1]: range empty or negative: [5, 1]",
+        ),
+        (
+            dict(spec(nodes=2), sweep={"axis": "delay_ms", "points": [1e16]}),
+            "sweep.points",
+            "bad point 1e+16: delay_ms: worst-case horizon",
+        ),
+        (
+            dict(spec(nodes=2), sweep={"axis": "message_delay_ms", "points": [1e16]}),
+            "sweep.points",
+            "bad point 1e+16: message_delay_ms: worst-case horizon",
+        ),
+    ],
+    ids=["lifespan-range", "delay-scalar", "jitter", "lifespan-zero", "delay-point", "delay-horizon", "alias-horizon"],
+)
+def test_spec_errors_name_the_key_the_spec_wrote(data, field, message):
+    with pytest.raises(SpecError) as err:
+        parse_spec(data)
+    assert err.value.field == field
+    assert message in str(err.value)
+    assert "_us" not in str(err.value)
 
 
 def test_trajectory_stall_is_rejected_at_once():

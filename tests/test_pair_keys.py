@@ -1,0 +1,147 @@
+"""Ground truth's pairs as a sorted int64 key column, against a frozenset copy.
+
+``Trace.truth`` keeps the overlap pairs as a ``detectors.PairKeys``, and
+``metrics.score`` counts hits on it by key.  Scoring any detected set
+against the view must give the report it gives against
+``frozenset(view)``, and the view must behave as that frozenset under the
+``Set`` protocol.
+"""
+import dataclasses
+import random
+
+from hypothesis import example, given, settings, strategies as st
+
+from _oracles import brute_force_overlap
+from snapdetect.detectors import EventId, PairKeys, pair_key
+from snapdetect.metrics import score
+from snapdetect.simulate import DetectorFamily, SimConfig, Trace, TraceEvent, generate_trace, ground_truth, run_trace
+
+FOREIGN = (EventId(9, 0), EventId(9, 1), EventId(0, 99))
+
+
+def hand_made_trace(spans, listing) -> Trace:
+    """Events from ``(process, start, length)`` spans, listed in ``listing`` order.
+
+    Each process's seqs follow its starts, as ``event_columns`` requires.
+    """
+    by_process: dict[int, list] = {}
+    for process, start, length in sorted(spans):
+        seq = len(by_process.setdefault(process, []))
+        by_process[process].append(TraceEvent(EventId(process, seq), process, start, start + length))
+    events = [e for process in sorted(by_process) for e in by_process[process]]
+    events = tuple(events[k] for k in listing(len(events)))
+    return Trace(events, (), SimConfig(nodes=3, instances_per_node=1, seed=0))
+
+
+hand_made = st.builds(
+    hand_made_trace,
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 8), st.integers(1, 4)), max_size=10),
+    st.sampled_from([lambda m: range(m), lambda m: range(m - 1, -1, -1), lambda m: [*range(1, m, 2), *range(0, m, 2)]]),
+)
+generated = st.builds(
+    lambda nodes, events, seed: generate_trace(
+        SimConfig(nodes=nodes, instances_per_node=1, events_per_process=events, message_delay_us=(1_000, 5_000), seed=seed)
+    ),
+    st.integers(2, 4),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+)
+
+
+def detected_sets(rnd: random.Random, trace: Trace, view: PairKeys) -> list:
+    """One of each kind of detected set the scoring must agree on."""
+    truth = sorted(view)
+    ids = [e.id for e in trace.events]
+    inside = rnd.sample(truth, rnd.randint(0, len(truth)))
+    extra = [pair_key(rnd.choice(ids), rnd.choice(ids)) for _ in range(rnd.randint(0, 6))] if ids else []
+    alien = [pair_key(rnd.choice(FOREIGN), rnd.choice(ids + list(FOREIGN))) for _ in range(rnd.randint(1, 4))]
+    reversed_pairs = [(b, a) for a, b in inside]
+    plain = [(tuple(a), tuple(b)) for a, b in inside]  # equal to the EventId pairs
+    mixed = inside + extra + alien + reversed_pairs
+    return [
+        set(inside),
+        frozenset(inside + extra),
+        set(reversed_pairs),
+        set(alien + inside),
+        set(plain),
+        set(mixed),
+        mixed + mixed[::2],  # a list with repeats
+        set(),
+        [],
+        view,
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(hand_made, generated), st.randoms(use_true_random=False))
+@example(hand_made_trace([], range), random.Random(0))  # no events
+@example(hand_made_trace([(0, 0, 2), (1, 2, 2), (2, 4, 1)], range), random.Random(1))  # touching spans: empty truth
+def test_score_by_key_equals_score_on_a_frozenset(trace, rnd):
+    truth = ground_truth(trace)
+    view = truth.concurrent_pairs
+    assert isinstance(view, PairKeys)
+    copy = frozenset(view)
+    assert copy == brute_force_overlap(trace)
+    for detected in detected_sets(rnd, trace, view):
+        want = score(detected, copy)
+        assert score(detected, view) == want, detected
+        assert score(detected, truth) == want, detected
+    assert score(view, copy) == score(copy, copy) == score(view, view)
+
+
+def test_score_counts_every_hit_on_the_spec_style_trace():
+    trace = generate_trace(SimConfig(nodes=4, events_per_process=8, message_delay_us=(1_000, 5_000), seed=3))
+    truth = ground_truth(trace)
+    copy = frozenset(truth.concurrent_pairs)
+    for family in DetectorFamily:
+        detected = run_trace(trace, family).detected_pairs
+        assert score(detected, truth) == score(detected, copy)
+        assert score(detected, truth).recall > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(hand_made, generated))
+def test_view_is_the_frozenset_of_its_pairs(trace):
+    truth = ground_truth(trace)
+    view = truth.concurrent_pairs
+    want = brute_force_overlap(trace)
+    copy = frozenset(want)
+    pairs = list(view)
+    assert sorted(pairs) == sorted(want) and len(view) == len(want)
+    assert all(pair == pair_key(*pair) for pair in pairs)
+    ids = [e.id for e in trace.events]
+    if ids == sorted(ids):
+        assert pairs == sorted(want)
+    assert view == copy and copy == view
+    assert view <= copy and copy <= view and view >= copy and copy >= view
+    assert not view < copy and not copy < view
+    for a in ids:
+        for b in ids:
+            assert ((a, b) in view) == ((a, b) in copy)
+    extra = (FOREIGN[0], FOREIGN[1])
+    assert extra not in view and "ab" not in view and 3 not in view and (FOREIGN[0],) not in view
+    assert view | {extra} == copy | {extra} == {extra} | view
+    assert isinstance(view | {extra}, frozenset)
+    assert view - {extra} == copy and copy - view == frozenset()
+    assert view & copy == copy and view ^ copy == frozenset()
+    if want:
+        one = min(want)
+        smaller = copy - {one}
+        assert smaller < view and view > smaller and not view <= smaller
+        assert view != smaller and smaller != view
+        assert view - smaller == {one} and smaller - view == frozenset()
+        assert one in view and tuple(reversed(one)) not in view
+    # Hashable as the equal frozenset, so GroundTruth stays hashable.
+    assert hash(view) == hash(copy)
+    assert hash(truth) == hash(dataclasses.replace(truth, concurrent_pairs=copy))
+    assert {truth, dataclasses.replace(truth)} == {truth}
+
+
+def test_physical_family_returns_the_view_itself():
+    trace = generate_trace(SimConfig(nodes=3, events_per_process=4, message_delay_us=(1_000, 5_000), seed=5))
+    truth = ground_truth(trace)
+    physical = run_trace(trace, DetectorFamily.PHYSICAL)
+    assert physical.detected_pairs is truth.concurrent_pairs
+    report = score(physical.detected_pairs, truth)
+    assert report.recall == report.precision == 1.0
+    assert report.true_pairs == report.detected_pairs == len(truth.concurrent_pairs) > 0
