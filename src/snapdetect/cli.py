@@ -76,7 +76,9 @@ def cmd_scenarios(fixture_dir: Path | None, verbose: bool) -> None:
 @main.command("sweep")
 @click.option("--spec", "spec_path", required=True, type=click.Path(path_type=Path))
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
-@click.option("--jobs", default=1, show_default=True, help="Parallel worker processes.")
+@click.option(
+    "--jobs", default=1, show_default=True, type=click.IntRange(min=1), help="Parallel worker processes."
+)
 @click.option("--seed-override", type=int, default=None, help="Run a single seed instead of the spec's list.")
 @click.option("--verbose", is_flag=True)
 def cmd_sweep(spec_path: Path, out_dir: Path, jobs: int, seed_override: int | None, verbose: bool) -> None:

@@ -20,20 +20,24 @@ families replay it in one order, the columnar timeline that
 * ``overlap_columns`` -- wall-clock interval overlap under synchronized
   physical clocks: one ``searchsorted`` over the spans sorted by start
   finds each span's later partners.  It takes the spans as int64
-  columns, as ``simulate.EventColumns`` holds them, and returns the pairs
-  as two columns of indices into the ids.  It is the one overlap kernel:
-  ``simulate.Trace.truth`` runs it once per trace, and both ground truth
-  and the physical family read that result as a ``PairKeys``: a read-only
-  set over one sorted int64 column of pair keys, which builds the
-  ``EventId`` pairs only when it is iterated.  ``physical_detect`` is the
-  same kernel with the pairs as a plain set.
+  columns, as ``simulate.EventColumns`` holds them.  It is the one overlap
+  kernel: ``simulate.Trace.truth`` runs it once per trace, and both ground
+  truth and the physical family read that result.  ``physical_detect`` is
+  the same kernel with the pairs as a plain set.
+
+``vector_detect`` and ``overlap_columns`` return their pairs as two columns
+of indices into their ids.  ``simulate.run_trace`` keeps every family's
+pairs as a ``PairKeys``: a read-only set over one sorted int64 column of
+pair keys over the trace's own ids, which builds the ``EventId`` pairs only
+when it is iterated.  Two views over one ids list are compared key
+against key.
 
 ``violation_filter`` lifts detected concurrent pairs into context
 violations under the constraint that one user cannot be read at two
 different locations at the same time.  ``lift_violations`` gives the same
-result on the kernel's index columns: a numpy mask over int32 codes of
-``str`` users and locations, with ``violation_filter`` kept for pairs that
-touch any other reading value.
+result on index columns: a numpy mask over the int32 codes of ``str``
+users and locations that ``ReadingCodes`` holds, with ``violation_filter``
+kept for pairs that touch any other reading value.
 """
 from __future__ import annotations
 
@@ -307,14 +311,18 @@ def vector_detect(
     lo: np.ndarray,
     hi: np.ndarray,
     counters: Optional[OpCounters] = None,
-) -> set[PairKey]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Vector-clock baseline: report pairs with mutually ordered endpoints.
 
     ``lo`` and ``hi`` are int64 (m, n) arrays whose row i holds the
     stamps of event ``ids[i]``.  A pair (i, j) is concurrent when
     ``lo_i < hi_j`` and ``lo_j < hi_i`` under the strict slot-wise order.
-    The modelled baseline decides all m(m-1)/2 pairs, and ``pair_checks``
-    counts those decisions; the host tests only candidate pairs.
+    Returns the concurrent pairs as the columns ``first`` and ``second``
+    of rows, ``first[k] < second[k]``, so pair k is
+    ``(ids[first[k]], ids[second[k]])`` in ``pair_key`` order; each pair
+    appears once.  The modelled baseline decides all m(m-1)/2 pairs, and
+    ``pair_checks`` counts those decisions; the host tests only candidate
+    pairs.
 
     Contract, which every vector replay meets: ``ids`` are sorted with no
     repeats, each event's process p is a slot index (0 <= p < n), and
@@ -360,7 +368,7 @@ def vector_detect(
     # Cells (i, c) with room for a candidate, in row order.
     i, c = (upper.T > np.maximum(np.arange(1, m + 1)[:, None], starts)).nonzero()
     if not len(i):
-        return set()
+        return i, c
     # L from row run(i) of ``most``: K[j, p_i] along j, its running max
     # taken within each run c and keyed by (run(i), c), so the flat array
     # is sorted and one search finds every cell's first j past i.
@@ -389,8 +397,7 @@ def vector_detect(
         del cell, skip
     del pieces
     spent = np.concatenate(([0], (count * n).cumsum()))
-    found: set[PairKey] = set()
-    pick = ids.__getitem__
+    first, second = [i[:0]], [i[:0]]
     a, last = 0, len(count)
     while a < last:
         e = max(a + 1, int(spent.searchsorted(spent[a] + VECTOR_SCAN_BLOCK_CELLS, "right")) - 1)
@@ -399,9 +406,10 @@ def vector_detect(
         col = np.repeat(start[a:e] - k.cumsum() + k, k) + np.arange(len(row))
         hit = _strictly_below(lo[row], hi[col])
         hit &= _strictly_below(lo[col], hi[row])
-        found.update(zip(map(pick, row[hit].tolist()), map(pick, col[hit].tolist())))
+        first.append(row[hit])
+        second.append(col[hit])
         a = e
-    return found
+    return np.concatenate(first), np.concatenate(second)
 
 
 def overlap_columns(
@@ -465,29 +473,34 @@ def id_pairs(ids: Sequence[EventId], first: np.ndarray, second: np.ndarray) -> I
 class PairKeys(Set):
     """A read-only set of event pairs, held as one sorted int64 key column.
 
-    Built from ``overlap_columns``'s index columns: the pair
-    ``(ids[i], ids[j])`` is the key ``i * m + j``, m = ``len(ids)``, and
-    ``keys`` holds the keys sorted.  Each pair is in ``pair_key`` form,
-    and iteration yields them in key order, which is sorted ``pair_key``
-    order when ``ids`` is sorted, as in every generated trace.  ``len`` is
-    the column's length.  ``in`` and ``count_common`` look each event up in
-    ``index``, the id-to-index map built with the keys, and search the
-    keys; iteration, and the set operators inherited from ``Set``, build the
-    ``EventId`` pairs as they go and keep none.  The set operators return
-    a ``frozenset``.  A reversed pair, or one naming an event outside
-    ``ids``, is not in the set.  The hash is that of the equal
-    ``frozenset``.
+    Built from index columns into ``ids``, as ``overlap_columns`` and
+    ``vector_detect`` return them: the pair ``(ids[i], ids[j])`` is the key
+    ``i * m + j``, m = ``len(ids)``, and ``keys`` holds the keys sorted.
+    The columns hold no pair twice, and each pair is in ``pair_key`` form;
+    iteration yields them in key order, which is sorted ``pair_key`` order
+    when ``ids`` is sorted, as in every generated trace.  ``index`` is the
+    id-to-index map of ``ids``, which a trace builds once and shares with
+    every view over its ids.  ``len`` is the column's length.
+    ``count_common`` searches another view over the same ``ids`` object
+    key against key; ``in``, and ``count_common`` of any other collection,
+    look each event up in ``index`` and search the keys.  Iteration, and
+    the set operators inherited from ``Set``, build the ``EventId`` pairs
+    as they go and keep none.  The set operators return a ``frozenset``.
+    A reversed pair, or one naming an event outside ``ids``, is not in the
+    set.  The hash is that of the equal ``frozenset``.
     """
 
     __slots__ = ("ids", "keys", "index")
 
-    def __init__(self, ids: Sequence[EventId], first: np.ndarray, second: np.ndarray):
+    def __init__(
+        self, ids: Sequence[EventId], index: Mapping[EventId, int], first: np.ndarray, second: np.ndarray
+    ):
         keys = first.astype(np.int64) * len(ids) + second
         keys.sort()
         keys.flags.writeable = False
         self.ids = ids
         self.keys = keys
-        self.index: dict[EventId, int] = dict(zip(ids, range(len(ids))))
+        self.index = index
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -510,10 +523,13 @@ class PairKeys(Set):
             return len(self.keys)
         if not len(self.keys) or not len(pairs):
             return 0
-        flat = chain.from_iterable(pairs)
-        at = np.fromiter(map(self.index.get, flat, repeat(-1)), dtype=np.int64, count=2 * len(pairs))
-        first, second = at[::2], at[1::2]
-        query = (first * len(self.ids) + second)[(first | second) >= 0]  # -1: not in ``ids``
+        if isinstance(pairs, PairKeys) and pairs.ids is self.ids:
+            query = pairs.keys
+        else:
+            flat = chain.from_iterable(pairs)
+            at = np.fromiter(map(self.index.get, flat, repeat(-1)), dtype=np.int64, count=2 * len(pairs))
+            first, second = at[::2], at[1::2]
+            query = (first * len(self.ids) + second)[(first | second) >= 0]  # -1: not in ``ids``
         found = self.keys.take(self.keys.searchsorted(query), mode="clip") == query
         return int(np.count_nonzero(found))
 
@@ -553,45 +569,66 @@ def violation_filter(
     return violations
 
 
+class ReadingCodes(NamedTuple):
+    """Events' readings with the int32 codes ``lift_violations`` compares.
+
+    ``readings[i]`` is the reading of event i, or None.  A reading whose
+    user and location are both ``str`` is plain: ``kind[i]`` (int8) is 1,
+    and ``user[i]`` and ``place[i]`` code its values, one int32 per
+    distinct ``str``.  ``kind[i]`` is 0 for no reading and 2 for a reading
+    whose user or location is of any other type.  Build it with ``of``,
+    once per list of readings.
+    """
+
+    readings: Sequence[Optional[ContextReading]]
+    kind: np.ndarray
+    user: np.ndarray
+    place: np.ndarray
+
+    @classmethod
+    def of(cls, readings: Sequence[Optional[ContextReading]]) -> ReadingCodes:
+        m = len(readings)
+        kind = np.zeros(m, dtype=np.int8)
+        user = np.zeros(m, dtype=np.int32)
+        place = np.zeros(m, dtype=np.int32)
+        codes: dict[str, int] = {}
+        for i, r in enumerate(readings):
+            if r is None:
+                continue
+            u, loc = r.user, r.location
+            if type(u) is str and type(loc) is str:
+                kind[i] = 1
+                user[i] = codes.setdefault(u, len(codes))
+                place[i] = codes.setdefault(loc, len(codes))
+            else:
+                kind[i] = 2
+        return cls(readings, kind, user, place)
+
+
 def lift_violations(
     ids: Sequence[EventId],
-    readings: Sequence[Optional[ContextReading]],
+    codes: ReadingCodes,
     first: np.ndarray,
     second: np.ndarray,
 ) -> set[Violation]:
     """``violation_filter`` of the pairs ``(ids[first[k]], ids[second[k]])``, lifted on the columns.
 
-    ``readings[i]`` is the reading of ``ids[i]``, or None, and each pair is
-    in ``pair_key`` order, as ``overlap_columns`` gives them.  An event whose
-    user and location are both ``str`` is plain: its user and location are
-    coded as int32 ids of their values, and a pair of plain events is a
-    violation exactly when its user codes are equal and its location codes
-    differ.  One numpy mask finds those pairs, and a ``Violation`` is built
-    for the hits alone.  A pair that touches an event with a reading whose
-    user or location is of any other type goes through ``violation_filter``,
-    so ``==`` decides it there (``1 == True``; a list is unhashable).
+    ``codes`` holds the reading of each of ``ids``, and each pair is in
+    ``pair_key`` order, as ``overlap_columns`` and ``vector_detect`` give
+    them.  A pair of plain events is a violation exactly when its user
+    codes are equal and its location codes differ.  One numpy mask finds
+    those pairs, and a ``Violation`` is built for the hits alone.  A pair
+    that touches an event whose reading is not plain goes through
+    ``violation_filter``, so ``==`` decides it there (``1 == True``; a list
+    is unhashable).
     """
-    m = len(ids)
-    kind = np.zeros(m, dtype=np.int8)  # 0: no reading, 1: plain, 2: other
-    user = np.zeros(m, dtype=np.int32)
-    place = np.zeros(m, dtype=np.int32)
-    codes: dict[str, int] = {}
-    for i, r in enumerate(readings):
-        if r is None:
-            continue
-        u, loc = r.user, r.location
-        if type(u) is str and type(loc) is str:
-            kind[i] = 1
-            user[i] = codes.setdefault(u, len(codes))
-            place[i] = codes.setdefault(loc, len(codes))
-        else:
-            kind[i] = 2
+    readings, kind, user, place = codes
     plain = kind == 1
     hit = plain[first] & plain[second]
     hit &= user[first] == user[second]
     hit &= place[first] != place[second]
     hits = np.flatnonzero(hit)
-    del hit, plain, user, place
+    del hit, plain
     found = set()
     for a, b in zip(first[hits].tolist(), second[hits].tolist()):
         ra, rb = readings[a], readings[b]

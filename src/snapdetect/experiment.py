@@ -254,7 +254,13 @@ def run_sweep(
     jobs: int = 1,
     seed_override: Optional[int] = None,
 ) -> SweepOutcome:
-    """Run the full grid and write results.csv plus manifest.json."""
+    """Run the full grid and write results.csv plus manifest.json.
+
+    ``jobs`` is the number of worker processes; 1 runs the grid in this
+    process, and a value below 1 raises ``ValueError``.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = (seed_override,) if seed_override is not None else spec.seeds

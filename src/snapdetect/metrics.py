@@ -48,15 +48,16 @@ def score(detected, truth) -> AccuracyReport:
     ``truth`` is either a ``GroundTruth`` (its ``concurrent_pairs`` are
     used) or a plain collection of canonical event-id pairs.  A set,
     frozenset or other ``Set`` is read as given; any other iterable is
-    made a set once.  When the truth is a ``detectors.PairKeys``, as
-    ``GroundTruth`` holds it, the hits are counted by key: each detected
-    pair's events go through its id-to-index map and one ``searchsorted``
-    finds the keys, so no pair set is built or intersected; when the
-    detected set is that same ``PairKeys`` (the physical family), every
-    pair is a hit.  Otherwise the hits are ``len(detected & truth)``.
-    Either way each detected element is a pair of event ids.  Recall over
-    an empty truth set, and precision over an empty detection set, are
-    defined as 1.
+    made a set once.  When either side is a ``detectors.PairKeys``, as
+    ``GroundTruth`` and every ``RunResult`` hold their pairs, the hits are
+    counted by key: against another view over the same ids (a run's pairs
+    against its trace's truth), one ``searchsorted`` of one key column in
+    the other; against any other collection, each pair's events go
+    through the view's id-to-index map first.  When the two sides are one
+    view (the physical family), every pair is a hit.  Otherwise the hits
+    are ``len(detected & truth)``.  Either way each detected element is a
+    pair of event ids.  Recall over an empty truth set, and precision over
+    an empty detection set, are defined as 1.
     """
     from .detectors import PairKeys  # detectors imports this module
 
@@ -64,6 +65,8 @@ def score(detected, truth) -> AccuracyReport:
     true_pairs = _as_set(getattr(truth, "concurrent_pairs", truth))
     if isinstance(true_pairs, PairKeys):
         hits = true_pairs.count_common(detected)
+    elif isinstance(detected, PairKeys):
+        hits = detected.count_common(true_pairs)
     else:
         hits = len(detected & true_pairs)
     recall = hits / len(true_pairs) if true_pairs else 1.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .detectors import EventId, PairKey, pair_key
 from .simulate import DetectorFamily, SimConfig, Trace, TraceEvent, TraceMessage, run_trace
@@ -93,8 +93,8 @@ def write_fixtures(fixture_dir: Path) -> None:
 @dataclass(frozen=True)
 class ScenarioResult:
     name: str
-    snapshot_pairs: frozenset[PairKey]
-    vector_pairs: frozenset[PairKey]
+    snapshot_pairs: AbstractSet[PairKey]
+    vector_pairs: AbstractSet[PairKey]
 
     @property
     def ok(self) -> bool:

@@ -24,7 +24,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass, fields
-from typing import AbstractSet, NamedTuple, Optional, get_type_hints
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .detectors import (
     EventId,
     PairKey,
     PairKeys,
+    ReadingCodes,
     SnapshotDetector,
     StampOverflowError,
     Violation,
@@ -41,7 +42,7 @@ from .detectors import (
     overlap_columns,
     physical_detect,  # noqa: F401  (perfbench/tracing.py wraps it in this module)
     vector_detect,
-    violation_filter,
+    violation_filter,  # noqa: F401  (perfbench/tracing.py wraps it in this module)
 )
 from .metrics import OpCounters
 
@@ -224,9 +225,6 @@ class Trace:
     config: SimConfig
     dropped_messages: int = 0
 
-    def readings(self) -> dict[EventId, ContextReading]:
-        return {e.id: e.reading for e in self.events if e.reading is not None}
-
     @functools.cached_property
     def makespan_us(self) -> int:
         """The last end or delivery time, computed on first use and kept with the trace."""
@@ -245,6 +243,22 @@ class Trace:
         return _event_columns(self.events)
 
     @functools.cached_property
+    def ids(self) -> list[EventId]:
+        """Each event's id, in ``events`` order: the ids of every family's ``PairKeys``."""
+        return [e.id for e in self.events]
+
+    @functools.cached_property
+    def id_index(self) -> dict[EventId, int]:
+        """Where each id is in ``ids``, built on first use and shared by every ``PairKeys``."""
+        self.event_columns  # rejects a repeated id, which would collapse here
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    @functools.cached_property
+    def reading_codes(self) -> ReadingCodes:
+        """Each event's reading and its codes, in ``events`` order, for ``lift_violations``."""
+        return ReadingCodes.of([e.reading for e in self.events])
+
+    @functools.cached_property
     def timeline(self) -> Timeline:
         """The replay order, built on first use and kept with the trace."""
         return _timeline(self)
@@ -256,15 +270,15 @@ class Trace:
         The overlap kernel ``overlap_columns`` runs here and nowhere else in
         a run, and ``lift_violations`` lifts its pairs on the same index
         columns: ``ground_truth`` and the physical family both return this
-        result.  The pairs are kept as a ``PairKeys``, one int64 key per
-        pair, so no ``EventId`` pair is built unless a caller iterates them.
+        result.  The pairs are kept as a ``PairKeys`` over ``ids``, one
+        int64 key per pair, so no ``EventId`` pair is built unless a caller
+        iterates them.
         """
         columns = self.event_columns  # rejects a malformed event identity
         counters = OpCounters()
-        ids = [e.id for e in self.events]
-        first, second = overlap_columns(ids, columns.start_us, columns.end_us, counters)
-        violations = lift_violations(ids, [e.reading for e in self.events], first, second)
-        return GroundTruth(PairKeys(ids, first, second), frozenset(violations), counters.pair_checks)
+        first, second = overlap_columns(self.ids, columns.start_us, columns.end_us, counters)
+        violations = lift_violations(self.ids, self.reading_codes, first, second)
+        return GroundTruth(PairKeys(self.ids, self.id_index, first, second), frozenset(violations), counters.pair_checks)
 
 
 @dataclass(frozen=True)
@@ -681,9 +695,14 @@ class DetectorFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class RunResult:
-    """One family's output; the physical family's pairs are ground truth's ``PairKeys``."""
+    """One family's output.
 
-    detected_pairs: AbstractSet[PairKey]
+    Every family's pairs are a ``PairKeys`` over the trace's ``ids``, the
+    ids of ground truth's, so ``score`` counts hits key against key; the
+    physical family's are ground truth's own.
+    """
+
+    detected_pairs: PairKeys
     violations: frozenset[Violation]
     counters: OpCounters
     dropped: int
@@ -882,12 +901,13 @@ def _replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetecto
     return dets
 
 
-def _run_snapshot(trace: Trace, counters: OpCounters) -> tuple[set[PairKey], int]:
+def _run_snapshot(trace: Trace, counters: OpCounters) -> tuple[np.ndarray, np.ndarray, int]:
+    """The detectors' drained pairs as index columns into ``trace.ids``, and the drops."""
     dets = _replay_snapshot(trace, counters)
-    detected: set[PairKey] = set()
-    for d in dets:
-        detected |= d.check_consistency()
-    return detected, sum(d.dropped for d in dets)
+    detected: set[PairKey] = set().union(*(d.check_consistency() for d in dets))
+    flat = itertools.chain.from_iterable(detected)
+    at = np.fromiter(map(trace.id_index.__getitem__, flat), dtype=np.intp, count=2 * len(detected))
+    return at[::2], at[1::2], sum(d.dropped for d in dets)
 
 
 def snapshot_intervals(trace: Trace) -> dict[EventId, tuple[int, int]]:
@@ -911,9 +931,10 @@ def _replay_vector(
     counters.clock_updates += len(kind)
     counters.events_processed += len(trace.events) + 2 * n_msgs
     counters.stamp_words_sent += trace.config.n_processes * n_msgs
-    ids = sorted({ev.id for ev in trace.events})
-    where = {e: i for i, e in enumerate(ids)}
-    rank = np.array([where[ev.id] for ev in trace.events], dtype=np.intp)
+    order = _id_order(trace)
+    ids = list(map(trace.ids.__getitem__, order.tolist()))
+    rank = np.empty_like(order)  # each event's row, in ``trace.events`` order
+    rank[order] = np.arange(len(order))
 
     def endpoint_stamps(endpoint: int) -> np.ndarray:
         points = np.flatnonzero(kind == endpoint)
@@ -922,6 +943,12 @@ def _replay_vector(
         return _stamps(known, row[at], count[at], process[at])
 
     return ids, endpoint_stamps(_START), endpoint_stamps(_END)
+
+
+def _id_order(trace: Trace) -> np.ndarray:
+    """The index in ``trace.events`` of each event, in id order."""
+    columns = trace.event_columns  # each id's parts, checked against the events
+    return np.lexsort((columns.seq, columns.process))
 
 
 def _vector_rows(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -986,17 +1013,31 @@ def _counts_and_rows(
     delivery.  Rows grow along the replay, so that is a running max over
     each process's points.  Also returns the row each delivery's process
     had before it, which the delivery merges into.  All three are int32.
+
+    One stable sort groups the points by process, in replay order within
+    each; the running max then runs over the whole sorted column, with
+    each row offset by its process times ``span``, a bound on the rows,
+    so no max passes from one process to the next.
     """
-    count = np.empty(len(process), dtype=np.int32)
-    row = np.where(deliver, procs + np.cumsum(deliver, dtype=np.int32) - 1, process)
-    prior = np.empty_like(row)
-    for p in range(procs):
-        at = np.flatnonzero(process == p)  # p's points, in replay order
-        count[at] = np.arange(1, len(at) + 1)
-        rows = np.maximum.accumulate(row[at])
-        row[at] = rows
-        prior[at[1:]] = rows[:-1]
-        prior[at[:1]] = p
+    n = len(process)
+    row = np.where(deliver, procs + np.cumsum(deliver, dtype=np.int32) - 1, process).astype(np.int32)
+    order = np.argsort(process, kind="stable")
+    owner = process[order]
+    head = np.empty(n, dtype=bool)  # each process's first point
+    head[:1] = True
+    np.not_equal(owner[1:], owner[:-1], out=head[1:])
+    at = np.arange(n, dtype=np.int32)
+    count = np.empty(n, dtype=np.int32)
+    count[order] = at - np.maximum.accumulate(np.where(head, at, 0)) + 1
+    span = np.int64(procs) + n
+    offset = owner * span
+    rows = np.maximum.accumulate(row[order] + offset) - offset
+    before = np.empty(n, dtype=np.int32)
+    before[1:] = rows[:-1]
+    before[head] = owner[head]
+    row[order] = rows
+    prior = np.empty(n, dtype=np.int32)
+    prior[order] = before
     return count, row, prior[deliver]
 
 
@@ -1008,7 +1049,12 @@ def _stamps(known: np.ndarray, rows: np.ndarray, counts: np.ndarray, owner: np.n
 
 
 def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
-    """Replay a trace through one detector family and collect its output."""
+    """Replay a trace through one detector family and collect its output.
+
+    Every family's pairs come out as index columns into ``trace.ids``;
+    its violations are lifted on them, and its pairs kept as a
+    ``PairKeys`` over ``trace.ids``.
+    """
     counters = OpCounters()
     if family is DetectorFamily.PHYSICAL:
         # Wall-time overlap is ground truth, computed once per trace.
@@ -1017,12 +1063,13 @@ def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
         counters.pair_checks += truth.pair_checks
         return RunResult(truth.concurrent_pairs, truth.violations, counters, 0)
     if family is DetectorFamily.SNAPSHOT:
-        detected, dropped = _run_snapshot(trace, counters)
+        first, second, dropped = _run_snapshot(trace, counters)
     else:
         ids, lo, hi = _replay_vector(trace, counters)
-        detected = vector_detect(ids, lo, hi, counters)
+        first, second = vector_detect(ids, lo, hi, counters)
+        order = _id_order(trace)  # the scan's rows are in id order
+        first, second = order[first], order[second]
         dropped = 0
-    violations = violation_filter(detected, trace.readings())
-    # frozenset(set) right-sizes the hash table: each kept pair set takes
-    # about half the memory of the grown set it copies.
-    return RunResult(frozenset(detected), frozenset(violations), counters, dropped)
+    violations = lift_violations(trace.ids, trace.reading_codes, first, second)
+    pairs = PairKeys(trace.ids, trace.id_index, first, second)
+    return RunResult(pairs, frozenset(violations), counters, dropped)

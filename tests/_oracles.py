@@ -20,15 +20,23 @@ from snapdetect.detectors import (
     EventId,
     SnapshotDetector,
     StampOverflowError,
+    id_pairs,
     pair_key,
+    physical_detect,
+    vector_detect,
+    violation_filter,
 )
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     MESSAGE_RETRIES,
+    DetectorFamily,
+    RunResult,
     SimConfig,
     Trace,
     TraceEvent,
     TraceMessage,
+    _replay_snapshot,
+    _replay_vector,
     _stamps,
     _stream,
     _Trajectories,
@@ -141,6 +149,28 @@ def vector_arrays(intervals) -> tuple[list[EventId], np.ndarray, np.ndarray]:
     return [e for e, _ in items], lo, hi
 
 
+def readings_of(trace: Trace) -> dict:
+    """Each event's reading by id, as ``violation_filter`` reads them; events with none are left out."""
+    return {e.id: e.reading for e in trace.events if e.reading is not None}
+
+
+def index_pairs(ids, first, second) -> set:
+    """The pairs of index columns into ``ids`` as a set, once checked.
+
+    Each pair must be in ``pair_key`` order and appear once, as
+    ``overlap_columns`` and ``vector_detect`` promise.
+    """
+    pairs = set(id_pairs(ids, first, second))
+    assert len(pairs) == len(first) == len(second), "a pair repeats"
+    assert all(a < b for a, b in pairs), "a pair is out of pair_key order"
+    return pairs
+
+
+def vector_pairs(ids, lo, hi, counters: OpCounters | None = None) -> set:
+    """``vector_detect``'s pairs as a set of ``EventId`` pairs."""
+    return index_pairs(ids, *vector_detect(ids, lo, hi, counters))
+
+
 def brute_force_overlap(trace: Trace) -> set:
     """O(n^2) double loop over half-open wall spans."""
     pairs = set()
@@ -240,6 +270,35 @@ def scalar_vector_detect(intervals, counters: OpCounters | None = None) -> set:
             if vector_lt(vi.lo, vj.hi) and vector_lt(vj.lo, vi.hi):
                 found.add(pair_key(ei, ej))
     return found
+
+
+def set_run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
+    """``run_trace`` as it was when every family kept a set of ``EventId`` pairs.
+
+    The snapshot detectors' drained sets are unioned; the vector scan's
+    rows are read off its sorted ids; the physical family's pairs are
+    ``physical_detect``'s.  Each family's violations are
+    ``violation_filter`` of its pairs over ``readings_of(trace)``, and its
+    pairs are kept as a ``frozenset``.  The reference the key-column path
+    replaced.
+    """
+    counters = OpCounters()
+    dropped = 0
+    if family is DetectorFamily.PHYSICAL:
+        columns = trace.event_columns
+        detected = physical_detect([e.id for e in trace.events], columns.start_us, columns.end_us, counters)
+        counters.events_processed += len(trace.events)
+    elif family is DetectorFamily.SNAPSHOT:
+        dets = _replay_snapshot(trace, counters)
+        detected = set()
+        for d in dets:
+            detected |= d.check_consistency()
+        dropped = sum(d.dropped for d in dets)
+    else:
+        ids, lo, hi = _replay_vector(trace, counters)
+        detected = vector_pairs(ids, lo, hi, counters)
+    violations = violation_filter(detected, readings_of(trace))
+    return RunResult(frozenset(detected), frozenset(violations), counters, dropped)
 
 
 def replay_order_snapshot(trace: Trace) -> tuple[set, int, int]:

@@ -12,6 +12,7 @@ import pytest
 from _oracles import (
     brute_force_overlap,
     causal_closure,
+    readings_of,
     timeline_point_stamps,
     vector_lt,
     vector_point_stamps,
@@ -262,7 +263,7 @@ def test_criterion_7_error_rate_calibration():
         seed=11,
     )
     trace = generate_trace(config)
-    readings = trace.readings()
+    readings = readings_of(trace)
     fraction = sum(1 for r in readings.values() if r.erroneous) / len(readings)
     ok = len(readings) >= 10_000 and abs(fraction - 0.5) <= 0.02
     _report(7, "error-rate calibration", ok, f"n={len(readings)}, observed={fraction:.4f}")

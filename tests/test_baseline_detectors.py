@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from _oracles import Interval, VectorStamp, brute_force_overlap, span_columns, vector_arrays
+from _oracles import Interval, VectorStamp, brute_force_overlap, span_columns, vector_arrays, vector_pairs
 from snapdetect.detectors import (
     ContextReading,
     EventId,
     pair_key,
     physical_detect,
-    vector_detect,
     violation_filter,
 )
 from snapdetect.simulate import SimConfig, Trace, TraceEvent, generate_trace
@@ -26,7 +25,7 @@ class TestVectorDetect:
             EventId(0, 0): vec_interval([1, 0], [3, 2]),
             EventId(1, 0): vec_interval([0, 1], [2, 3]),
         }
-        assert vector_detect(*vector_arrays(intervals)) == {pair_key(EventId(0, 0), EventId(1, 0))}
+        assert vector_pairs(*vector_arrays(intervals)) == {pair_key(EventId(0, 0), EventId(1, 0))}
 
     def test_one_directional_order_is_a_false_negative(self):
         # Only lo_j -> hi_k holds; the pair is truly concurrent but the
@@ -35,14 +34,14 @@ class TestVectorDetect:
             EventId(0, 0): vec_interval([1, 0], [3, 0]),
             EventId(1, 0): vec_interval([0, 1], [2, 3]),
         }
-        assert vector_detect(*vector_arrays(intervals)) == set()
+        assert vector_pairs(*vector_arrays(intervals)) == set()
 
     def test_causally_ordered_intervals_not_reported(self):
         intervals = {
             EventId(0, 0): vec_interval([1, 0], [2, 0]),
             EventId(0, 1): vec_interval([3, 0], [4, 0]),
         }
-        assert vector_detect(*vector_arrays(intervals)) == set()
+        assert vector_pairs(*vector_arrays(intervals)) == set()
 
     def test_mixed_vector_lengths_rejected(self):
         intervals = {

@@ -3,9 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from snapdetect import scenarios
+from snapdetect import experiment, scenarios
 from snapdetect.cli import main
-from snapdetect.experiment import read_results, summarize
+from snapdetect.experiment import parse_spec, read_results, run_sweep, summarize
 from snapdetect.simulate import SPEC_FIELDS
 
 SMALL_SPEC = {
@@ -22,6 +22,10 @@ SMALL_SPEC = {
     "seeds": [1, 2, 3],
     "detectors": ["snapshot", "vector"],
 }
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
 
 
 def write_spec(tmp_path, spec=None):
@@ -134,6 +138,23 @@ class TestSweepCommand:
         assert runner.invoke(main, ["sweep", "--spec", str(spec), "--out", str(tmp_path / "s")]).exit_code == 0
         assert runner.invoke(main, ["sweep", "--spec", str(spec), "--out", str(tmp_path / "p"), "--jobs", "2"]).exit_code == 0
         assert (tmp_path / "s/results.csv").read_bytes() == (tmp_path / "p/results.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        spec, out = write_spec(tmp_path), tmp_path / "out"
+        result = CliRunner().invoke(main, ["sweep", "--spec", str(spec), "--out", str(out), "--jobs", jobs])
+        assert result.exit_code == 2, result.output
+        assert "--jobs" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_run_sweep_rejects_jobs_below_one(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_sweep(parse_spec(SMALL_SPEC), out, jobs=jobs)
+        assert not out.exists()
 
     def test_invalid_spec_field_exits_2(self, tmp_path):
         bad = dict(SMALL_SPEC, sweep={"axis": "volume", "points": [1]})

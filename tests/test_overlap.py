@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _corpora import long_traces_corpus, scale_dense_corpus, snapshot_corpus, spec_corpus, vector_corpus
-from _oracles import boundary_sweep_overlap, brute_force_overlap, heap_scan_overlap, span_columns
+from _oracles import boundary_sweep_overlap, brute_force_overlap, heap_scan_overlap, readings_of, span_columns
 from snapdetect import simulate
 from snapdetect.detectors import ContextReading, EventId, physical_detect, violation_filter
 from snapdetect.metrics import OpCounters
@@ -48,7 +48,7 @@ def test_shared_overlap_matches_frozen_kernels():
         assert heap_scan_overlap(spans_of(trace)) == want, trace.config
         truth = ground_truth(trace)
         assert truth.concurrent_pairs == want, trace.config
-        assert truth.violations == violation_filter(want, trace.readings()), trace.config
+        assert truth.violations == violation_filter(want, readings_of(trace)), trace.config
         physical = run_trace(trace, DetectorFamily.PHYSICAL)
         assert physical.detected_pairs == want, trace.config
         assert physical.violations == truth.violations, trace.config
@@ -117,9 +117,11 @@ def test_ground_truth_and_all_families_run_the_kernel_once(monkeypatch):
     assert ground_truth(trace) is truth
     assert calls["overlap_columns"] == 1
     # Truth lifts its pairs once, on the kernel's columns; the physical
-    # family lifts none of its own, and each other family filters its own.
-    assert calls["lift_violations"] == 1
-    assert calls["violation_filter"] == 2
+    # family lifts none of its own, and each other family lifts its own on
+    # its index columns.  Every reading is a str, so no pair falls back to
+    # the per-pair filter.
+    assert calls["lift_violations"] == 3
+    assert calls["violation_filter"] == 0
     physical = results[DetectorFamily.PHYSICAL]
     assert physical.detected_pairs is truth.concurrent_pairs
     assert physical.violations is truth.violations
@@ -157,7 +159,7 @@ def test_lift_matches_violation_filter_on_spec_traces():
     traces = violations = 0
     for trace in spec_corpus():
         truth = ground_truth(trace)
-        assert truth.violations == violation_filter(truth.concurrent_pairs, trace.readings()), trace.config
+        assert truth.violations == violation_filter(truth.concurrent_pairs, readings_of(trace)), trace.config
         traces += 1
         violations += len(truth.violations)
     assert traces == 390
@@ -201,7 +203,7 @@ def test_lift_matches_violation_filter_on_odd_readings(shape):
     trace = Trace(events, (), SimConfig(nodes=max(2, len(events)), instances_per_node=1, seed=0))
     pairs = brute_force_overlap(trace)
     try:
-        want = violation_filter(pairs, trace.readings())
+        want = violation_filter(pairs, readings_of(trace))
     except TypeError as exc:  # a violation of an unhashable user cannot be hashed
         with pytest.raises(TypeError, match="unhashable"):
             ground_truth(trace)

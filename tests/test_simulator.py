@@ -7,6 +7,7 @@ from _oracles import (
     START,
     brute_force_overlap,
     causal_closure,
+    readings_of,
     timeline_point_stamps,
     vector_lt,
     vector_point_stamps,
@@ -143,7 +144,7 @@ class TestGroundTruth:
 
     def test_violations_need_same_user_and_differing_locations(self):
         truth = ground_truth(generate_trace(small_config(error_rate=0.5, seed=3)))
-        readings = generate_trace(small_config(error_rate=0.5, seed=3)).readings()
+        readings = readings_of(generate_trace(small_config(error_rate=0.5, seed=3)))
         for v in truth.violations:
             a, b = v.pair
             assert readings[a].user == readings[b].user

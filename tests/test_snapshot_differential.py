@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from _corpora import drop_trace, scale_dense_corpus, snapshot_corpus, vector_corpus
 from _legacy_snapshot import LegacySnapshotDetector, MessageRecord, legacy_snapshot
-from _oracles import per_peer_replay_snapshot, replay_order_snapshot
+from _oracles import per_peer_replay_snapshot, readings_of, replay_order_snapshot
 from snapdetect import detectors, scenarios
 from snapdetect.detectors import EventId, SnapshotDetector, StampOverflowError, violation_filter
 from snapdetect.metrics import OpCounters
@@ -39,7 +39,7 @@ def test_corpus_matches_reference():
         assert got.detected_pairs == want_pairs, where
         assert got.counters == want_counters, where
         assert got.dropped == want_dropped, where
-        assert got.violations == violation_filter(want_pairs, trace.readings()), where
+        assert got.violations == violation_filter(want_pairs, readings_of(trace)), where
         assert snapshot_intervals(trace) == want_intervals, where
         oracle_pairs, oracle_dropped, oracle_late = replay_order_snapshot(trace)
         assert got.detected_pairs == oracle_pairs, where

@@ -14,9 +14,9 @@ import pytest
 
 import _oracles
 from _corpora import DELAYS_US, vector_corpus
-from _oracles import keyed_columns, stamp_replay_vector, vector_arrays, vector_point_stamps
+from _oracles import keyed_columns, stamp_replay_vector, vector_arrays, vector_pairs, vector_point_stamps
 from snapdetect import detectors, scenarios, simulate
-from snapdetect.detectors import EventId, StampOverflowError, vector_detect
+from snapdetect.detectors import EventId, StampOverflowError
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
@@ -71,7 +71,7 @@ def test_corpus_matches_reference():
         assert points.tolist() == [list(p.slots) for p in want_points], where
         traces += 1
         deliveries += len(trace.messages)
-        pairs += len(vector_detect(want_ids, want_lo, want_hi))
+        pairs += len(vector_pairs(want_ids, want_lo, want_hi))
     assert traces == 643
     assert deliveries > 0
     assert pairs > 0

@@ -19,7 +19,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _corpora import MS, scale_dense_corpus, vector_corpus
-from _oracles import Interval, VectorStamp, scalar_vector_detect, stamp_replay_vector, vector_arrays
+from _oracles import (
+    Interval,
+    VectorStamp,
+    index_pairs,
+    scalar_vector_detect,
+    stamp_replay_vector,
+    vector_arrays,
+    vector_pairs,
+)
 from snapdetect import detectors
 from snapdetect.detectors import MAX_TICK, EventId, vector_detect
 from snapdetect.metrics import OpCounters
@@ -42,7 +50,7 @@ def ragged_cells(n: int) -> int:
 def scan(intervals, cells):
     counters = OpCounters()
     with mock.patch.object(detectors, "VECTOR_SCAN_BLOCK_CELLS", cells):
-        pairs = vector_detect(*vector_arrays(intervals), counters)
+        pairs = vector_pairs(*vector_arrays(intervals), counters)
     return pairs, counters.pair_checks
 
 
@@ -200,7 +208,7 @@ def chunked_scan(ids, lo, hi, cells: int) -> tuple[set, list[int]]:
 
     with mock.patch.object(detectors, "VECTOR_SCAN_BLOCK_CELLS", cells):
         with mock.patch.object(detectors, "_strictly_below", spy):
-            pairs = vector_detect(ids, lo, hi)
+            pairs = vector_pairs(ids, lo, hi)
     return pairs, sizes[::2]  # two calls per chunk
 
 
@@ -284,11 +292,11 @@ def peak_scan(ids, lo, hi, cells):
     tracemalloc.start()
     try:
         with mock.patch.object(detectors, "VECTOR_SCAN_BLOCK_CELLS", cells):
-            pairs = vector_detect(ids, lo, hi)
+            columns = vector_detect(ids, lo, hi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return pairs, peak
+    return index_pairs(ids, *columns), peak
 
 
 # 1,600 events x 80 slots: the (m, m, n) comparison cube would be ~200 MB.
