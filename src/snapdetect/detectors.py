@@ -483,11 +483,14 @@ class PairKeys(Set):
     every view over its ids.  ``len`` is the column's length.
     ``count_common`` searches another view over the same ``ids`` object
     key against key; ``in``, and ``count_common`` of any other collection,
-    look each event up in ``index`` and search the keys.  Iteration, and
-    the set operators inherited from ``Set``, build the ``EventId`` pairs
-    as they go and keep none.  The set operators return a ``frozenset``.
-    A reversed pair, or one naming an event outside ``ids``, is not in the
-    set.  The hash is that of the equal ``frozenset``.
+    look each event up in ``index`` and search the keys.  ``==``, ``<=``
+    and ``>=`` against any ``Set`` (and so ``<`` and ``>``) are one
+    ``count_common`` call; two views over the same ``ids`` object compare
+    their keys.  Iteration, and the other set operators inherited from
+    ``Set``, build the ``EventId`` pairs as they go and keep none; those
+    operators return a ``frozenset``.  A reversed pair, or one naming an
+    event outside ``ids``, is not in the set.  The hash is that of the
+    equal ``frozenset``.
     """
 
     __slots__ = ("ids", "keys", "index")
@@ -532,6 +535,30 @@ class PairKeys(Set):
             query = (first * len(self.ids) + second)[(first | second) >= 0]  # -1: not in ``ids``
         found = self.keys.take(self.keys.searchsorted(query), mode="clip") == query
         return int(np.count_nonzero(found))
+
+    def _common(self, other: Set) -> int:
+        """``count_common(other)``, where an element of ``other`` that is no 2-tuple is in no view."""
+        pairs = isinstance(other, PairKeys) or set(map(type, other)) <= {tuple} and set(map(len, other)) <= {2}
+        if not pairs:
+            other = [p for p in other if isinstance(p, tuple) and len(p) == 2]
+        return self.count_common(other)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Set):
+            return NotImplemented
+        if isinstance(other, PairKeys) and other.ids is self.ids:
+            return bool(np.array_equal(self.keys, other.keys))
+        return len(self) == len(other) and self._common(other) == len(self)
+
+    def __le__(self, other: Set) -> bool:
+        if not isinstance(other, Set):
+            return NotImplemented
+        return len(self) <= len(other) and self._common(other) == len(self)
+
+    def __ge__(self, other: Set) -> bool:
+        if not isinstance(other, Set):
+            return NotImplemented
+        return len(self) >= len(other) and self._common(other) == len(other)
 
     @classmethod
     def _from_iterable(cls, pairs: Iterable[PairKey]) -> frozenset[PairKey]:

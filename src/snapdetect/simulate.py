@@ -12,6 +12,8 @@ runs as columns over every attempt of a trace: send times and delays are
 read in bulk from their streams' MT19937 words, exactly as
 ``random.Random.randint`` reads them, and an array search over the
 receiver's events settles each attempt whose outcome no delay can change.
+A generated trace is handed the columns its records were built from, each
+through the check that a loaded trace's columns pass.
 """
 from __future__ import annotations
 
@@ -55,6 +57,18 @@ CHUNK_WORDS = 1 << 10
 #: (about a second of generation and tens of MB); a config that needs
 #: more is rejected rather than left to stall.
 MAX_TRAJECTORY_STAYS = 1 << 20
+#: Message attempts (events x peers messaged per event) one trace may make:
+#: each takes a few int64 column entries, so this bounds generation at a
+#: few GB; a config that needs more is rejected before any allocation.
+MAX_MESSAGE_ATTEMPTS = 1 << 24
+#: Send draws per event from which ``_Words.below_each`` reads an all-peers
+#: event's words as a numpy window instead of through a C ``filter``.  Per
+#: event of a trace-sized call on 2 vCPUs (filter against window): 3.6
+#: against 4.4 us at 7 draws, 5.1 against 4.4 us at 12, 7.5 against 5.1 us
+#: at 19 and 12.1 against 5.9 us at 39.  The two cross between 9 and 12
+#: draws, within noise of each other there; 16 keeps the window where it
+#: clearly wins.
+WINDOW_ATTEMPTS = 16
 
 
 class ConfigError(ValueError):
@@ -147,6 +161,22 @@ class SimConfig:
                 f"{self.n_users} users x {per_user} stays ({horizon} us worst-case horizon,"
                 f" {self.stay_mean_us} us mean stay) exceed {MAX_TRAJECTORY_STAYS} trajectory stays",
             )
+        # Every event messages ``peers`` processes, fewer than there are.
+        # The larger factor of the product is named: the events per
+        # process, or the larger factor of the processes.
+        procs = self.n_processes
+        peers = procs - 1 if self.peer_fanout is None else min(self.peer_fanout, procs - 1)
+        attempts = procs * self.events_per_process * peers
+        if attempts > MAX_MESSAGE_ATTEMPTS:
+            if self.events_per_process > procs:
+                name = "events_per_process"
+            else:
+                name = "nodes" if self.nodes >= self.instances_per_node else "instances_per_node"
+            raise ConfigError(
+                name,
+                f"{procs} processes x {self.events_per_process} events x {peers} peers"
+                f" = {attempts} message attempts exceed {MAX_MESSAGE_ATTEMPTS}",
+            )
 
 
 #: The config schema: every serialised form of a ``SimConfig`` is built
@@ -238,9 +268,20 @@ class Trace:
         """The checked event columns, built on first use and kept with the trace.
 
         Ground truth and every family's replay read them first, so a
-        malformed event identity is rejected once per trace.
+        malformed event identity is rejected once per trace.  A generated
+        trace is handed its generator's columns, checked the same way.
         """
         return _event_columns(self.events)
+
+    @functools.cached_property
+    def message_columns(self) -> MessageColumns:
+        """The checked message columns, built on first use and kept with the trace.
+
+        The timeline reads them, so a message the replays cannot trust is
+        rejected once per trace.  A generated trace is handed its
+        generator's columns, checked the same way.
+        """
+        return _message_columns(self)
 
     @functools.cached_property
     def ids(self) -> list[EventId]:
@@ -306,6 +347,20 @@ class EventColumns(NamedTuple):
     end_us: np.ndarray
 
 
+class MessageColumns(NamedTuple):
+    """A trace's messages as columns, in ``trace.messages`` order.
+
+    ``send_us`` and ``deliver_us`` are int64 times; ``sender`` and
+    ``receiver`` are each message's event indices into ``trace.events``
+    (intp).
+    """
+
+    send_us: np.ndarray
+    deliver_us: np.ndarray
+    sender: np.ndarray
+    receiver: np.ndarray
+
+
 class EventIdentityError(ValueError):
     """An event identity the replays cannot trust.
 
@@ -329,29 +384,43 @@ class MessageError(ValueError):
 
 
 def _event_columns(events) -> EventColumns:
-    """The columns of ``events``, once their identities are checked.
+    """The columns of ``events``, read from the records and checked by ``_checked_events``.
 
-    Raises ``EventIdentityError`` naming the first event whose
-    ``id.process`` is not its ``process``, then the first whose id
-    repeats, then the first that starts before an event of its process
-    with a lower seq.  The snapshot replay's heard-of test reads a
-    process's latest start as its highest seq, so the last is as wrong
-    as the others.  Before any of these, a value that does not fit its
-    column is named.
+    Before any check, a value that does not fit its column is named.
     """
 
     def bad(i: int, what: str) -> EventIdentityError:
-        return EventIdentityError(i, f"event {tuple(events[i].id)}: {what}")
+        return _event_error(events, i, what)
 
     process = _column(events, "process", np.int32, bad)
     seq = _column(events, "id.seq", np.int32, bad)
     start = _column(events, "start_us", np.int64, bad)
     end = _column(events, "end_us", np.int64, bad)
     named = _column(events, "id.process", np.int64, bad)
+    return _checked_events(events, EventColumns(process, seq, start, end), named)
+
+
+def _event_error(events, i: int, what: str) -> EventIdentityError:
+    return EventIdentityError(i, f"event {tuple(events[i].id)}: {what}")
+
+
+def _checked_events(events, columns: EventColumns, named: np.ndarray) -> EventColumns:
+    """``columns``, the columns of ``events``, once their identities are checked.
+
+    ``named`` is each event's ``id.process``.  Raises
+    ``EventIdentityError`` naming the first event whose ``id.process`` is
+    not its ``process``, then the first whose id repeats, then the first
+    that starts before an event of its process with a lower seq.  The
+    snapshot replay's heard-of test reads a process's latest start as its
+    highest seq, so the last is as wrong as the others.  ``events`` is
+    read only to name an offender.
+    """
+    process, seq, start, _ = columns
     foreign = np.flatnonzero(named != process)
     if foreign.size:
         i = int(foreign[0])
-        raise bad(i, f"id names process {events[i].id.process}, but it runs on {events[i].process}")
+        what = f"id names process {events[i].id.process}, but it runs on {events[i].process}"
+        raise _event_error(events, i, what)
     # Each process's events by seq; the sort is stable, so of two events
     # with one id the later-listed comes second.
     order = np.lexsort((seq, process))
@@ -359,14 +428,14 @@ def _event_columns(events) -> EventColumns:
     same = process[later] == process[earlier]
     repeats = same & (seq[later] == seq[earlier])
     if repeats.any():
-        i = int(later[repeats].min())
-        raise bad(i, "id repeats")
+        raise _event_error(events, int(later[repeats].min()), "id repeats")
     early = np.flatnonzero(same & (start[later] < start[earlier]))
     if early.size:
         k = early[np.argmin(later[early])]
         a, b = events[later[k]], events[earlier[k]]
-        raise bad(int(later[k]), f"starts at {a.start_us} us, before event {tuple(b.id)} at {b.start_us} us")
-    return EventColumns(process, seq, start, end)
+        what = f"starts at {a.start_us} us, before event {tuple(b.id)} at {b.start_us} us"
+        raise _event_error(events, int(later[k]), what)
+    return columns
 
 
 def _column(records, field: str, dtype, bad) -> np.ndarray:
@@ -465,6 +534,59 @@ class _Words(random.Random):
             out.extend(itertools.islice(filter(kept, self._words), want - len(out)))
         return 32 - k
 
+    def below_each(self, spans: list[int], count: int) -> np.ndarray:
+        """``count`` draws of ``randint(0, n - 1)`` for each n of ``spans`` in turn, as int64 values.
+
+        Each draw reads the words ``below`` reads.  From ``WINDOW_ATTEMPTS``
+        draws per span, each run of spans of at most 32 bits goes through
+        ``_window``; every other span goes through ``below``.
+        """
+        parts = [np.empty(0, np.int64)]
+        for wide, run in itertools.groupby(spans, lambda n: count < WINDOW_ATTEMPTS or n.bit_length() > 32):
+            if not wide:
+                parts.append(self._window(list(run), count))
+                continue
+            drawn, shifts = array.array("q"), array.array("q")
+            for n in run:
+                shifts.append(self.below(n, count, drawn))
+            parts.append(np.frombuffer(drawn, np.int64) >> np.repeat(np.frombuffer(shifts, np.int64), count))
+        return np.concatenate(parts)
+
+    def _window(self, spans: list[int], count: int) -> np.ndarray:
+        """``below_each`` for ``spans`` of at most 32 bits each, over the words as one numpy column.
+
+        The unread words of the chunk and as many of the source's as the
+        spans are expected to need form one uint32 column.  For each span a
+        cursor moves past its ``count``-th word below the span's threshold
+        ``n << (32 - k)``: one compare and one ``flatnonzero`` over a window
+        of ``4 * count`` words, widened in the rare case that it holds
+        fewer (each word is kept with probability above 1/2).  One mask,
+        each word against its own span's threshold, then keeps exactly the
+        words ``below`` keeps, in order.  The words past the cursor go back
+        to the buffer unread.
+        """
+        widths = [n.bit_length() for n in spans]
+        thresholds = np.array([n << 32 - k for n, k in zip(spans, widths)], np.uint32)
+        words = np.fromiter(self._words, np.uint32)
+        expected = int(count * (2.0**32 / thresholds).sum()) + 4 * count
+        words = np.concatenate((words, _chunk(self._source, max(0, expected - len(words)))))
+        ends = []
+        at, last = 0, count - 1
+        for t in thresholds:  # uint32 scalars, so each compare stays uint32
+            width = 4 * count
+            hits = (words[at : at + width] < t).nonzero()[0]
+            while len(hits) <= last:
+                width *= 2
+                if at + width > len(words):
+                    words = np.concatenate((words, _chunk(self._source, at + width - len(words))))
+                hits = (words[at : at + width] < t).nonzero()[0]
+            at += int(hits[last]) + 1
+            ends.append(at)
+        self._words = iter(words[at:].tolist())
+        words = words[:at]
+        words = words[words < np.repeat(thresholds, np.diff(ends, prepend=0))]
+        return words.astype(np.int64) >> np.repeat(32 - np.array(widths, np.int64), count)
+
 
 def _chunk(rng: random.Random, words: int) -> np.ndarray:
     """The next ``words`` 32-bit words of ``rng``, in the order its draws read them."""
@@ -476,11 +598,11 @@ def _randints(rng: random.Random, n: int, count: int) -> np.ndarray:
 
     For ``k = n.bit_length() <= 32`` a draw is one word shifted right by
     ``32 - k`` and kept when below ``n``, so the values kept from each
-    chunk of at most ``CHUNK_WORDS`` words are randint's rejection loop
-    over it, and they are uint32.  Wider draws take several words each;
-    they go one at a time and are Python ints in an object array, so no
-    span is too wide.  Words drawn past the last value kept are lost, so
-    ``rng`` must serve no later draw.
+    chunk of at most ``CHUNK_WORDS << 6`` words are randint's rejection
+    loop over it, and they are uint32.  Wider draws take several words
+    each; they go one at a time and are Python ints in an object array, so
+    no span is too wide.  Words drawn past the last value kept are lost,
+    so ``rng`` must serve no later draw.
     """
     k = n.bit_length()
     if k > 32:
@@ -488,7 +610,7 @@ def _randints(rng: random.Random, n: int, count: int) -> np.ndarray:
         return np.array([_randint(bits, 0, n - 1) for _ in range(count)], dtype=object)
     parts = [np.empty(0, np.uint32)]
     while count:
-        drawn = _chunk(rng, min(CHUNK_WORDS, (count << k) // n + 1)) >> (32 - k)
+        drawn = _chunk(rng, min(CHUNK_WORDS << 6, (count << k) // n + 1)) >> (32 - k)
         kept = drawn[drawn < n][:count]
         parts.append(kept)
         count -= len(kept)
@@ -499,16 +621,16 @@ class _Trajectories:
     """Exponential-stay room trajectories, one per user."""
 
     def __init__(self, rng: random.Random, n_users: int, rooms: int, mean_us: int, horizon_us: int):
-        self._rooms = [f"R{101 + i}" for i in range(rooms)]
+        self.rooms = [f"R{101 + i}" for i in range(rooms)]
         self._starts: list[list[int]] = []
         self._where: list[list[str]] = []
         for _ in range(n_users):
-            starts, where = [0], [rng.choice(self._rooms)]
+            starts, where = [0], [rng.choice(self.rooms)]
             t = 0
             while t <= horizon_us:
                 t += int(rng.expovariate(1.0 / mean_us)) + 1
                 starts.append(t)
-                where.append(rng.choice(self._rooms))
+                where.append(rng.choice(self.rooms))
             self._starts.append(starts)
             self._where.append(where)
 
@@ -517,12 +639,17 @@ class _Trajectories:
         return self._where[user][i]
 
     def wrong_room(self, rng: random.Random, true_room: str) -> str:
-        others = [r for r in self._rooms if r != true_room]
+        others = [r for r in self.rooms if r != true_room]
         return rng.choice(others)
 
 
 def generate_trace(config: SimConfig) -> Trace:
-    """Deterministic workload for one (config, seed) point."""
+    """Deterministic workload for one (config, seed) point.
+
+    The trace is handed the columns its records were built from: its
+    event and message columns, each through the check that a loaded trace
+    gets, its reading codes and its ids.
+    """
     config.validate()
     layout = _stream(config.seed, "layout")
     msg_rng = _stream(config.seed, "messages")
@@ -531,6 +658,7 @@ def generate_trace(config: SimConfig) -> Trace:
     user_rng = _stream(config.seed, "users")
 
     procs = config.n_processes
+    per_proc_events = config.events_per_process
     layout_bits = layout.getrandbits
     gap_lo, gap_hi = config.inter_event_gap_us
     life_lo, life_hi = config.event_lifespan_us
@@ -538,7 +666,7 @@ def generate_trace(config: SimConfig) -> Trace:
     for p in range(procs):
         t = _randint(layout_bits, 0, config.start_jitter_us)
         spans = []
-        for _ in range(config.events_per_process):
+        for _ in range(per_proc_events):
             start = t + _randint(layout_bits, gap_lo, gap_hi)
             end = start + _randint(layout_bits, life_lo, life_hi)
             spans.append((start, end))
@@ -549,9 +677,13 @@ def generate_trace(config: SimConfig) -> Trace:
     traj = _Trajectories(user_rng, config.n_users, config.rooms, config.stay_mean_us, horizon)
 
     # The users stream serves the trajectories, then one user per event.
-    users = _randints(user_rng, config.n_users, procs * config.events_per_process).tolist()
+    user_codes = _randints(user_rng, config.n_users, procs * per_proc_events)
+    users = user_codes.tolist()
+    room_code = {room: i for i, room in enumerate(traj.rooms)}
     shared: dict[tuple[int, str, str], ContextReading] = {}  # one reading per distinct value
     events: list[TraceEvent] = []
+    readings: list[ContextReading] = []
+    places = array.array("i")  # each reading's location, as its room's index
     for p in range(procs):
         for s, (start, end) in enumerate(per_proc[p]):
             user = users[len(events)]
@@ -562,31 +694,47 @@ def generate_trace(config: SimConfig) -> Trace:
                 reading = shared[user, loc, true_loc] = ContextReading(
                     user=f"u{user}", location=loc, true_location=true_loc, erroneous=loc != true_loc
                 )
+            readings.append(reading)
+            places.append(room_code[loc])
             # tuple.__new__ skips the NamedTuple constructors' Python frames.
             event_id = tuple.__new__(EventId, (p, s))
             events.append(tuple.__new__(TraceEvent, (event_id, p, start, end, reading)))
+    # Every reading is plain: its user and room indices code its values.
+    codes = ReadingCodes(
+        readings, np.ones(len(events), np.int8), user_codes.astype(np.int32), np.frombuffer(places, np.int32)
+    )
+
+    span_us = np.array(per_proc, dtype=np.int64)  # (process, seq, [start, end])
+    starts, ends = span_us[..., 0], span_us[..., 1]
+    process = np.repeat(np.arange(procs, dtype=np.int32), per_proc_events)
+    seqs = np.tile(np.arange(per_proc_events, dtype=np.int32), procs)
+    columns = _checked_events(events, EventColumns(process, seqs, starts.ravel(), ends.ravel()), process)
 
     # Every message attempt as a column entry, in the order the attempts
     # are made: event by event, each event's peers in ascending order.
+    # Peer j of an event on process p is process j, or j + 1 from p on.
     words = _Words(msg_rng)
-    peers_of = [[q for q in range(procs) if q != p] for p in range(procs)]
+    spans = (columns.end_us - columns.start_us).tolist()
     fanout = config.peer_fanout
-    receivers = array.array("q")
-    drawn = array.array("q")  # each send time less its event's start, shifted left
-    shifts = array.array("q")  # per event, the right shift that undoes it
-    for ev in events:
-        peers = peers_of[ev.process]
-        if fanout is not None and fanout < len(peers):
-            peers = sorted(words.sample(peers, fanout))
-        receivers.extend(peers)
-        shifts.append(words.below(ev.end_us - ev.start_us, len(peers), drawn))
-    per_event = len(receivers) // len(events)  # every event messages as many peers
-    receiver = np.frombuffer(receivers, dtype=np.int64)
-    span_us = np.array(per_proc, dtype=np.int64)  # (process, seq, [start, end])
-    starts, ends = span_us[..., 0], span_us[..., 1]
+    if fanout is None or fanout >= procs - 1:
+        per_event = procs - 1
+        peer = np.tile(np.arange(per_event), len(events))
+        offset = words.below_each(spans, per_event)
+    else:
+        # The peer sample reads the message stream between events' sends.
+        per_event = fanout
+        picked = array.array("q")
+        drawn = array.array("q")  # each send time less its event's start, shifted left
+        shifts = array.array("q")  # per event, the right shift that undoes it
+        population = range(procs - 1)
+        for n in spans:
+            picked.extend(sorted(words.sample(population, fanout)))
+            shifts.append(words.below(n, fanout, drawn))
+        peer = np.frombuffer(picked, dtype=np.int64)
+        offset = np.frombuffer(drawn, dtype=np.int64) >> np.repeat(np.frombuffer(shifts, dtype=np.int64), fanout)
+    receiver = peer + (peer >= np.repeat(process, per_event))
+    send = offset + np.repeat(columns.start_us, per_event)
     starts_by_proc, ends_by_proc = starts.tolist(), ends.tolist()
-    shift = np.repeat(np.frombuffer(shifts, dtype=np.int64), per_event)
-    send = (np.frombuffer(drawn, dtype=np.int64) >> shift) + np.repeat(starts.ravel(), per_event)
 
     # Each attempt's delivery window, [send + lo, send + hi], with times
     # past the horizon clipped to horizon + 1: no event is live there, and
@@ -640,17 +788,28 @@ def generate_trace(config: SimConfig) -> Trace:
     deliver[landed] = landed_us
     seq[landed] = landed_seq
     kept = np.flatnonzero(delivered)
+    sent = MessageColumns(
+        send[kept], deliver[kept], kept // per_event, receiver[kept] * per_proc_events + seq[kept]
+    )
     ids = [ev.id for ev in events]  # event (p, s) is ids[p * events_per_process + s]
     fields = zip(
-        map(ids.__getitem__, (kept // per_event).tolist()),
-        map(ids.__getitem__, (receiver[kept] * config.events_per_process + seq[kept]).tolist()),
-        send[kept].tolist(),
-        deliver[kept].tolist(),
+        map(ids.__getitem__, sent.sender.tolist()),
+        map(ids.__getitem__, sent.receiver.tolist()),
+        sent.send_us.tolist(),
+        sent.deliver_us.tolist(),
     )
     # tuple.__new__ skips the NamedTuple constructor's Python frame.
-    messages = map(tuple.__new__, itertools.repeat(TraceMessage), fields)
-    dropped = len(send) - len(kept)
-    return Trace(tuple(events), tuple(messages), config, dropped)
+    messages = tuple(map(tuple.__new__, itertools.repeat(TraceMessage), fields))
+    trace = Trace(tuple(events), messages, config, len(send) - len(kept))
+    return _hand_over(trace, ids, columns, _checked_messages(trace, columns, sent), codes)
+
+
+def _hand_over(
+    trace: Trace, ids: list[EventId], events: EventColumns, messages: MessageColumns, codes: ReadingCodes
+) -> Trace:
+    """``trace`` with its cached ``ids`` and columns filled from the generator's, which built its records."""
+    vars(trace).update(ids=ids, event_columns=events, message_columns=messages, reading_codes=codes)
+    return trace
 
 
 def _window_outcomes(
@@ -735,7 +894,8 @@ def _timeline(trace: Trace) -> Timeline:
     ``trace.events`` and ``trace.messages`` are listed.  Both replays index
     their state by process, so an event whose process is outside
     ``0..n_processes - 1`` raises ``EventIdentityError``; the messages are
-    checked by ``_message_columns``.
+    checked by ``_checked_messages``, once per trace, when
+    ``trace.message_columns`` is built or handed over.
     """
     columns = trace.event_columns
     owner, seq = columns.process, columns.seq
@@ -747,7 +907,7 @@ def _timeline(trace: Trace) -> Timeline:
         raise EventIdentityError(
             i, f"event {tuple(ev.id)}: process {ev.process} is outside 0..{procs - 1}"
         )
-    sent, delivered, sender, receiver = _message_columns(trace)
+    sent, delivered, sender, receiver = trace.message_columns
     e, n = len(seq), len(sent)
     event = np.arange(e, dtype=np.int32)
     msg = np.arange(n, dtype=np.int32)
@@ -760,57 +920,73 @@ def _timeline(trace: Trace) -> Timeline:
     return Timeline(kind[order], process[order], item[order])
 
 
-def _message_columns(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each message's send and delivery time (int64) and its sender's and receiver's event index.
+def _message_columns(trace: Trace) -> MessageColumns:
+    """``trace``'s message columns, read from its records and checked by ``_checked_messages``.
 
-    Each message field is read once.  The replays read a send's stamp at
-    its delivery, so ``MessageError`` names the first message with a time
-    that does not fit int64, then the first whose sender or receiver is no
-    event of the trace, then the first sent from an event to itself, then
-    the first sent outside its sender's ``[start, end)``, then the first
-    delivered before its send (``deliver_us < send_us``; at equal times the
-    send comes first), then the first delivered at or after its receiver's
-    end, which the snapshot replay would fold into an event that is over.
-    A delivery before its receiver starts is allowed: the snapshot family
-    counts it as a drop.
+    Each message field is read once, and ``MessageError`` first names
+    the first message with a time that does not fit int64.  A sender or
+    receiver that is no event of the trace gets the index -1, which the
+    check names.
     """
-    columns, messages = trace.event_columns, trace.messages
-    procs = trace.config.n_processes
+    messages, procs = trace.messages, trace.config.n_processes
+    columns = trace.event_columns
+    read = MessageColumns(
+        _column(messages, "send_us", np.int64, _message_error),
+        _column(messages, "deliver_us", np.int64, _message_error),
+        _event_index(columns, procs, messages, "from_event"),
+        _event_index(columns, procs, messages, "to_event"),
+    )
+    return _checked_messages(trace, columns, read)
 
-    def bad(i: int, what: str) -> MessageError:
-        return MessageError(i, f"message {i}: {what}")
 
-    sent = _column(messages, "send_us", np.int64, bad)
-    delivered = _column(messages, "deliver_us", np.int64, bad)
-    sender = _event_index(columns, procs, messages, "from_event")
-    receiver = _event_index(columns, procs, messages, "to_event")
+def _checked_messages(trace: Trace, events: EventColumns, columns: MessageColumns) -> MessageColumns:
+    """``columns``, the columns of ``trace.messages``, once the replays can trust them.
+
+    ``events`` is ``trace``'s event columns.  The replays read a send's
+    stamp at its delivery, so ``MessageError`` names the first message
+    whose sender or receiver is no event of the trace (index -1), then
+    the first sent from an event to itself, then the first sent outside
+    its sender's ``[start, end)``, then the first delivered before its
+    send (``deliver_us < send_us``; at equal times the send comes first),
+    then the first delivered at or after its receiver's end, which the
+    snapshot replay would fold into an event that is over.  A delivery
+    before its receiver starts is allowed: the snapshot family counts it
+    as a drop.  The records are read only to name an offender.
+    """
+    messages = trace.messages
+    sent, delivered, sender, receiver = columns
     unknown = np.flatnonzero((sender < 0) | (receiver < 0))
     if unknown.size:
         i = int(unknown[0])
         m = messages[i]
         role, ref = ("sender", m.from_event) if sender[i] < 0 else ("receiver", m.to_event)
-        raise bad(i, f"{role} {tuple(ref)} is no event of the trace")
+        raise _message_error(i, f"{role} {tuple(ref)} is no event of the trace")
     own = np.flatnonzero(sender == receiver)
     if own.size:
         i = int(own[0])
-        raise bad(i, f"sent from {tuple(messages[i].from_event)} to itself")
-    astray = np.flatnonzero((sent < columns.start_us[sender]) | (sent >= columns.end_us[sender]))
+        raise _message_error(i, f"sent from {tuple(messages[i].from_event)} to itself")
+    astray = np.flatnonzero((sent < events.start_us[sender]) | (sent >= events.end_us[sender]))
     if astray.size:
         i = int(astray[0])
         ev = trace.events[sender[i]]
         span = f"[{ev.start_us}, {ev.end_us}) us"
-        raise bad(i, f"sent at {messages[i].send_us} us, outside its sender {tuple(ev.id)}'s span {span}")
+        raise _message_error(i, f"sent at {messages[i].send_us} us, outside its sender {tuple(ev.id)}'s span {span}")
     late = np.flatnonzero(delivered < sent)
     if late.size:
         i = int(late[0])
-        raise bad(i, f"delivered at {messages[i].deliver_us} us, before its send at {messages[i].send_us} us")
-    ended = np.flatnonzero(delivered >= columns.end_us[receiver])
+        what = f"delivered at {messages[i].deliver_us} us, before its send at {messages[i].send_us} us"
+        raise _message_error(i, what)
+    ended = np.flatnonzero(delivered >= events.end_us[receiver])
     if ended.size:
         i = int(ended[0])
         ev = trace.events[receiver[i]]
         when = f"delivered at {messages[i].deliver_us} us"
-        raise bad(i, f"{when}, at or after its receiver {tuple(ev.id)}'s end at {ev.end_us} us")
-    return sent, delivered, sender, receiver
+        raise _message_error(i, f"{when}, at or after its receiver {tuple(ev.id)}'s end at {ev.end_us} us")
+    return columns
+
+
+def _message_error(i: int, what: str) -> MessageError:
+    return MessageError(i, f"message {i}: {what}")
 
 
 def _event_index(columns: EventColumns, procs: int, messages, role: str) -> np.ndarray:

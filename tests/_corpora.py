@@ -10,6 +10,7 @@ from snapdetect.experiment import config_for_point, load_spec
 from snapdetect.detectors import EventId
 from snapdetect.simulate import SimConfig, Trace, TraceEvent, TraceMessage, generate_trace
 
+SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
 NODES = (2, 3, 4, 5, 6, 8, 10, 12, 16, 20)
 DELAYS_US = ((1_000, 5_000), (100, 40_000), SimConfig(nodes=2).message_delay_us)
 SEEDS_PER_POINT = 9
@@ -139,8 +140,99 @@ def long_traces_corpus():
 
 def spec_corpus():
     """The 390 traces of the checked-in specs, one per (point, seed) cell."""
-    for path in sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json")):
+    return map(generate_trace, spec_configs())
+
+
+# Configs the generator is checked on: every spec cell, the benchmark's, and
+# seeded grids over the draws' edge cases.
+
+#: (lo, hi) delay spans of width 0, 1, 4,000, 7.75M, 2**31 and 2**32.
+DELAY_SPANS = (
+    (3_000, 3_000),
+    (2_000, 2_001),
+    (1_000, 5_000),
+    SimConfig(nodes=2).message_delay_us,
+    (10_000, 10_000 + 2**31),
+    (5_000, 5_000 + 2**32),
+)
+FANOUTS = (None, 1, 3)
+JITTERS = (0, SimConfig(nodes=2).start_jitter_us)
+#: Short lifespans, and lifespans of 2**32 us or more, whose send draws
+#: take two words each.
+LIFESPANS = ((2_000, 12_000), (2**32, 2**32 + 50_000))
+GENERATION_SEEDS_PER_POINT = 9
+#: Lifespans on both sides of 2**32 us: one trace's sends mix one-word
+#: and two-word draws.
+STRADDLING_LIFESPAN = (2**32 - 40_000, 2**32 + 40_000)
+
+
+def spec_configs():
+    """The configs of the checked-in specs, one per (point, seed) cell."""
+    for path in SPECS:
         spec = load_spec(path)
         for point in spec.points:
             for seed in spec.seeds:
-                yield generate_trace(config_for_point(spec.base, spec.axis, point, seed))
+                yield config_for_point(spec.base, spec.axis, point, seed)
+
+
+def benchmark_configs():
+    """The dense (5, 10, 20 nodes, seed 3) and long (seeds 1-4) benchmark traces."""
+    for nodes in (5, 10, 20):
+        yield SimConfig(
+            nodes=nodes,
+            instances_per_node=2,
+            events_per_process=20,
+            message_delay_us=(1_000, 5_000),
+            seed=3,
+        )
+    for seed in range(1, 5):
+        yield SimConfig(
+            nodes=4,
+            instances_per_node=2,
+            events_per_process=150,
+            message_delay_us=(1_000, 5_000),
+            peer_fanout=1,
+            seed=seed,
+        )
+
+
+def seeded_configs():
+    """648 small configs over every lifespan, delay span, fan-out and jitter."""
+    grid = itertools.product(LIFESPANS, DELAY_SPANS, FANOUTS, JITTERS)
+    for i, (lifespan, delay, fanout, jitter) in enumerate(grid):
+        for k in range(GENERATION_SEEDS_PER_POINT):
+            yield SimConfig(
+                nodes=2 + k % 4,
+                instances_per_node=1 + k % 2,
+                events_per_process=3 + k % 5,
+                event_lifespan_us=lifespan,
+                inter_event_gap_us=(0, 4_000),
+                message_delay_us=delay,
+                start_jitter_us=jitter,
+                peer_fanout=fanout,
+                seed=7 + i * GENERATION_SEEDS_PER_POINT + k,
+            )
+
+
+
+
+def wide_fanout_configs():
+    """72 configs whose every event messages 17, 19 or 39 peers, at least ``WINDOW_ATTEMPTS``.
+
+    Lifespans short, of 2**32 us or more, and on both sides of 2**32, with
+    four delay spans; fan-out None, and one past the peers, which also
+    messages every peer.
+    """
+    shapes = ((9, 2), (17, 1), (20, 2))
+    grid = itertools.product(shapes, (*LIFESPANS, STRADDLING_LIFESPAN), DELAY_SPANS[2:], (None, 64))
+    for i, ((nodes, instances), lifespan, delay, fanout) in enumerate(grid):
+        yield SimConfig(
+            nodes=nodes,
+            instances_per_node=instances,
+            events_per_process=2 + i % 3,
+            event_lifespan_us=lifespan,
+            inter_event_gap_us=(0, 4_000),
+            message_delay_us=delay,
+            peer_fanout=fanout,
+            seed=5_000 + i,
+        )

@@ -323,6 +323,33 @@ def replay_order_snapshot(trace: Trace) -> tuple[set, int, int]:
     return pairs, dropped, late
 
 
+def closed_form_snapshot(trace: Trace) -> tuple[set, int, OpCounters]:
+    """The snapshot family's pairs, drops and counters at broadcast delay 0, in closed form.
+
+    With n processes, e events and m messages (every message of a trace
+    was delivered when it was generated), the pairs and drops are
+    ``replay_order_snapshot``'s, and with no replay:
+    - ``pair_checks`` = m - dropped: each message not dropped is queued
+      and checked once;
+    - ``clock_updates`` = n(e + m) + m: every start and send ticks once
+      and is announced to the n - 1 peers, each of which folds it once,
+      and every delivery merges once, also one whose receiver has not
+      started (its sender always has);
+    - ``stamp_words_sent`` = ``events_processed`` = e + 2m: a start emits
+      one word and a send two (its stamp and its broadcast), and every
+      start, send and delivery is processed once.
+    """
+    pairs, dropped, _late = replay_order_snapshot(trace)
+    n, e, m = trace.config.n_processes, len(trace.events), len(trace.messages)
+    counters = OpCounters(
+        clock_updates=n * (e + m) + m,
+        stamp_words_sent=e + 2 * m,
+        pair_checks=m - dropped,
+        events_processed=e + 2 * m,
+    )
+    return pairs, dropped, counters
+
+
 def keyed_timeline(trace: Trace) -> list[tuple]:
     """The replay order sorted on ``(time_us, kind, process, sub)`` alone.
 

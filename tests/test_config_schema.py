@@ -14,7 +14,7 @@ from _corpora import long_traces_corpus, scale_dense_corpus
 from _oracles import three_axis_config_for_point
 from snapdetect import simulate
 from snapdetect.experiment import SpecError, _axis_numeric, _axis_repr, config_for_point, load_spec, parse_spec, run_sweep
-from snapdetect.simulate import MAX_TRAJECTORY_STAYS, ConfigError, SimConfig, generate_trace
+from snapdetect.simulate import MAX_MESSAGE_ATTEMPTS, MAX_TRAJECTORY_STAYS, ConfigError, SimConfig, generate_trace
 from snapdetect.tracefile import load_trace, save_trace
 
 FIXTURES = sorted((Path(snapdetect.__file__).parent / "fixtures").glob("scenario_*.jsonl"))
@@ -270,6 +270,33 @@ def test_trajectory_bound_names_the_users_at_its_edge():
     with pytest.raises(ConfigError, match="trajectory stays") as err:
         SimConfig(nodes=2, users=MAX_TRAJECTORY_STAYS + 1).validate()
     assert err.value.field == "users"
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        # 4,000 processes x 50 events x 3,999 peers: about 800M attempts.
+        (SimConfig(nodes=1000, instances_per_node=4, events_per_process=50), "nodes"),
+        (SimConfig(nodes=2, instances_per_node=3000, events_per_process=2), "instances_per_node"),
+        (SimConfig(nodes=2, instances_per_node=1, events_per_process=MAX_MESSAGE_ATTEMPTS // 2 + 1), "events_per_process"),
+        (SimConfig(nodes=500, instances_per_node=2, events_per_process=400, peer_fanout=50), "nodes"),
+    ],
+)
+def test_message_attempts_past_the_bound_are_rejected(config, field):
+    """Validated only: generating any of these would allocate gigabytes."""
+    with pytest.raises(ConfigError, match="message attempts") as err:
+        config.validate()
+    assert err.value.field == field
+
+
+def test_message_attempt_bound_is_inclusive():
+    # Two processes, one peer each: the attempts are twice the events per process.
+    SimConfig(nodes=2, instances_per_node=1, events_per_process=MAX_MESSAGE_ATTEMPTS // 2).validate()
+    # 4,000 processes x 2 events x the fan-out: 2,097 peers fit, 2,098 do not.
+    SimConfig(nodes=1000, instances_per_node=4, events_per_process=2, peer_fanout=2_097).validate()
+    with pytest.raises(ConfigError, match="message attempts") as err:
+        SimConfig(nodes=1000, instances_per_node=4, events_per_process=2, peer_fanout=2_098).validate()
+    assert err.value.field == "nodes"
 
 
 def test_checked_in_configs_are_within_the_trajectory_bound():

@@ -101,17 +101,39 @@ def test_equal_starts_in_seq_order_are_accepted():
     assert len(ground_truth(trace).concurrent_pairs) == 3
 
 
-def test_identity_is_checked_once_per_trace(monkeypatch):
-    checked = []
-    build = simulate._event_columns
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of ``simulate.<name>`` from now on."""
+    calls = []
+    wrapped = getattr(simulate, name)
 
-    def counting(events):
-        checked.append(events)
-        return build(events)
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
 
-    monkeypatch.setattr(simulate, "_event_columns", counting)
-    trace = generate_trace(SimConfig(nodes=3, events_per_process=3, seed=7))
+    monkeypatch.setattr(simulate, name, counting)
+    return calls
+
+
+def replay_everything(trace: Trace) -> None:
     ground_truth(trace)
     for family in DetectorFamily:
         run_trace(trace, family)
-    assert checked == [trace.events]
+
+
+def test_identity_is_checked_once_per_trace(monkeypatch):
+    """A generated trace's handed columns go through the checks a loaded trace's do, once each."""
+    events_checked = count_calls(monkeypatch, "_checked_events")
+    messages_checked = count_calls(monkeypatch, "_checked_messages")
+    looked_up = count_calls(monkeypatch, "_event_index")
+    trace = generate_trace(SimConfig(nodes=3, events_per_process=3, message_delay_us=(1_000, 5_000), seed=7))
+    assert trace.messages
+    replay_everything(trace)
+    assert [tuple(args[0]) for args in events_checked] == [trace.events]
+    assert [args[0] for args in messages_checked] == [trace]
+    assert looked_up == []  # the generator's indices are handed over, not searched for
+
+    rebuilt = Trace(trace.events, trace.messages, trace.config, trace.dropped_messages)
+    replay_everything(rebuilt)
+    assert [tuple(args[0]) for args in events_checked[1:]] == [trace.events]
+    assert [args[0] for args in messages_checked[1:]] == [rebuilt]
+    assert len(looked_up) == 2  # senders, then receivers

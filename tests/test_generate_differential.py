@@ -3,9 +3,11 @@
 ``_oracles.randint_generate_trace`` is the per-attempt loop that
 ``simulate.generate_trace`` replaced.  Events, messages and the drop count
 must be identical on every spec config, on the benchmark's dense and long
-configs, and on a seeded corpus that covers fan-out None/1/3, zero start
+configs, on a seeded corpus that covers fan-out None/1/3, zero start
 jitter, delay spans from width 0 up to 2**32 and lifespans of 2**32 us and
-more (send draws of two words).  Each corpus must reach every delivery
+more (send draws of two words), and on a wide fan-out corpus whose events
+message 17 to 39 peers each, so that their sends are read through numpy
+word windows, mixed with two-word draws.  Each corpus must reach every delivery
 outcome, or it shows nothing: a window inside one receiver event (certain
 first-try delivery), a window that meets no receiver event (certain drop,
 hopeless attempts among them), and windows whose outcome the delays decide,
@@ -14,80 +16,14 @@ landing on the first, second and third try or missing all three.
 import itertools
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from _corpora import benchmark_configs, seeded_configs, spec_configs, wide_fanout_configs
 from _oracles import randint_generate_trace
 from snapdetect import simulate
-from snapdetect.experiment import config_for_point, load_spec
-from snapdetect.simulate import ConfigError, SimConfig, generate_trace
-
-SPECS = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
-
-#: (lo, hi) delay spans of width 0, 1, 4,000, 7.75M, 2**31 and 2**32.
-DELAY_SPANS = (
-    (3_000, 3_000),
-    (2_000, 2_001),
-    (1_000, 5_000),
-    SimConfig(nodes=2).message_delay_us,
-    (10_000, 10_000 + 2**31),
-    (5_000, 5_000 + 2**32),
-)
-FANOUTS = (None, 1, 3)
-JITTERS = (0, SimConfig(nodes=2).start_jitter_us)
-#: Short lifespans, and lifespans of 2**32 us or more, whose send draws
-#: take two words each.
-LIFESPANS = ((2_000, 12_000), (2**32, 2**32 + 50_000))
-SEEDS_PER_POINT = 9
-
-
-def spec_configs():
-    for path in SPECS:
-        spec = load_spec(path)
-        for point in spec.points:
-            for seed in spec.seeds:
-                yield config_for_point(spec.base, spec.axis, point, seed)
-
-
-def benchmark_configs():
-    """The dense (5, 10, 20 nodes, seed 3) and long (seeds 1-4) benchmark traces."""
-    for nodes in (5, 10, 20):
-        yield SimConfig(
-            nodes=nodes,
-            instances_per_node=2,
-            events_per_process=20,
-            message_delay_us=(1_000, 5_000),
-            seed=3,
-        )
-    for seed in range(1, 5):
-        yield SimConfig(
-            nodes=4,
-            instances_per_node=2,
-            events_per_process=150,
-            message_delay_us=(1_000, 5_000),
-            peer_fanout=1,
-            seed=seed,
-        )
-
-
-def seeded_configs():
-    """648 small configs over every lifespan, delay span, fan-out and jitter."""
-    grid = itertools.product(LIFESPANS, DELAY_SPANS, FANOUTS, JITTERS)
-    for i, (lifespan, delay, fanout, jitter) in enumerate(grid):
-        for k in range(SEEDS_PER_POINT):
-            yield SimConfig(
-                nodes=2 + k % 4,
-                instances_per_node=1 + k % 2,
-                events_per_process=3 + k % 5,
-                event_lifespan_us=lifespan,
-                inter_event_gap_us=(0, 4_000),
-                message_delay_us=delay,
-                start_jitter_us=jitter,
-                peer_fanout=fanout,
-                seed=7 + i * SEEDS_PER_POINT + k,
-            )
+from snapdetect.simulate import WINDOW_ATTEMPTS, ConfigError, SimConfig, generate_trace
 
 
 def assert_same_traces(configs) -> Counter:
@@ -96,9 +32,14 @@ def assert_same_traces(configs) -> Counter:
     The reference counts ``hopeless``, ``hit_try_1`` to ``hit_try_3`` and
     ``dropped`` attempts; ``certain_hit`` and ``certain_miss`` count the
     windows the generator settles without trying a delay.
+    ``window_events`` counts the events whose sends were read through
+    word windows, and ``wide_events`` the events whose span needs more
+    than 32 bits, in traces where every event messages at least
+    ``WINDOW_ATTEMPTS`` peers.
     """
     tally = Counter()
     outcomes = simulate._window_outcomes
+    window = simulate._Words._window
 
     def counted(*args):
         seq, inside, missed = outcomes(*args)
@@ -106,10 +47,19 @@ def assert_same_traces(configs) -> Counter:
         tally["certain_miss"] += int(missed.sum())
         return seq, inside, missed
 
+    def windowed(self, spans, count):
+        tally["window_events"] += len(spans)
+        return window(self, spans, count)
+
     for config in configs:
-        with mock.patch.object(simulate, "_window_outcomes", counted):
+        with mock.patch.object(simulate, "_window_outcomes", counted), mock.patch.object(
+            simulate._Words, "_window", windowed
+        ):
             got = generate_trace(config)
         want = randint_generate_trace(config, tally)
+        peers = config.n_processes - 1
+        if peers >= WINDOW_ATTEMPTS and (config.peer_fanout or peers) >= peers:
+            tally["wide_events"] += sum((e.end_us - e.start_us).bit_length() > 32 for e in got.events)
         assert got.events == want.events, config
         assert got.messages == want.messages, config
         assert got.dropped_messages == want.dropped_messages, config
@@ -135,10 +85,25 @@ def test_spec_configs_match_reference():
     tally = assert_same_traces(spec_configs())
     assert tally["configs"] == 390
     assert_every_path(tally)
+    # 10, 15 and 20 nodes of two instances: 19, 29 and 39 peers per event.
+    assert tally["window_events"] == 30 * 2 * 6 * (10 + 15 + 20)
 
 
 def test_benchmark_configs_match_reference():
     tally = assert_same_traces(benchmark_configs())
+    assert_every_path(tally)
+    assert tally["window_events"] == 2 * 20 * (10 + 20)  # the 19- and 39-peer dense traces
+
+
+def test_wide_fanout_configs_match_reference():
+    """Sends read through word windows, around and between two-word draws."""
+    configs = list(wide_fanout_configs())
+    assert len(configs) == 72
+    assert min(c.n_processes for c in configs) - 1 >= WINDOW_ATTEMPTS
+    tally = assert_same_traces(configs)
+    events = sum(c.n_processes * c.events_per_process for c in configs)
+    assert tally["window_events"] + tally["wide_events"] == events
+    assert 0 < tally["wide_events"] < events
     assert_every_path(tally)
 
 
@@ -189,10 +154,13 @@ def test_small_delay_chunks_match_reference(chunk_words):
     """One-word chunks, and five-word chunks that leave a ragged tail.
 
     Both the message stream's word buffer and the bulk delay draw read
-    their streams in chunks of ``CHUNK_WORDS`` words.
+    their streams in chunks of ``CHUNK_WORDS`` words; word windows start
+    from what the buffer's chunk has left.
     """
     configs = list(itertools.islice(seeded_configs(), 0, None, 3))
+    configs += itertools.islice(wide_fanout_configs(), 0, None, 4)
     assert any(c.event_lifespan_us[0] >= 2**32 for c in configs)
     with mock.patch.object(simulate, "CHUNK_WORDS", chunk_words):
         tally = assert_same_traces(configs)
     assert_every_path(tally)
+    assert tally["window_events"] > 0 and tally["wide_events"] > 0

@@ -9,6 +9,8 @@ against the view must give the report it gives against
 import dataclasses
 import random
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import brute_force_overlap
@@ -145,3 +147,75 @@ def test_physical_family_returns_the_view_itself():
     report = score(physical.detected_pairs, truth)
     assert report.recall == report.precision == 1.0
     assert report.true_pairs == report.detected_pairs == len(truth.concurrent_pairs) > 0
+
+
+def comparison_partners(rnd: random.Random, trace: Trace, view: PairKeys) -> list:
+    """Sets a view is compared with: views over the same ids and over a backwards listing, and plain sets."""
+    backwards = Trace(trace.events[::-1], trace.messages, trace.config, trace.dropped_messages)
+    pairs = sorted(view)
+    some = rnd.sample(pairs, rnd.randint(0, len(pairs)))
+    ids = [e.id for e in trace.events]
+    extra = {pair_key(rnd.choice(ids), rnd.choice(FOREIGN))} if ids else {(FOREIGN[0], FOREIGN[1])}
+    return [
+        *(run_trace(trace, family).detected_pairs for family in DetectorFamily),
+        ground_truth(backwards).concurrent_pairs,
+        run_trace(backwards, DetectorFamily.VECTOR).detected_pairs,
+        frozenset(pairs),
+        set(some),
+        set(pairs) | extra,
+        {(tuple(a), tuple(b)) for a, b in pairs},  # plain tuples, equal to the EventId pairs
+        {(b, a) for a, b in pairs},
+        set(pairs) | {"ab", 3, (FOREIGN[0],)},  # elements that are no pair
+        set(),
+        frozenset(),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(hand_made, generated), st.randoms(use_true_random=False))
+@example(hand_made_trace([], range), random.Random(0))  # empty views
+@example(hand_made_trace([(0, 0, 4), (1, 1, 4), (2, 2, 4)], lambda m: range(m - 1, -1, -1)), random.Random(2))
+def test_comparisons_are_those_of_the_frozensets(trace, rnd):
+    """``==``, ``!=``, ``<=``, ``>=``, ``<`` and ``>`` give what they give on frozenset copies, either side first."""
+    view = ground_truth(trace).concurrent_pairs
+    partners = comparison_partners(rnd, trace, view)
+    for x in (view, *(p for p in partners if isinstance(p, PairKeys))):
+        fx = frozenset(x)
+        for y in partners:
+            fy = frozenset(y)
+            assert (x == y, x != y, x <= y, x >= y, x < y, x > y) == (
+                fx == fy, fx != fy, fx <= fy, fx >= fy, fx < fy, fx > fy
+            ), (sorted(fx), y)
+            assert (y == x, y != x, y <= x, y >= x, y < x, y > x) == (
+                fy == fx, fy != fx, fy <= fx, fy >= fx, fy < fx, fy > fx
+            ), (sorted(fx), y)
+        # A tuple or a list is no set: never equal, and not ordered against one.
+        for plain in (tuple(x), list(x)):
+            assert x != plain and not x == plain
+            with pytest.raises(TypeError):
+                x <= plain
+            with pytest.raises(TypeError):
+                x >= plain
+
+
+def test_views_of_the_same_ids_compare_keys(monkeypatch):
+    """Two views over one ``ids`` compare their key columns: no pair is looked up."""
+    trace = generate_trace(SimConfig(nodes=4, events_per_process=8, message_delay_us=(1_000, 5_000), seed=3))
+    truth = ground_truth(trace).concurrent_pairs
+    vector = run_trace(trace, DetectorFamily.VECTOR).detected_pairs
+    again = PairKeys(trace.ids, trace.id_index, *divmod(np.array(truth.keys), len(trace.ids)))
+    lookups = []
+    original = PairKeys.count_common
+
+    def counted(self, pairs):
+        lookups.append(isinstance(pairs, PairKeys) and pairs.ids is self.ids)
+        return original(self, pairs)
+
+    monkeypatch.setattr(PairKeys, "count_common", counted)
+    assert truth == again and not truth != again
+    assert lookups == []  # equality of one ids' views is one comparison of keys
+    assert 0 < len(vector) < len(truth)
+    assert vector <= truth and truth >= vector and vector < truth
+    assert vector <= frozenset(truth) and not frozenset(truth) <= vector
+    # One count each; ``<`` reuses ``<=``, and a longer side is never a subset.
+    assert lookups == [True, True, True, False]

@@ -8,12 +8,15 @@ stream's word buffer ``simulate._Words`` must give what the stream itself
 gives for any mix of ``below``, ``sample`` and ``getrandbits`` calls, also
 when a draw of several words or a run of ``below`` draws straddles a
 refill, and at the edges of ``below``'s keep threshold
-``n << (32 - n.bit_length())``.  If CPython changes how
-``randint``, ``sample`` or ``getrandbits`` consume its stream, these fail
-first.  A guard also keeps ``numpy.random`` (and its memory) out of trace
+``n << (32 - n.bit_length())``.  ``_Words.below_each``, which reads the
+words of wide fan-out events as numpy windows, must give what ``below``
+gives event by event, and leave the stream where ``below`` would.  If
+CPython changes how ``randint``, ``sample`` or ``getrandbits`` consume its
+stream, these fail first.  A guard also keeps ``numpy.random`` (and its memory) out of trace
 generation.
 """
 import array
+import contextlib
 import os
 import random
 import subprocess
@@ -26,7 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import snapdetect
 from snapdetect import simulate
-from snapdetect.simulate import CHUNK_WORDS, _randint, _randints, _Words
+from snapdetect.simulate import CHUNK_WORDS, WINDOW_ATTEMPTS, _randint, _randints, _Words
 
 #: n = hi - lo + 1 of 1, 2**32 - 1, 2**32 and 2**32 + 1, and a spread between.
 SPAN_SIZES = st.sampled_from([1, 2, 3, 4_001, 2**31, 2**32 - 1, 2**32, 2**32 + 1])
@@ -134,6 +137,102 @@ def test_wide_below_straddles_refills(chunk_words):
     calls += [("below", 2**62 + 3, chunk_words + 1), ("sample", 9, 2)]
     for seed in range(6):
         check_calls(seed, calls, chunk_words)
+
+
+@contextlib.contextmanager
+def window_runs():
+    """The spans of every ``_Words._window`` call inside the block."""
+    runs = []
+    window = _Words._window
+
+    def counted(self, spans, count):
+        runs.append(list(spans))
+        return window(self, spans, count)
+
+    with mock.patch.object(_Words, "_window", counted):
+        yield runs
+
+
+#: Event spans as the generator draws sends over them: narrow ones of every
+#: width, the edges of 32 bits, and wide ones that take two words, up to
+#: the int64 times a span lies between.
+EVENT_SPANS = st.sampled_from([1, 2, 3, 20_000, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62 + 3])
+EVENT_SPANS |= st.integers(1, 2**34)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=SEEDS,
+    before=st.lists(CALLS, max_size=3),
+    spans=st.lists(EVENT_SPANS, max_size=30),
+    count=st.integers(WINDOW_ATTEMPTS, 64),
+    after=st.tuples(st.sampled_from([1, 32, 33, 64]), SPAN_SIZES, st.integers(1, 40)),
+    chunk_words=st.sampled_from([1, 5, CHUNK_WORDS]),
+)
+@example(seed=0, before=[], spans=[2**31] * 40, count=16, after=(32, 7, 3), chunk_words=1)
+@example(
+    seed=1, before=[("below", 9, 2)], spans=[2**32 + 5, 40_000, 2**33, 3], count=39, after=(33, 2**32 + 1, 2), chunk_words=5
+)
+def test_window_draw_equals_below_per_event(seed, before, spans, count, after, chunk_words):
+    """``below_each`` gives each span's ``count`` draws; a later ``getrandbits`` and ``below`` read on.
+
+    The calls before it leave a part-read chunk in the buffer.
+    """
+    words, ref = _Words(random.Random(seed)), random.Random(seed)
+    with mock.patch.object(simulate, "CHUNK_WORDS", chunk_words), window_runs() as runs:
+        for name, a, b in before:
+            if name == "below":
+                assert below(words, a, b) == [ref.randint(0, a - 1) for _ in range(b)]
+            elif name == "sample":
+                assert words.sample(range(a), min(a, b)) == ref.sample(range(a), min(a, b))
+            else:
+                assert words.getrandbits(a) == ref.getrandbits(a)
+        got = words.below_each(spans, count)
+        assert got.dtype == "int64" and len(got) == len(spans) * count
+        assert got.tolist() == [ref.randint(0, n - 1) for n in spans for _ in range(count)]
+        bits, n, k = after
+        assert words.getrandbits(bits) == ref.getrandbits(bits)
+        assert below(words, n, k) == [ref.randint(0, n - 1) for _ in range(k)]
+    narrow = [n for n in spans if n.bit_length() <= 32]
+    assert [n for run in runs for n in run] == narrow  # every narrow span, and no wide one, went through a window
+
+
+def test_few_draws_per_span_skip_the_window():
+    """Below ``WINDOW_ATTEMPTS`` draws per event the C ``filter`` reads every span."""
+    words, ref = _Words(random.Random(3)), random.Random(3)
+    spans = [20_000, 45_001, 2**32 + 9, 7]
+    with window_runs() as runs:
+        for count in (1, WINDOW_ATTEMPTS - 1):
+            got = words.below_each(spans, count)
+            assert got.tolist() == [ref.randint(0, n - 1) for n in spans for _ in range(count)]
+    assert runs == []
+    assert words.below_each([], WINDOW_ATTEMPTS).tolist() == []
+
+
+def test_window_widens_when_it_holds_too_few(monkeypatch):
+    """Spans that keep each word with probability 1/2 outrun some windows and the words drawn for them.
+
+    The source is then read again, past the expected words, and the
+    draws still match.
+    """
+    draws = []
+    chunk = simulate._chunk
+
+    def counted(rng, n):
+        draws.append(n)
+        return chunk(rng, n)
+
+    monkeypatch.setattr(simulate, "_chunk", counted)
+    widened = 0
+    for seed in range(40):
+        del draws[:]
+        words, ref = _Words(random.Random(seed)), random.Random(seed)
+        spans = [2**31, 2**20, 1] * 20
+        got = words.below_each(spans, WINDOW_ATTEMPTS)
+        assert got.tolist() == [ref.randint(0, n - 1) for n in spans for _ in range(WINDOW_ATTEMPTS)]
+        widened += len(draws) > 1
+        assert words.getrandbits(32) == ref.getrandbits(32)
+    assert widened > 0
 
 
 def test_word_buffer_rejects_negative_width():
