@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,12 +22,18 @@ from .simulate import (
     SPEC_FIELDS,
     ConfigError,
     DetectorFamily,
+    Layout,
     SimConfig,
+    Trace,
     config_record,
+    generate_layout,
     generate_trace,
     ground_truth,
     is_range,
+    layout_key,
     run_trace,
+    wire_trace,
+    with_caches,
 )
 
 CSV_SCHEMA_VERSION = 1
@@ -201,11 +208,51 @@ def config_for_point(base: SimConfig, axis: str, point, seed: int) -> SimConfig:
     return replace(base, **{AXIS_FIELDS[axis].name: spec_value(axis, point)}, seed=seed)
 
 
-def _job(args: tuple) -> list[dict]:
-    """One (point, seed) cell: generate once, run every detector."""
+class _Layouts:
+    """The layouts of one serial sweep, each held while a later cell shares its ``layout_key``.
+
+    ``left`` counts each key's cells still to run; a cell with no config
+    or key is not counted, and reports its error when it runs.  A layout
+    is dropped when the last cell of its key starts.
+    """
+
+    def __init__(self, job_args: Sequence[tuple]):
+        self.left: Counter = Counter()
+        self.held: dict[tuple, Layout] = {}
+        for base, axis, point, seed, _ in job_args:
+            try:
+                self.left[layout_key(config_for_point(base, axis, point, seed))] += 1
+            except Exception:  # noqa: BLE001 - the cell reports it
+                continue
+
+    def trace(self, config: SimConfig) -> Trace:
+        """``generate_trace(config)``, wired from the held layout of its key if there is one."""
+        config.validate()  # an invalid config has no key to look up
+        key = layout_key(config)
+        self.left[key] -= 1
+        layout = self.held.pop(key, None)
+        if layout is None:
+            layout = generate_layout(config)
+        if self.left[key] > 0:
+            self.held[key] = layout  # held before wiring, so a wiring error does not drop it
+        return wire_trace(layout, config)
+
+    def keep(self, trace: Trace) -> None:
+        """Hold the caches ``trace`` built with its layout, if a later cell shares it."""
+        key = layout_key(trace.config)
+        if key in self.held:
+            self.held[key] = with_caches(self.held[key], trace)
+
+
+def _job(args: tuple, layouts: Optional[_Layouts] = None) -> list[dict]:
+    """One (point, seed) cell: generate once, run every detector.
+
+    With ``layouts`` the trace is wired from a layout shared with the
+    sweep's other cells of its ``layout_key``.
+    """
     base, axis, point, seed, det_values = args
     config = config_for_point(base, axis, point, seed)
-    trace = generate_trace(config)
+    trace = generate_trace(config) if layouts is None else layouts.trace(config)
     truth = ground_truth(trace)
     wall_ms = f"{trace.makespan_us / 1000.0:.3f}"
     rows = []
@@ -228,6 +275,8 @@ def _job(args: tuple) -> list[dict]:
                 "wall_ms": wall_ms,
             }
         )
+    if layouts is not None:
+        layouts.keep(trace)
     return rows
 
 
@@ -257,7 +306,10 @@ def run_sweep(
     """Run the full grid and write results.csv plus manifest.json.
 
     ``jobs`` is the number of worker processes; 1 runs the grid in this
-    process, and a value below 1 raises ``ValueError``.
+    process, and a value below 1 raises ``ValueError``.  In this process,
+    cells whose configs share a ``layout_key`` share one layout, held for
+    this call only and dropped after the last of them; a worker runs each
+    cell on its own.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -283,9 +335,10 @@ def run_sweep(
                     results.append(None)
                     errors.append(f"point={args[2]} seed={args[3]}: {exc}")
     else:
+        layouts = _Layouts(job_args)
         for args in job_args:
             try:
-                results.append(_job(args))
+                results.append(_job(args, layouts))
             except Exception as exc:  # noqa: BLE001 - partial failure is reported
                 results.append(None)
                 errors.append(f"point={args[2]} seed={args[3]}: {exc}")
@@ -389,7 +442,11 @@ def _std(values: Sequence[float]) -> float:
 
 
 def summarize(rows: list[dict]) -> dict:
-    """Aggregate sweep rows into per-point stats, trends and growth fits."""
+    """Aggregate sweep rows into per-point stats, trends and growth fits.
+
+    ``vacuous`` is True when no family detected a pair on any row whose
+    ``true_pairs`` is above 0.
+    """
     detectors = sorted({r["detector"] for r in rows})
     axis_values: list[str] = []
     for r in rows:
@@ -462,8 +519,13 @@ def summarize(rows: list[dict]) -> dict:
             else:
                 growth[key] = None
 
+    # A sweep with pairs to find where no family finds one cannot tell the
+    # families apart.
+    vacuous = not any(r["detected_pairs"] > 0 for r in rows if r["true_pairs"] > 0)
+
     return {
         "csv_schema": CSV_SCHEMA_VERSION,
+        "vacuous": vacuous,
         "detectors": detectors,
         "points": points,
         "trends": trends,

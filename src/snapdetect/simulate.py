@@ -14,6 +14,11 @@ read in bulk from their streams' MT19937 words, exactly as
 receiver's events settles each attempt whose outcome no delay can change.
 A generated trace is handed the columns its records were built from, each
 through the check that a loaded trace's columns pass.
+
+Generation runs in two stages.  ``generate_layout`` draws everything that
+does not read ``message_delay_us``: the events, their readings and every
+message attempt's send time and receiver.  ``wire_trace`` draws the delays
+and makes the trace.  Configs with one ``layout_key`` share one layout.
 """
 from __future__ import annotations
 
@@ -293,6 +298,12 @@ class Trace:
         """Where each id is in ``ids``, built on first use and shared by every ``PairKeys``."""
         self.event_columns  # rejects a repeated id, which would collapse here
         return dict(zip(self.ids, range(len(self.ids))))
+
+    @functools.cached_property
+    def id_order(self) -> np.ndarray:
+        """The index in ``events`` of each event, in id order: the vector scan's rows (read-only)."""
+        columns = self.event_columns  # each id's parts, checked against the events
+        return _read_only(np.lexsort((columns.seq, columns.process)))
 
     @functools.cached_property
     def reading_codes(self) -> ReadingCodes:
@@ -643,6 +654,43 @@ class _Trajectories:
         return rng.choice(others)
 
 
+class Layout(NamedTuple):
+    """What ``generate_trace`` draws before it reads ``message_delay_us``.
+
+    ``key`` is the ``layout_key`` of the config it was laid out for;
+    ``wire_trace`` makes, from it, the trace of any config with that key.
+    ``events`` are the trace's records.  ``starts`` and ``ends`` are the
+    events' (processes, events per process) spans; ``send`` and
+    ``receiver`` are each message attempt's send time and receiving
+    process, ``per_event`` attempts per event, in the order the attempts
+    are made.  ``caches`` holds the event-only ``Trace`` caches
+    (``EVENT_CACHES``) that every trace wired from the layout is handed.
+    Every array is read-only, so those traces can share them.
+    """
+
+    key: tuple
+    events: tuple[TraceEvent, ...]
+    starts: np.ndarray
+    ends: np.ndarray
+    send: np.ndarray
+    receiver: np.ndarray
+    per_event: int
+    caches: dict
+
+
+#: The cached ``Trace`` properties that read nothing but the events.
+EVENT_CACHES = ("ids", "event_columns", "reading_codes", "id_index", "id_order", "truth")
+
+
+#: Every ``SimConfig`` field but ``message_delay_us``, the one the layout stage does not read.
+_LAYOUT_FIELDS = operator.attrgetter(*(f.name for f in CONFIG_FIELDS if f.name != "message_delay_us"))
+
+
+def layout_key(config: SimConfig) -> tuple:
+    """``config``'s fields with ``message_delay_us`` left out: configs with one key share one layout."""
+    return _LAYOUT_FIELDS(config)
+
+
 def generate_trace(config: SimConfig) -> Trace:
     """Deterministic workload for one (config, seed) point.
 
@@ -650,10 +698,19 @@ def generate_trace(config: SimConfig) -> Trace:
     event and message columns, each through the check that a loaded trace
     gets, its reading codes and its ids.
     """
+    return wire_trace(generate_layout(config), config)
+
+
+def generate_layout(config: SimConfig) -> Layout:
+    """The layout stage of ``generate_trace(config)``.
+
+    It validates ``config`` and draws the layout, users, errors and
+    messages streams: the events, their readings and every message
+    attempt's send time and receiver.
+    """
     config.validate()
     layout = _stream(config.seed, "layout")
     msg_rng = _stream(config.seed, "messages")
-    delay_rng = _stream(config.seed, "delays")
     err_rng = _stream(config.seed, "errors")
     user_rng = _stream(config.seed, "users")
 
@@ -704,7 +761,7 @@ def generate_trace(config: SimConfig) -> Trace:
         readings, np.ones(len(events), np.int8), user_codes.astype(np.int32), np.frombuffer(places, np.int32)
     )
 
-    span_us = np.array(per_proc, dtype=np.int64)  # (process, seq, [start, end])
+    span_us = _read_only(np.array(per_proc, dtype=np.int64))  # (process, seq, [start, end])
     starts, ends = span_us[..., 0], span_us[..., 1]
     process = np.repeat(np.arange(procs, dtype=np.int32), per_proc_events)
     seqs = np.tile(np.arange(per_proc_events, dtype=np.int32), procs)
@@ -734,7 +791,25 @@ def generate_trace(config: SimConfig) -> Trace:
         offset = np.frombuffer(drawn, dtype=np.int64) >> np.repeat(np.frombuffer(shifts, dtype=np.int64), fanout)
     receiver = peer + (peer >= np.repeat(process, per_event))
     send = offset + np.repeat(columns.start_us, per_event)
-    starts_by_proc, ends_by_proc = starts.tolist(), ends.tolist()
+    _read_only(*columns, receiver, send, *codes[1:])
+    ids = [ev.id for ev in events]  # event (p, s) is ids[p * events_per_process + s]
+    caches = {"ids": ids, "event_columns": columns, "reading_codes": codes}
+    return Layout(layout_key(config), tuple(events), starts, ends, send, receiver, per_event, caches)
+
+
+def wire_trace(layout: Layout, config: SimConfig) -> Trace:
+    """The wiring stage of ``generate_trace(config)``: the trace, made from ``layout``.
+
+    ``layout`` must have been laid out for a config of ``config``'s
+    ``layout_key``; only the delays stream is drawn here.  The trace is
+    handed the layout's caches and its own message columns.
+    """
+    config.validate()
+    if layout_key(config) != layout.key:
+        raise ValueError("the layout was laid out for a config of another layout_key")
+    delay_rng = _stream(config.seed, "delays")
+    starts, ends, send, receiver = layout.starts, layout.ends, layout.send, layout.receiver
+    horizon = int(ends.max())
 
     # Each attempt's delivery window, [send + lo, send + hi], with times
     # past the horizon clipped to horizon + 1: no event is live there, and
@@ -762,6 +837,7 @@ def generate_trace(config: SimConfig) -> Trace:
     tried = zip(
         uncertain.tolist(), first[uncertain].tolist(), send[uncertain].tolist(), receiver[uncertain].tolist()
     )
+    starts_by_proc, ends_by_proc = starts.tolist(), ends.tolist()
     # Tried attempts read their delays through one view of the array, with
     # no numpy slice per attempt.  Delays over a span of 2**32 or more are
     # Python ints; they are below the span, so they fit int64.
@@ -789,9 +865,9 @@ def generate_trace(config: SimConfig) -> Trace:
     seq[landed] = landed_seq
     kept = np.flatnonzero(delivered)
     sent = MessageColumns(
-        send[kept], deliver[kept], kept // per_event, receiver[kept] * per_proc_events + seq[kept]
+        send[kept], deliver[kept], kept // layout.per_event, receiver[kept] * config.events_per_process + seq[kept]
     )
-    ids = [ev.id for ev in events]  # event (p, s) is ids[p * events_per_process + s]
+    ids = layout.caches["ids"]
     fields = zip(
         map(ids.__getitem__, sent.sender.tolist()),
         map(ids.__getitem__, sent.receiver.tolist()),
@@ -800,16 +876,23 @@ def generate_trace(config: SimConfig) -> Trace:
     )
     # tuple.__new__ skips the NamedTuple constructor's Python frame.
     messages = tuple(map(tuple.__new__, itertools.repeat(TraceMessage), fields))
-    trace = Trace(tuple(events), messages, config, len(send) - len(kept))
-    return _hand_over(trace, ids, columns, _checked_messages(trace, columns, sent), codes)
-
-
-def _hand_over(
-    trace: Trace, ids: list[EventId], events: EventColumns, messages: MessageColumns, codes: ReadingCodes
-) -> Trace:
-    """``trace`` with its cached ``ids`` and columns filled from the generator's, which built its records."""
-    vars(trace).update(ids=ids, event_columns=events, message_columns=messages, reading_codes=codes)
+    trace = Trace(layout.events, messages, config, len(send) - len(kept))
+    vars(trace).update(layout.caches)
+    vars(trace)["message_columns"] = _checked_messages(trace, layout.caches["event_columns"], sent)
     return trace
+
+
+def with_caches(layout: Layout, trace: Trace) -> Layout:
+    """``layout`` holding every event-only cache that ``trace``, wired from it, has built."""
+    built = vars(trace)
+    return layout._replace(caches={name: built[name] for name in EVENT_CACHES if name in built})
+
+
+def _read_only(*arrays: np.ndarray) -> np.ndarray:
+    """Make each of ``arrays`` read-only; return the first."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0]
 
 
 def _window_outcomes(
@@ -1107,7 +1190,7 @@ def _replay_vector(
     counters.clock_updates += len(kind)
     counters.events_processed += len(trace.events) + 2 * n_msgs
     counters.stamp_words_sent += trace.config.n_processes * n_msgs
-    order = _id_order(trace)
+    order = trace.id_order
     ids = list(map(trace.ids.__getitem__, order.tolist()))
     rank = np.empty_like(order)  # each event's row, in ``trace.events`` order
     rank[order] = np.arange(len(order))
@@ -1119,12 +1202,6 @@ def _replay_vector(
         return _stamps(known, row[at], count[at], process[at])
 
     return ids, endpoint_stamps(_START), endpoint_stamps(_END)
-
-
-def _id_order(trace: Trace) -> np.ndarray:
-    """The index in ``trace.events`` of each event, in id order."""
-    columns = trace.event_columns  # each id's parts, checked against the events
-    return np.lexsort((columns.seq, columns.process))
 
 
 def _vector_rows(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1243,7 +1320,7 @@ def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
     else:
         ids, lo, hi = _replay_vector(trace, counters)
         first, second = vector_detect(ids, lo, hi, counters)
-        order = _id_order(trace)  # the scan's rows are in id order
+        order = trace.id_order  # the scan's rows are in id order
         first, second = order[first], order[second]
         dropped = 0
     violations = lift_violations(trace.ids, trace.reading_codes, first, second)

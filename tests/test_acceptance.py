@@ -113,9 +113,18 @@ def test_criterion_2_node_sweep_dominance(node_sweep):
     detail = (
         f"dominance everywhere={dominance}, "
         f"trend snap={summary['trends']['snapshot']:+.3f} "
-        f"vec={summary['trends']['vector']:+.3f}"
+        f"vec={summary['trends']['vector']:+.3f}, "
+        f"vacuous={summary['vacuous']}"
     )
     _report(2, "node sweep dominance", dominance and trends_ok, detail)
+
+
+def test_vacuous_flag_marks_the_sweep_no_family_scores_on(node_sweep, delay_sweep):
+    """The node sweep's rows all have true pairs and no detected pair; the delay sweep detects some."""
+    node_rows = read_results(node_sweep[0].results_csv)
+    assert all(r["true_pairs"] > 0 and r["detected_pairs"] == 0 for r in node_rows)
+    assert summarize(node_rows)["vacuous"] is True
+    assert summarize(read_results(delay_sweep.results_csv))["vacuous"] is False
 
 
 def test_criterion_3_delay_sweep(delay_sweep):
@@ -158,8 +167,14 @@ def test_criterion_4_complexity_growth():
     vec_checks = complexity_fit(
         intervals, [c.pair_checks for c in counters[DetectorFamily.VECTOR]]
     )
+    # At delta = 0 each announcement is one stamp word per processed event,
+    # so the snapshot payload is the identity, not a fitted trend.
+    identity = all(
+        c.stamp_words_sent == c.events_processed for c in counters[DetectorFamily.SNAPSHOT]
+    )
     ok = (
-        snap_payload.exponent < 0.3
+        identity
+        and snap_payload.exponent < 0.3
         and 0.7 <= vec_payload.exponent <= 1.3
         and 1.7 <= vec_checks.exponent <= 2.3
         and 0.7 <= snap_checks.exponent <= 1.3
@@ -167,6 +182,7 @@ def test_criterion_4_complexity_growth():
     detail = (
         "stamp words/processed event (broadcast once per emission) "
         f"snap={snap_payload.exponent:.2f} vec={vec_payload.exponent:.2f}, "
+        f"snap stamp words == events processed at delta=0: {identity}, "
         f"checks snap={snap_checks.exponent:.2f} vec={vec_checks.exponent:.2f}"
     )
     _report(4, "complexity growth", ok, detail)
