@@ -140,6 +140,7 @@ def cmd_report(results_csv: Path, summary_path: Path | None) -> None:
     if summary["dominance"] is not None:
         ok = summary["dominance"]["snapshot_ge_vector_everywhere"]
         click.echo(f"snapshot recall >= vector recall at every point: {ok}")
+    click.echo(f"vacuous (no detecting family found a true pair): {summary['vacuous']}")
     for key, fit in summary["growth"].items():
         if fit is not None:
             click.echo(f"growth[{key}]: exponent {fit['exponent']:.2f} ({fit['label']})")

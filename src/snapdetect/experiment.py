@@ -444,8 +444,9 @@ def _std(values: Sequence[float]) -> float:
 def summarize(rows: list[dict]) -> dict:
     """Aggregate sweep rows into per-point stats, trends and growth fits.
 
-    ``vacuous`` is True when no family detected a pair on any row whose
-    ``true_pairs`` is above 0.
+    ``vacuous`` is True when no detecting family found a pair on any row
+    whose ``true_pairs`` is above 0.  ``physical`` rows are ground truth
+    itself, so they do not count.
     """
     detectors = sorted({r["detector"] for r in rows})
     axis_values: list[str] = []
@@ -521,7 +522,8 @@ def summarize(rows: list[dict]) -> dict:
 
     # A sweep with pairs to find where no family finds one cannot tell the
     # families apart.
-    vacuous = not any(r["detected_pairs"] > 0 for r in rows if r["true_pairs"] > 0)
+    truth = DetectorFamily.PHYSICAL.value
+    vacuous = not any(r["detected_pairs"] > 0 for r in rows if r["true_pairs"] > 0 and r["detector"] != truth)
 
     return {
         "csv_schema": CSV_SCHEMA_VERSION,

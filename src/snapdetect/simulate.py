@@ -1213,16 +1213,18 @@ def _vector_rows(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     points so far: every point ticks it by one, and a merge never raises it
     past that count, since no other clock has seen a later point of the
     process.  So rows of ``known`` are written only at deliveries.  Row p
-    starts as p's zero clock; the k-th delivery of the replay writes row
-    ``procs + k``, the slot-wise max of the receiver's current row and the
-    sender's row at the send, with the sender's slot raised to the send's
-    count.  Every slot is some process's count, so the largest count
-    bounds them all and int64 is exact.  The shortcut needs each process
-    to own its slot.
+    starts as p's zero clock; each delivery writes one row, the slot-wise
+    max of the receiver's current row and the sender's row at the send,
+    with the sender's slot raised to the send's count.  Every slot is some
+    process's count, so the largest count bounds them all and int64 is
+    exact.  The shortcut needs each process to own its slot.
 
-    Counts and rows are array operations over the timeline columns
-    (``_counts_and_rows``); only the merges loop, one per delivery, in
-    replay order.
+    A merge reads only rows of a lower causal level: a delivery's level is
+    one more than the larger of its two inputs' levels, and row p's is 0
+    (Mattern 1989).  So the rows are renumbered in stable level order,
+    each level is one slice of ``known``, and a level's merges are two
+    numpy calls, not one loop step per delivery.  Counts and replay-order
+    rows come from ``_counts_and_rows``; the returned rows are renumbered.
     """
     procs = trace.config.n_processes
     timeline = trace.timeline
@@ -1238,21 +1240,27 @@ def _vector_rows(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     send_at = np.empty(n_msgs, dtype=np.intp)  # each message's send point
     send_at[item[sends]] = sends
     sent = send_at[item[deliver]]  # _timeline puts every send before its delivery
+    heard = row[sent]  # the sender's row at each send
+    depth = [0] * procs  # each row's causal level, in replay order
+    for a, b in zip(prior.tolist(), heard.tolist()):
+        da, db = depth[a], depth[b]
+        depth.append((da if da > db else db) + 1)
+    level = np.array(depth, dtype=np.int32)
     span = procs + n_msgs
+    order = np.argsort(level, kind="stable")  # each new row's replay-order row
+    renum = np.empty(span, dtype=np.int32)
+    renum[order] = np.arange(span, dtype=np.int32)
+    merge = order[procs:] - procs  # the deliveries, in new row order
+    into, taken = renum[prior[merge]], renum[heard[merge]]
     known = np.zeros((span, procs), dtype=np.int64)
-    merges = zip(
-        range(procs, span),
-        prior.tolist(),
-        row[sent].tolist(),
-        process[sent].tolist(),
-        count[sent].tolist(),
-    )
-    for w, a, b, q, c in merges:
-        merged = known[w]
-        np.maximum(known[a], known[b], out=merged)
-        if merged[q] < c:
-            merged[q] = c
-    return known, row, count
+    at = sent[merge]  # seed each delivery's row with the send's count in the sender's slot
+    known[np.arange(procs, span), process[at]] = count[at]
+    cuts = np.cumsum(np.bincount(level)[1:]).tolist()  # each level's end in ``merge``
+    for s, e in itertools.pairwise([0, *cuts]):
+        out = known[procs + s : procs + e]
+        np.maximum(out, known.take(into[s:e], axis=0), out=out)
+        np.maximum(out, known.take(taken[s:e], axis=0), out=out)
+    return known, renum[row], count
 
 
 def _counts_and_rows(
@@ -1260,12 +1268,13 @@ def _counts_and_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per point of a timeline, its count and its row of ``known``.
 
-    A point's count is its rank among its process's points, from 1.  The
-    k-th delivery writes row ``procs + k``, and a point's row is its
-    process's latest delivery row up to it, or row p before p's first
-    delivery.  Rows grow along the replay, so that is a running max over
-    each process's points.  Also returns the row each delivery's process
-    had before it, which the delivery merges into.  All three are int32.
+    A point's count is its rank among its process's points, from 1.  Rows
+    are in replay order here: the k-th delivery's is ``procs + k``, and a
+    point's row is its process's latest delivery row up to it, or row p
+    before p's first delivery.  Rows grow along the replay, so that is a
+    running max over each process's points.  Also returns the row each
+    delivery's process had before it, which the delivery merges into.  All
+    three are int32.
 
     One stable sort groups the points by process, in replay order within
     each; the running max then runs over the whole sorted column, with

@@ -422,8 +422,9 @@ def vector_point_stamps(trace: Trace) -> np.ndarray:
     """Vector stamps of every replay point, for causality audits.
 
     An int64 (points, n_processes) array whose row i is the stamp of
-    ``trace.timeline`` point i, built from the replay's own ``known`` rows
-    (``simulate._vector_rows``) by ``simulate._stamps``.
+    ``trace.timeline`` point i, built by ``simulate._stamps`` from the
+    replay's own ``known`` rows, merged one causal level at a time, and
+    each point's renumbered row (``simulate._vector_rows``).
     """
     known, row, count = _vector_rows(trace)
     return _stamps(known, row, count, trace.timeline.process)

@@ -127,6 +127,17 @@ def test_vacuous_flag_marks_the_sweep_no_family_scores_on(node_sweep, delay_swee
     assert summarize(read_results(delay_sweep.results_csv))["vacuous"] is False
 
 
+def test_physical_rows_do_not_make_a_sweep_non_vacuous(node_sweep):
+    """Ground truth detects every true pair; only the detecting families count."""
+    node_rows = read_results(node_sweep[0].results_csv)
+    physical = [
+        dict(r, detector="physical", detected_pairs=r["true_pairs"], recall=1.0, precision=1.0)
+        for r in node_rows
+    ]
+    assert summarize(node_rows + physical)["vacuous"] is True
+    assert summarize(physical)["vacuous"] is True
+
+
 def test_criterion_3_delay_sweep(delay_sweep):
     summary = summarize(read_results(delay_sweep.results_csv))
     trends_ok = all(summary["trends"][det] <= -0.8 for det in ("snapshot", "vector"))

@@ -300,6 +300,7 @@ class TestReportCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["dominance"] is not None
         assert set(summary["trends"]) == {"snapshot", "vector"}
+        assert f"vacuous (no detecting family found a true pair): {summary['vacuous']}" in result.output
 
     def test_empty_csv_exits_2(self, tmp_path):
         path = tmp_path / "empty.csv"

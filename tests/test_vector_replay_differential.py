@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from _corpora import DELAYS_US, vector_corpus
+from _corpora import DELAYS_US, long_traces_corpus, scale_dense_corpus, vector_corpus
 from _oracles import keyed_columns, stamp_replay_vector, vector_arrays, vector_pairs, vector_point_stamps
 from snapdetect import detectors, scenarios, simulate
 from snapdetect.detectors import EventId, StampOverflowError
@@ -54,27 +54,98 @@ def full_corpus():
         yield scenarios.build_scenario(name)
 
 
+def assert_matches_reference(trace: Trace) -> tuple[int, int]:
+    """Ids, ``lo``/``hi``, counters and point stamps equal the reference's; its pair count."""
+    where = trace.config
+    want_counters, counters = OpCounters(), OpCounters()
+    want_intervals, want_points = stamp_replay_vector(trace, want_counters)
+    want_ids, want_lo, want_hi = vector_arrays(want_intervals)
+    ids, lo, hi = _replay_vector(trace, counters)
+    assert ids == want_ids, where
+    assert lo.dtype == hi.dtype == np.int64, where
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi), where
+    assert counters == want_counters, where
+    points = vector_point_stamps(trace)
+    assert points.dtype == np.int64, where
+    assert points.tolist() == [list(p.slots) for p in want_points], where
+    return len(vector_pairs(want_ids, want_lo, want_hi))
+
+
 def test_corpus_matches_reference():
     traces = deliveries = pairs = 0
     for trace in full_corpus():
-        where = trace.config
-        want_counters, counters = OpCounters(), OpCounters()
-        want_intervals, want_points = stamp_replay_vector(trace, want_counters)
-        want_ids, want_lo, want_hi = vector_arrays(want_intervals)
-        ids, lo, hi = _replay_vector(trace, counters)
-        assert ids == want_ids, where
-        assert lo.dtype == hi.dtype == np.int64, where
-        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi), where
-        assert counters == want_counters, where
-        points = vector_point_stamps(trace)
-        assert points.dtype == np.int64, where
-        assert points.tolist() == [list(p.slots) for p in want_points], where
+        pairs += assert_matches_reference(trace)
         traces += 1
         deliveries += len(trace.messages)
-        pairs += len(vector_pairs(want_ids, want_lo, want_hi))
     assert traces == 643
     assert deliveries > 0
     assert pairs > 0
+
+
+def test_benchmark_shapes_match_reference():
+    # Wide causal levels (scale_dense: about 24 rows a level at 20 nodes)
+    # and long chains (long_traces: about one level per three deliveries).
+    traces = (*scale_dense_corpus(), *long_traces_corpus())
+    pairs = sum(map(assert_matches_reference, traces))
+    assert len(traces) == 7
+    assert sum(len(t.messages) for t in traces) > 30_000
+    assert pairs > 0
+
+
+def one_event_each(procs: int) -> tuple[SimConfig, list[EventId], tuple[TraceEvent, ...]]:
+    """``procs`` processes with one event each, all open over [0, 10 ms)."""
+    config = SimConfig(nodes=procs, instances_per_node=1, events_per_process=1, seed=0)
+    ids = [EventId(p, 0) for p in range(procs)]
+    return config, ids, tuple(TraceEvent(e, e.process, 0, 10_000) for e in ids)
+
+
+def relay_trace(procs: int) -> Trace:
+    """Process p relays to p + 1 after its own delivery: each delivery is its own causal level."""
+    config, ids, events = one_event_each(procs)
+    sends = tuple(TraceMessage(ids[p], ids[p + 1], 10 * p + 1, 10 * p + 5) for p in range(procs - 1))
+    return Trace(events, sends, config)
+
+
+def fan_out_trace(procs: int) -> Trace:
+    """Process 0 sends once to each other process: every delivery shares causal level 1.
+
+    A fan-in cannot share a level, since each delivery to one receiver
+    merges into the row its previous delivery wrote.  The sends are
+    delivered in reverse order, so each one's count in slot 0 differs.
+    """
+    config, ids, events = one_event_each(procs)
+    sends = tuple(TraceMessage(ids[0], ids[p], 10 * p, 1_000 - 10 * p) for p in range(1, procs))
+    return Trace(events, sends, config)
+
+
+def overtaken_trace() -> Trace:
+    """Process 0's second message to process 1 arrives first.
+
+    At the first message's delivery process 1 already knows a later count
+    of process 0 than the send's own, so the merge must keep it.
+    """
+    config, ids, events = one_event_each(2)
+    sends = (TraceMessage(ids[0], ids[1], 10, 900), TraceMessage(ids[0], ids[1], 20, 100))
+    return Trace(events, sends, config)
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [relay_trace(2), relay_trace(12), fan_out_trace(2), fan_out_trace(12), overtaken_trace()],
+    ids=["relay-2", "relay-12", "fan-out-2", "fan-out-12", "overtaken"],
+)
+def test_hand_built_level_shapes_match_reference(trace):
+    assert_matches_reference(trace)
+
+
+def test_hand_built_shapes_stamp_as_expected():
+    # The relay's last process has heard of every earlier relay.
+    hi = vector_point_stamps(relay_trace(4))[-4:]
+    assert hi.tolist() == [[3, 0, 0, 0], [2, 4, 0, 0], [2, 3, 4, 0], [2, 3, 3, 3]]
+    # Process 1 keeps slot 0 at 3, the overtaking send's count, when the
+    # send at count 2 arrives.
+    points = vector_point_stamps(overtaken_trace())
+    assert points.tolist() == [[1, 0], [0, 1], [2, 0], [3, 0], [3, 2], [3, 3], [4, 0], [3, 4]]
 
 
 def test_timeline_matches_keyed_sort():
