@@ -7,9 +7,8 @@ families replay it in one order, the columnar timeline that
 * ``SnapshotDetector`` -- one scalar snapshot clock per process; a
   communicating pair (b, c) is reported as concurrent when the send stamp
   x of b's message lands inside c's final logical interval:
-  ``c.lo <= x < c.hi``.  The replay drives it through ``on_local_event``,
-  ``on_send``, ``on_broadcasts`` and ``on_message(sender, receiver,
-  send_stamp)``; a delivery is three plain arguments, not a record.
+  ``c.lo <= x < c.hi``.  Its handlers state the clock rules one call at
+  a time; ``simulate._replay_snapshot`` applies them in one loop over lists.
 * ``vector_detect`` -- the vector-clock baseline: reports pairs whose
   interval endpoints are mutually ordered by happened-before (each start
   precedes the other's end).  It takes the stamps as int64 (m, n) arrays,
@@ -29,8 +28,8 @@ families replay it in one order, the columnar timeline that
 of indices into their ids.  ``simulate.run_trace`` keeps every family's
 pairs as a ``PairKeys``: a read-only set over one sorted int64 column of
 pair keys over the trace's own ids, which builds the ``EventId`` pairs only
-when it is iterated.  Two views over one ids list are compared key
-against key.
+when it is iterated.  Two views over one ids list are compared and
+combined key against key.
 
 ``violation_filter`` lifts detected concurrent pairs into context
 violations under the constraint that one user cannot be read at two
@@ -121,12 +120,7 @@ class SnapshotDetector:
     coupling goes through the notification driver.
     """
 
-    def __init__(
-        self,
-        process: int,
-        n_processes: int,
-        counters: Optional[OpCounters] = None,
-    ):
+    def __init__(self, process: int, n_processes: int, counters: Optional[OpCounters] = None):
         if not 0 <= process < n_processes:
             raise IndexError(f"process {process} out of range")
         self.process = process
@@ -183,32 +177,11 @@ class SnapshotDetector:
         self.heard.add(e)
         self._merge(stamp)
 
-    def on_broadcasts(self, k: int, low: int, high: int) -> None:
-        """Fold ``k`` peer announcements whose stamps lie in ``[low, high]``.
-
-        ``high`` must be the largest of the k stamps.  The clock and
-        counters end as after k ``on_broadcast`` calls, and
-        ``StampOverflowError`` is raised when ``low`` or ``high`` is out
-        of range; no event is noted as heard of.  With ``k == 0`` the
-        stamps are not read.
-        """
-        if k < 0:
-            raise ValueError(f"negative announcement count: {k}")
-        if k == 0:
-            return
-        if not (0 <= low and high <= MAX_TICK):
-            raise StampOverflowError(f"tick out of range: {low if low < 0 else high}")
-        if high > self.clock:
-            self.clock = high
-        self.counters.clock_updates += k
-
     def on_send(self, e: EventId) -> int:
         """This process sends a message from live event ``e``.
 
-        Ticks the clock first, extends the event's own interval past the
-        new tick and returns the send stamp x to attach to the message.
-        The driver also announces x to all peers (``on_broadcast`` or
-        ``on_broadcasts``).
+        Ticks the clock, extends the event's own interval past the new tick
+        and returns the send stamp x, which the driver sends and announces.
         """
         own = self.intervals.get(e)
         if own is None:
@@ -470,6 +443,17 @@ def id_pairs(ids: Sequence[EventId], first: np.ndarray, second: np.ndarray) -> I
     return zip(map(pick, first.tolist()), map(pick, second.tolist()))
 
 
+def _on_keys(on_keys, fallback):
+    """A ``PairKeys`` set operator: ``on_keys`` of two views' key columns over one ``ids``, else ``fallback``."""
+
+    def operator(self: PairKeys, other):
+        if isinstance(other, PairKeys) and other.ids is self.ids:
+            return PairKeys(self.ids, self.index, *np.divmod(on_keys(self.keys, other.keys), len(self.ids)))
+        return fallback(self, other)
+
+    return operator
+
+
 class PairKeys(Set):
     """A read-only set of event pairs, held as one sorted int64 key column.
 
@@ -486,11 +470,11 @@ class PairKeys(Set):
     look each event up in ``index`` and search the keys.  ``==``, ``<=``
     and ``>=`` against any ``Set`` (and so ``<`` and ``>``) are one
     ``count_common`` call; two views over the same ``ids`` object compare
-    their keys.  Iteration, and the other set operators inherited from
-    ``Set``, build the ``EventId`` pairs as they go and keep none; those
-    operators return a ``frozenset``.  A reversed pair, or one naming an
-    event outside ``ids``, is not in the set.  The hash is that of the
-    equal ``frozenset``.
+    their keys, and ``&``, ``|``, ``-`` and ``^`` combine them into a view.
+    Iteration, and those operators against another set, build the pairs as
+    they go, keep none, and return a ``frozenset``.  A reversed pair, or
+    one naming an event outside ``ids``, is not in the set.  The hash is
+    that of the equal ``frozenset``.
     """
 
     __slots__ = ("ids", "keys", "index")
@@ -563,6 +547,11 @@ class PairKeys(Set):
     @classmethod
     def _from_iterable(cls, pairs: Iterable[PairKey]) -> frozenset[PairKey]:
         return frozenset(pairs)
+
+    __and__ = _on_keys(lambda a, b: a[np.isin(a, b, assume_unique=True)], Set.__and__)
+    __or__ = _on_keys(np.union1d, Set.__or__)
+    __sub__ = _on_keys(lambda a, b: a[np.isin(a, b, assume_unique=True, invert=True)], Set.__sub__)
+    __xor__ = _on_keys(lambda a, b: np.setxor1d(a, b, assume_unique=True), Set.__xor__)
 
     __hash__ = Set._hash
 

@@ -35,14 +35,13 @@ from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
+from . import detectors
 from .detectors import (
     MAX_TICK,
     ContextReading,
     EventId,
-    PairKey,
     PairKeys,
     ReadingCodes,
-    SnapshotDetector,
     StampOverflowError,
     Violation,
     lift_violations,
@@ -1100,79 +1099,91 @@ def _event_index(columns: EventColumns, procs: int, messages, role: str) -> np.n
     return np.where(ranked[at] == want, np.append(order, -1)[at], -1)
 
 
-def _replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetector]:
-    """Replay a trace with every start and send tick broadcast instantly.
+class SnapshotReplay(NamedTuple):
+    """A replay's per-event ``lo``/``hi``, per-process clocks, pairs as ``pair_key``-order columns and drops."""
 
-    An announcement is not pushed to the n - 1 peers.  The driver counts
-    announcements and keeps their running min and max; before process p
-    ticks or takes a delivery, and once at the end, p folds the
-    ``announced - cursor[p]`` it has not seen in one ``on_broadcasts``
-    call.  That equals one ``on_broadcast`` each: p folds before it
-    announces, so none of its own announcements is pending, and after a
-    fold its clock covers every stamp before its cursor, so the pending
-    stamps' max can be read as the running max.  Broadcast is FIFO per
-    sender, so p has heard of sender (q, s) exactly when ``started[q]``,
-    the highest seq q has started, is at least s.  End points change no
-    snapshot state, so the driver walks only the other points.
+    lo: list[int]
+    hi: list[int]
+    clock: list[int]
+    first: np.ndarray
+    second: np.ndarray
+    dropped: int
+
+
+def _arrived(timeline: Timeline) -> np.ndarray:
+    """Per point, the start and send announcements every process has heard before it (instant broadcast)."""
+    announce = timeline.kind <= _SEND
+    return np.cumsum(announce) - announce
+
+
+def _replay_snapshot(trace: Trace, counters: OpCounters) -> SnapshotReplay:
+    """Replay a trace's start, send and delivery points, every tick announced to every peer.
+
+    Before p acts at point k it folds announcements ``cursor[p]`` to
+    ``arrived[k] - 1`` into its clock (their running max is ``peak``) and
+    steps past its own.  Event e is heard of, or started, at k when its
+    start's announcement index is below ``arrived[k]``.  A delivery from an
+    event not heard of is dropped unmerged, one to an event not started
+    after the merge; the rest queue in EE and pass when their stamp x lies
+    in the receiver's final ``[lo, hi)``.  A tick past
+    ``detectors.MAX_TICK`` (read at call time) raises ``StampOverflowError``.
     """
-    procs = trace.config.n_processes
-    dets = [SnapshotDetector(p, procs, counters) for p in range(procs)]
-    announced = 0
-    low, high = MAX_TICK, 0  # running min and max of the announced stamps
-    cursor = [0] * procs
-    started = [-1] * procs
-    events, messages = trace.events, trace.messages
-    send_stamps = [0] * len(messages)  # each send's stamp, once replayed
-    timeline = trace.timeline
-    live = timeline.kind != _END
-    points = zip(
-        timeline.kind[live].tolist(),
-        timeline.process[live].tolist(),
-        timeline.item[live].tolist(),
-    )
-    for kind, proc, i in points:
-        d = dets[proc]
-        if announced > cursor[proc]:
-            d.on_broadcasts(announced - cursor[proc], low, high)
-            cursor[proc] = announced
-        if kind == _START:
-            e = events[i].id
-            x = d.on_local_event(e)
-            started[proc] = e.seq
-        elif kind == _SEND:
-            x = send_stamps[i] = d.on_send(messages[i].from_event)
-        else:
-            m = messages[i]
-            sender = m.from_event
-            q = sender.process
-            if q != proc and started[q] >= sender.seq:
-                d.heard.add(sender)
-            d.on_message(sender, m.to_event, send_stamps[i])
+    procs, events, n_msgs = trace.config.n_processes, len(trace.events), len(trace.messages)
+    kind, process, item = trace.timeline
+    arrived, start = _arrived(trace.timeline), kind == _START
+    heard_at = arrived[start][np.argsort(item[start])]  # each event's start announcement
+    _, _, sender, receiver = trace.message_columns
+    heard_at, senders, receivers = heard_at.tolist(), sender.tolist(), receiver.tolist()
+    lo, hi, stamp, clock, cursor = [0] * events, [0] * events, [0] * n_msgs, [0] * procs, [0] * procs
+    peak, queued, folds, unheard = [0], [], 0, 0  # peak[a]: the largest stamp of the first a announcements
+    live = kind != _END  # an end changes no snapshot state
+    for k, p, i, a in zip(kind[live].tolist(), process[live].tolist(), item[live].tolist(), arrived[live].tolist()):
+        if a > cursor[p]:
+            folds += a - cursor[p]
+            cursor[p] = a
+            if peak[a] > clock[p]:
+                clock[p] = peak[a]
+        if k == _DELIVER:
+            if heard_at[senders[i]] >= a:
+                unheard += 1
+                continue
+            x, r = stamp[i], receivers[i]
+            if x > clock[p]:
+                clock[p] = x
+            if heard_at[r] < a:
+                if x >= hi[r]:
+                    hi[r] = x + 1
+                queued.append(i)
             continue
-        announced += 1
-        cursor[proc] = announced
-        if x < low:
-            low = x
-        if x > high:
-            high = x
-    for p, d in enumerate(dets):
-        d.on_broadcasts(announced - cursor[p], low, high)
-    return dets
-
-
-def _run_snapshot(trace: Trace, counters: OpCounters) -> tuple[np.ndarray, np.ndarray, int]:
-    """The detectors' drained pairs as index columns into ``trace.ids``, and the drops."""
-    dets = _replay_snapshot(trace, counters)
-    detected: set[PairKey] = set().union(*(d.check_consistency() for d in dets))
-    flat = itertools.chain.from_iterable(detected)
-    at = np.fromiter(map(trace.id_index.__getitem__, flat), dtype=np.intp, count=2 * len(detected))
-    return at[::2], at[1::2], sum(d.dropped for d in dets)
+        x = clock[p] = clock[p] + 1
+        if k == _START:
+            lo[i], hi[i] = x, x + 1
+        else:
+            stamp[i], hi[senders[i]] = x, x + 1
+        peak.append(x if x > peak[-1] else peak[-1])
+        cursor[p] = a + 1
+    if peak[-1] > detectors.MAX_TICK:
+        raise StampOverflowError(f"tick out of range: {detectors.MAX_TICK + 1}")
+    announced = len(peak) - 1
+    # The last folds; then a tick or a merge is one clock update, and a start announces one word, a send two.
+    counters.clock_updates += folds + announced * procs - sum(cursor) + announced + n_msgs - unheard
+    counters.events_processed += events + 2 * n_msgs
+    counters.stamp_words_sent += events + 2 * n_msgs
+    counters.pair_checks += len(queued)
+    queue = np.array(queued, dtype=np.intp)
+    x, r, s = np.array(stamp, dtype=np.int64)[queue], receiver[queue], sender[queue]
+    hit = (np.array(lo, dtype=np.int64)[r] <= x) & (x < np.array(hi, dtype=np.int64)[r])
+    order, rank = trace.id_order, np.argsort(trace.id_order)  # rank: each event's place in id order
+    a, b = rank[r[hit]], rank[s[hit]]
+    keys = np.sort(np.minimum(a, b).astype(np.int64) * events + np.maximum(a, b))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # each pair once (np.unique would import numpy.ma)
+    clock = [max(c, peak[-1]) for c in clock]  # the last folds
+    return SnapshotReplay(lo, hi, clock, order[keys // events], order[keys % events], n_msgs - len(queued))
 
 
 def snapshot_intervals(trace: Trace) -> dict[EventId, tuple[int, int]]:
     """Final scalar interval of each event, as seen by its owning process."""
-    dets = _replay_snapshot(trace, OpCounters())
-    return {e: (lo, hi) for d in dets for e, (lo, hi) in d.intervals.items()}
+    return dict(zip(trace.ids, zip(*_replay_snapshot(trace, OpCounters())[:2])))
 
 
 def _replay_vector(
@@ -1325,7 +1336,7 @@ def run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
         counters.pair_checks += truth.pair_checks
         return RunResult(truth.concurrent_pairs, truth.violations, counters, 0)
     if family is DetectorFamily.SNAPSHOT:
-        first, second, dropped = _run_snapshot(trace, counters)
+        _, _, _, first, second, dropped = _replay_snapshot(trace, counters)
     else:
         ids, lo, hi = _replay_vector(trace, counters)
         first, second = vector_detect(ids, lo, hi, counters)

@@ -275,7 +275,7 @@ def scalar_vector_detect(intervals, counters: OpCounters | None = None) -> set:
 def set_run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
     """``run_trace`` as it was when every family kept a set of ``EventId`` pairs.
 
-    The snapshot detectors' drained sets are unioned; the vector scan's
+    The snapshot replay's index columns are read as pairs; the vector scan's
     rows are read off its sorted ids; the physical family's pairs are
     ``physical_detect``'s.  Each family's violations are
     ``violation_filter`` of its pairs over ``readings_of(trace)``, and its
@@ -289,11 +289,9 @@ def set_run_trace(trace: Trace, family: DetectorFamily) -> RunResult:
         detected = physical_detect([e.id for e in trace.events], columns.start_us, columns.end_us, counters)
         counters.events_processed += len(trace.events)
     elif family is DetectorFamily.SNAPSHOT:
-        dets = _replay_snapshot(trace, counters)
-        detected = set()
-        for d in dets:
-            detected |= d.check_consistency()
-        dropped = sum(d.dropped for d in dets)
+        replay = _replay_snapshot(trace, counters)
+        detected = set(id_pairs(trace.ids, replay.first, replay.second))
+        dropped = replay.dropped
     else:
         ids, lo, hi = _replay_vector(trace, counters)
         detected = vector_pairs(ids, lo, hi, counters)
@@ -448,8 +446,9 @@ def timeline_point_stamps(trace: Trace, stamps: np.ndarray) -> dict:
 def per_peer_replay_snapshot(trace: Trace, counters: OpCounters) -> list[SnapshotDetector]:
     """The snapshot replay with one ``on_broadcast`` call per peer per tick.
 
-    The driver ``simulate._replay_snapshot`` replaced with lazy folds;
-    kept as its reference.
+    The driver ``simulate._replay_snapshot`` replaced, first with lazy
+    folds and then with one loop over plain lists that folds through the
+    ``arrived`` column; kept as its reference.
     """
     procs = trace.config.n_processes
     dets = [SnapshotDetector(p, procs, counters) for p in range(procs)]

@@ -4,15 +4,18 @@
 ``metrics.score`` counts hits on it by key.  Scoring any detected set
 against the view must give the report it gives against
 ``frozenset(view)``, and the view must behave as that frozenset under the
-``Set`` protocol.
+``Set`` protocol.  ``&``, ``|``, ``-`` and ``^`` between two views over
+one ids list must return a view that holds the frozensets' result.
 """
 import dataclasses
+import operator
 import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _corpora import scale_dense_corpus
 from _oracles import brute_force_overlap
 from snapdetect.detectors import EventId, PairKeys, pair_key
 from snapdetect.metrics import score
@@ -219,3 +222,49 @@ def test_views_of_the_same_ids_compare_keys(monkeypatch):
     assert vector <= frozenset(truth) and not frozenset(truth) <= vector
     # One count each; ``<`` reuses ``<=``, and a longer side is never a subset.
     assert lookups == [True, True, True, False]
+
+
+SET_OPERATORS = (operator.and_, operator.or_, operator.sub, operator.xor)
+
+
+def assert_operators_match_frozensets(x: PairKeys, y: PairKeys) -> None:
+    """Each operator of two views over one ids list is a view holding the frozensets' result."""
+    fx, fy = frozenset(x), frozenset(y)
+    for op in SET_OPERATORS:
+        got = op(x, y)
+        assert isinstance(got, PairKeys) and got.ids is x.ids and got.index is x.index, op
+        assert frozenset(got) == op(fx, fy), op
+        assert len(got) == len(op(fx, fy)) and got == op(fx, fy), op
+        assert not got.keys.flags.writeable and np.all(np.diff(got.keys) > 0), op
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(hand_made, generated), st.randoms(use_true_random=False))
+@example(hand_made_trace([], range), random.Random(0))  # empty views
+def test_set_operators_of_one_ids_views_are_those_of_the_frozensets(trace, rnd):
+    truth = ground_truth(trace).concurrent_pairs
+    m = len(trace.ids)
+    some = np.array(sorted(rnd.sample(truth.keys.tolist(), rnd.randint(0, len(truth)))), dtype=np.int64)
+    views = [
+        truth,
+        *(run_trace(trace, family).detected_pairs for family in DetectorFamily),
+        PairKeys(trace.ids, trace.id_index, *divmod(some, m)),
+    ]
+    for x in views:
+        for y in views:
+            assert_operators_match_frozensets(x, y)
+    # A view over another ids list, and a plain set, still give frozensets.
+    backwards = Trace(trace.events[::-1], trace.messages, trace.config, trace.dropped_messages)
+    for other in (ground_truth(backwards).concurrent_pairs, set(truth)):
+        for op in SET_OPERATORS:
+            got = op(truth, other)
+            assert isinstance(got, frozenset) and got == op(frozenset(truth), frozenset(other)), op
+
+
+def test_set_operators_of_snapshot_and_vector_views_on_dense_traces():
+    for trace in scale_dense_corpus():
+        snapshot = run_trace(trace, DetectorFamily.SNAPSHOT).detected_pairs
+        vector = run_trace(trace, DetectorFamily.VECTOR).detected_pairs
+        assert len(snapshot & vector) > 0 and len(snapshot - vector) > 0 and len(vector - snapshot) > 0
+        assert_operators_match_frozensets(snapshot, vector)
+        assert_operators_match_frozensets(vector, snapshot)

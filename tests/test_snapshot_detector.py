@@ -135,45 +135,6 @@ class TestBroadcast:
         assert det.clock == 9
 
 
-#: Stamps and clocks near both ends of the tick range, and anywhere in it.
-EDGE_TICKS = st.one_of(
-    st.integers(-2, 8), st.integers(MAX_TICK - 8, MAX_TICK + 2), st.integers(0, MAX_TICK)
-)
-
-
-class TestBroadcastFold:
-    """``on_broadcasts(k, low, high)`` is k ``on_broadcast`` calls, minus ``heard``."""
-
-    @given(EDGE_TICKS.filter(lambda c: 0 <= c <= MAX_TICK), st.lists(EDGE_TICKS, max_size=12))
-    def test_fold_equals_one_call_per_announcement(self, clock, stamps):
-        def run(announce):
-            det = SnapshotDetector(0, 2)
-            det.clock = clock
-            try:
-                announce(det)
-            except StampOverflowError:
-                return "overflow"
-            return det.clock, det.counters
-
-        def one_by_one(det):
-            for seq, stamp in enumerate(stamps):
-                det.on_broadcast(EventId(1, seq), stamp)
-
-        def folded(det):
-            det.on_broadcasts(len(stamps), min(stamps, default=0), max(stamps, default=0))
-
-        assert run(folded) == run(one_by_one)
-        out_of_range = any(not 0 <= s <= MAX_TICK for s in stamps)
-        assert (run(folded) == "overflow") == out_of_range
-
-    def test_fold_notes_no_event_and_rejects_negative_count(self):
-        det = SnapshotDetector(1, 2)
-        det.on_broadcasts(3, 2, 7)
-        assert (det.clock, det.counters.clock_updates, det.heard) == (7, 3, set())
-        with pytest.raises(ValueError):
-            det.on_broadcasts(-1, 2, 7)
-
-
 class TestMessage:
     def make_receiver(self):
         det = SnapshotDetector(1, 2)

@@ -6,10 +6,11 @@ Every trace is replayed through ``run_trace`` / ``snapshot_intervals``
 and through ``_legacy_snapshot``; detected pairs, the four counters,
 drops, violations and final intervals must all be identical.  Pairs and
 drops must also equal ``_oracles.replay_order_snapshot``, which reads
-them off the replay order without running a clock.  The lazily folding
-``_replay_snapshot`` must leave every detector as
-``_oracles.per_peer_replay_snapshot`` does, and fault on the same tick
-cap.
+them off the replay order without running a clock.  ``_replay_snapshot``,
+which folds announcements through the ``arrived`` column over plain
+lists, must end with the pairs, counters, drops, intervals and clocks of
+the detectors that ``_oracles.per_peer_replay_snapshot`` drives, and
+fault on the same tick cap.  Four hand-built traces pin its outcome.
 """
 import pytest
 from hypothesis import given, strategies as st
@@ -18,11 +19,15 @@ from _corpora import drop_trace, scale_dense_corpus, snapshot_corpus, vector_cor
 from _legacy_snapshot import LegacySnapshotDetector, MessageRecord, legacy_snapshot
 from _oracles import per_peer_replay_snapshot, readings_of, replay_order_snapshot
 from snapdetect import detectors, scenarios
-from snapdetect.detectors import EventId, SnapshotDetector, StampOverflowError, violation_filter
+from snapdetect.detectors import EventId, SnapshotDetector, StampOverflowError, id_pairs, violation_filter
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
     SimConfig,
+    SnapshotReplay,
+    Trace,
+    TraceEvent,
+    TraceMessage,
     _replay_snapshot,
     generate_trace,
     run_trace,
@@ -125,9 +130,17 @@ def test_handler_sequences_match_reference(ops):
 
 
 def replay_outcome(replay, trace):
-    """Pairs, counters, drops, final intervals and final clocks of a replay."""
+    """Pairs, counters, drops, final intervals and final clocks of a replay.
+
+    ``replay`` is ``_replay_snapshot``, whose columns are read as pairs, or
+    a driver of ``SnapshotDetector``s.
+    """
     counters = OpCounters()
     dets = replay(trace, counters)
+    if isinstance(dets, SnapshotReplay):
+        pairs = set(id_pairs(trace.ids, dets.first, dets.second))
+        intervals = dict(zip(trace.ids, zip(dets.lo, dets.hi)))
+        return pairs, counters, dets.dropped, intervals, dets.clock
     pairs = set().union(*(d.check_consistency() for d in dets))
     intervals = {e: tuple(iv) for d in dets for e, iv in d.intervals.items()}
     return pairs, counters, sum(d.dropped for d in dets), intervals, [d.clock for d in dets]
@@ -173,3 +186,80 @@ def test_tick_cap_faults_like_per_peer_driver(trace, monkeypatch):
         new = faults(lambda: run_trace(trace, DetectorFamily.SNAPSHOT))
         old = faults(lambda: per_peer_replay_snapshot(trace, OpCounters()))
         assert new == old == (cap < top), cap
+
+
+def _two_process_trace(events, messages) -> Trace:
+    """Events as ``(process, seq, start_us, end_us)`` and messages as ``(sender, receiver, send_us, deliver_us)``."""
+    config = SimConfig(nodes=2, instances_per_node=1, events_per_process=2, seed=0)
+    records = tuple(TraceEvent(EventId(p, s), p, start, end) for p, s, start, end in events)
+    return Trace(records, tuple(TraceMessage(EventId(*a), EventId(*b), x, y) for a, b, x, y in messages), config)
+
+
+A, B, C = EventId(0, 0), EventId(0, 1), EventId(1, 0)
+
+# Each case: a trace and its hand-replayed pairs, drops, intervals, clocks
+# and clock updates.  Every clock update is a fold, a tick or a merge.
+HAND_REPLAYED = {
+    # a -> b on process 0.  Announcements: a 1, c 2, b 3, the send 4.  b's
+    # interval [3, 4) stretches to 5 past the stamp 4, so the pair passes.
+    "same-process": (
+        _two_process_trace(
+            [(0, 0, 0, 100), (0, 1, 10, 60), (1, 0, 5, 50)],
+            [((0, 0), (0, 1), 20, 30)],
+        ),
+        {(A, B)},
+        0,
+        {A: (1, 5), B: (3, 5), C: (2, 3)},
+        [4, 4],
+        4 + 4 + 1,  # folds: one before c's start, one before b's, process 1's last two at the end
+    ),
+    # drop_trace: (0, 0) -> (1, 1) lands before (1, 1) starts, so it is
+    # dropped after the merge; the two later messages were sent before
+    # (1, 1) started, so neither passes.
+    "drop-trace": (
+        drop_trace(),
+        set(),
+        1,
+        {A: (1, 6), C: (2, 5), EventId(1, 1): (6, 7)},
+        [6, 6],
+        6 + 6 + 3,
+    ),
+    # a -> c lands just before c starts, with no announcement between the
+    # two points, so c's start announcement (index 2) is not below the
+    # delivery's arrived count (2): a drop after the merge.
+    "delivered-just-before-start": (
+        _two_process_trace([(0, 0, 0, 100), (1, 0, 30, 100)], [((0, 0), (1, 0), 10, 20)]),
+        set(),
+        1,
+        {A: (1, 3), C: (3, 4)},
+        [3, 3],
+        3 + 3 + 1,
+    ),
+    # The send from a and c's start share a time; the start comes first in
+    # replay order, so c's interval [2, 3) holds the stamp 3 once the
+    # delivery stretches it to 4.
+    "send-tied-with-start": (
+        _two_process_trace([(0, 0, 0, 100), (1, 0, 20, 100)], [((0, 0), (1, 0), 20, 25)]),
+        {(A, C)},
+        0,
+        {A: (1, 4), C: (2, 4)},
+        [3, 3],
+        3 + 3 + 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HAND_REPLAYED)
+def test_hand_replayed_traces(case):
+    trace, pairs, dropped, intervals, clocks, updates = HAND_REPLAYED[case]
+    got = replay_outcome(_replay_snapshot, trace)
+    assert got == replay_outcome(per_peer_replay_snapshot, trace)
+    got_pairs, counters, got_dropped, got_intervals, got_clocks = got
+    assert (got_pairs, got_dropped, got_intervals, got_clocks) == (pairs, dropped, intervals, clocks)
+    words = len(trace.events) + 2 * len(trace.messages)
+    assert counters == OpCounters(
+        clock_updates=updates,
+        stamp_words_sent=words,
+        pair_checks=len(trace.messages) - dropped,
+        events_processed=words,
+    )

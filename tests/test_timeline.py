@@ -19,7 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _corpora import drop_trace, scale_dense_corpus
 from _oracles import (
+    SEND,
+    START,
     keyed_columns,
     per_peer_replay_snapshot,
     stamp_replay_vector,
@@ -27,14 +30,16 @@ from _oracles import (
     vector_point_stamps,
 )
 from snapdetect import simulate
-from snapdetect.detectors import EventId, pair_key
+from snapdetect.detectors import EventId, id_pairs, pair_key
 from snapdetect.metrics import OpCounters
 from snapdetect.simulate import (
     DetectorFamily,
     SimConfig,
+    SnapshotReplay,
     Trace,
     TraceEvent,
     TraceMessage,
+    _arrived,
     _replay_snapshot,
     _replay_vector,
     _timeline,
@@ -86,10 +91,21 @@ def test_timeline_matches_keyed_sort_under_ties(trace):
     assert [c.tolist() for c in timeline] == keyed_columns(trace)
 
 
-def replay_state(dets):
+def replay_state(trace, replay, counters):
+    """Pairs, final clocks, drops and final intervals of ``replay(trace, counters)``.
+
+    ``replay`` is ``_replay_snapshot``, whose columns are read as pairs, or
+    a driver of ``SnapshotDetector``s.
+    """
+    out = replay(trace, counters)
+    if isinstance(out, SnapshotReplay):
+        pairs = set(id_pairs(trace.ids, out.first, out.second))
+        return pairs, out.clock, out.dropped, dict(zip(trace.ids, zip(out.lo, out.hi)))
     return (
-        set().union(*(d.check_consistency() for d in dets)),
-        [(d.clock, d.dropped, {e: tuple(iv) for e, iv in d.intervals.items()}) for d in dets],
+        set().union(*(d.check_consistency() for d in out)),
+        [d.clock for d in out],
+        sum(d.dropped for d in out),
+        {e: tuple(iv) for d in out for e, iv in d.intervals.items()},
     )
 
 
@@ -106,9 +122,28 @@ def test_replays_match_references_under_ties(trace):
     assert vector_point_stamps(trace).tolist() == [list(p.slots) for p in want_points]
 
     want_counters, counters = OpCounters(), OpCounters()
-    want = replay_state(per_peer_replay_snapshot(trace, want_counters))
-    assert replay_state(_replay_snapshot(trace, counters)) == want
+    want = replay_state(trace, per_peer_replay_snapshot, want_counters)
+    assert replay_state(trace, _replay_snapshot, counters) == want
     assert counters == want_counters
+
+
+def counted_announcements(trace) -> list[int]:
+    """Per timeline point, the start and send points before it, counted one point at a time."""
+    counts, seen = [], 0
+    for kind in trace.timeline.kind.tolist():
+        counts.append(seen)
+        seen += kind in (START, SEND)
+    return counts
+
+
+@given(tied_traces())
+def test_arrived_counts_the_announcements_before_each_point(trace):
+    assert _arrived(trace.timeline).tolist() == counted_announcements(trace)
+
+
+def test_arrived_counts_the_announcements_on_dense_traces():
+    for trace in (*scale_dense_corpus(), drop_trace()):
+        assert _arrived(trace.timeline).tolist() == counted_announcements(trace)
 
 
 def late_trace(deliver_us: int = 40) -> Trace:
