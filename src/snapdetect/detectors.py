@@ -34,9 +34,9 @@ combined key against key.
 ``violation_filter`` lifts detected concurrent pairs into context
 violations under the constraint that one user cannot be read at two
 different locations at the same time.  ``lift_violations`` gives the same
-result on index columns: a numpy mask over the int32 codes of ``str``
-users and locations that ``ReadingCodes`` holds, with ``violation_filter``
-kept for pairs that touch any other reading value.
+result on index columns: one numpy mask over the int32 codes of the
+``str`` users and locations that ``ReadingCodes`` holds, as ``ContextReading``
+admits no other; ``violation_filter`` is the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -79,7 +79,11 @@ def pair_key(a: EventId, b: EventId) -> PairKey:
 
 @dataclass(frozen=True)
 class ContextReading:
-    """A location reading attached to an event, possibly corrupted."""
+    """A location reading attached to an event, possibly corrupted.
+
+    Construction raises ``TypeError`` unless the user and both locations
+    are exactly ``str`` and the flag exactly ``bool``.
+    """
 
     user: str
     location: str
@@ -87,6 +91,10 @@ class ContextReading:
     erroneous: bool
 
     def __post_init__(self) -> None:
+        for name, kind in (("user", str), ("location", str), ("true_location", str), ("erroneous", bool)):
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.erroneous != (self.location != self.true_location):
             raise ValueError("erroneous flag inconsistent with locations")
 
@@ -454,6 +462,12 @@ def _on_keys(on_keys, fallback):
     return operator
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted columns of non-negative keys, each key once."""
+    keys = np.sort(np.concatenate((a, b)))
+    return keys[np.diff(keys, prepend=-1) != 0]  # np.union1d would import numpy.ma
+
+
 class PairKeys(Set):
     """A read-only set of event pairs, held as one sorted int64 key column.
 
@@ -549,7 +563,7 @@ class PairKeys(Set):
         return frozenset(pairs)
 
     __and__ = _on_keys(lambda a, b: a[np.isin(a, b, assume_unique=True)], Set.__and__)
-    __or__ = _on_keys(np.union1d, Set.__or__)
+    __or__ = _on_keys(_union, Set.__or__)
     __sub__ = _on_keys(lambda a, b: a[np.isin(a, b, assume_unique=True, invert=True)], Set.__sub__)
     __xor__ = _on_keys(lambda a, b: np.setxor1d(a, b, assume_unique=True), Set.__xor__)
 
@@ -588,37 +602,27 @@ def violation_filter(
 class ReadingCodes(NamedTuple):
     """Events' readings with the int32 codes ``lift_violations`` compares.
 
-    ``readings[i]`` is the reading of event i, or None.  A reading whose
-    user and location are both ``str`` is plain: ``kind[i]`` (int8) is 1,
-    and ``user[i]`` and ``place[i]`` code its values, one int32 per
-    distinct ``str``.  ``kind[i]`` is 0 for no reading and 2 for a reading
-    whose user or location is of any other type.  Build it with ``of``,
-    once per list of readings.
+    ``readings[i]`` is the reading of event i, or None.  ``user[i]`` and
+    ``place[i]`` code its user and location, one non-negative int32 per
+    distinct ``str``; an event with no reading has -1 in both.  Build it
+    with ``of``, once per list of readings.
     """
 
     readings: Sequence[Optional[ContextReading]]
-    kind: np.ndarray
     user: np.ndarray
     place: np.ndarray
 
     @classmethod
     def of(cls, readings: Sequence[Optional[ContextReading]]) -> ReadingCodes:
         m = len(readings)
-        kind = np.zeros(m, dtype=np.int8)
-        user = np.zeros(m, dtype=np.int32)
-        place = np.zeros(m, dtype=np.int32)
+        user = np.full(m, -1, dtype=np.int32)
+        place = np.full(m, -1, dtype=np.int32)
         codes: dict[str, int] = {}
         for i, r in enumerate(readings):
-            if r is None:
-                continue
-            u, loc = r.user, r.location
-            if type(u) is str and type(loc) is str:
-                kind[i] = 1
-                user[i] = codes.setdefault(u, len(codes))
-                place[i] = codes.setdefault(loc, len(codes))
-            else:
-                kind[i] = 2
-        return cls(readings, kind, user, place)
+            if r is not None:
+                user[i] = codes.setdefault(r.user, len(codes))
+                place[i] = codes.setdefault(r.location, len(codes))
+        return cls(readings, user, place)
 
 
 def lift_violations(
@@ -631,27 +635,16 @@ def lift_violations(
 
     ``codes`` holds the reading of each of ``ids``, and each pair is in
     ``pair_key`` order, as ``overlap_columns`` and ``vector_detect`` give
-    them.  A pair of plain events is a violation exactly when its user
-    codes are equal and its location codes differ.  One numpy mask finds
-    those pairs, and a ``Violation`` is built for the hits alone.  A pair
-    that touches an event whose reading is not plain goes through
-    ``violation_filter``, so ``==`` decides it there (``1 == True``; a list
-    is unhashable).
+    them.  A pair is a violation exactly when its user codes are equal and
+    its location codes differ; no reading's user code is -1, so a pair
+    that touches an event without a reading never is.  One numpy mask
+    finds those pairs, and a ``Violation`` is built for the hits alone.
     """
-    readings, kind, user, place = codes
-    plain = kind == 1
-    hit = plain[first] & plain[second]
-    hit &= user[first] == user[second]
+    readings, user, place = codes
+    hit = user[first] == user[second]
     hit &= place[first] != place[second]
-    hits = np.flatnonzero(hit)
-    del hit, plain
     found = set()
-    for a, b in zip(first[hits].tolist(), second[hits].tolist()):
+    for a, b in zip(first[hit].tolist(), second[hit].tolist()):
         ra, rb = readings[a], readings[b]
         found.add(Violation(pair=(ids[a], ids[b]), user=ra.user, locations=(ra.location, rb.location)))
-    other = kind == 2
-    if other.any():
-        touched = np.flatnonzero(other[first] | other[second])
-        present = {e: r for e, r in zip(ids, readings) if r is not None}
-        found |= violation_filter(id_pairs(ids, first[touched], second[touched]), present)
     return found

@@ -61,6 +61,9 @@ CHUNK_WORDS = 1 << 10
 #: (about a second of generation and tens of MB); a config that needs
 #: more is rejected rather than left to stall.
 MAX_TRAJECTORY_STAYS = 1 << 20
+#: Rooms a config may name: each trace builds one name per room, and each
+#: erroneous reading scans every room for a wrong one.
+MAX_ROOMS = 1 << 16
 #: Message attempts (events x peers messaged per event) one trace may make:
 #: each takes a few int64 column entries, so this bounds generation at a
 #: few GB; a config that needs more is rejected before any allocation.
@@ -132,8 +135,10 @@ class SimConfig:
             raise ConfigError("stay_mean_us", "must be positive")
         if self.start_jitter_us < 0:
             raise ConfigError("start_jitter_us", "must be non-negative")
-        if self.rooms < 2:
-            raise ConfigError("rooms", "need at least 2 rooms")
+        if self.users < 0:
+            raise ConfigError("users", f"must be >= 0 (0 = one user per node), got {self.users}")
+        if not 2 <= self.rooms <= MAX_ROOMS:
+            raise ConfigError("rooms", f"must be in 2..{MAX_ROOMS}, got {self.rooms}")
         if self.peer_fanout is not None and self.peer_fanout < 1:
             raise ConfigError("peer_fanout", "must be >= 1 or null")
         if not 0 <= self.seed < 2**64:
@@ -755,10 +760,8 @@ def generate_layout(config: SimConfig) -> Layout:
             # tuple.__new__ skips the NamedTuple constructors' Python frames.
             event_id = tuple.__new__(EventId, (p, s))
             events.append(tuple.__new__(TraceEvent, (event_id, p, start, end, reading)))
-    # Every reading is plain: its user and room indices code its values.
-    codes = ReadingCodes(
-        readings, np.ones(len(events), np.int8), user_codes.astype(np.int32), np.frombuffer(places, np.int32)
-    )
+    # Every event has a reading: its user and room indices code its values.
+    codes = ReadingCodes(readings, user_codes.astype(np.int32), np.frombuffer(places, np.int32))
 
     span_us = _read_only(np.array(per_proc, dtype=np.int64))  # (process, seq, [start, end])
     starts, ends = span_us[..., 0], span_us[..., 1]

@@ -71,9 +71,10 @@ def _reading(value, readings: dict, path: Path, lineno: int) -> ContextReading:
 
     A reading is reused only for a record with the same keys, values and
     JSON value types, so ``"erroneous": 1`` is never read as an earlier
-    ``true`` (``1 == True``).  A record that is not an object, or has an
-    unhashable or float value (``-0.0 == 0.0``), is built afresh; the
-    constructor diagnoses a bad one.
+    ``true`` (``1 == True``) and skips no check.  Any other record is built
+    afresh, and a ``TraceFormatError`` naming the line rejects a bad one:
+    not an object, a key missing or unknown, a user or location not a
+    string, or an ``erroneous`` not a boolean or at odds with the locations.
     """
     try:
         key = (tuple(value.items()), tuple(map(type, value.values())))
@@ -88,8 +89,7 @@ def _reading(value, readings: dict, path: Path, lineno: int) -> ContextReading:
         raise TraceFormatError(
             f"{path}:{lineno}: event record: bad reading {value!r}: {exc}"
         ) from exc
-    if key is not None and float not in key[1]:
-        readings[key] = reading
+    readings[key] = reading  # only a record of str and bool values gets here, so it has a key
     return reading
 
 

@@ -14,7 +14,14 @@ from _corpora import long_traces_corpus, scale_dense_corpus
 from _oracles import three_axis_config_for_point
 from snapdetect import simulate
 from snapdetect.experiment import SpecError, _axis_numeric, _axis_repr, config_for_point, load_spec, parse_spec, run_sweep
-from snapdetect.simulate import MAX_MESSAGE_ATTEMPTS, MAX_TRAJECTORY_STAYS, ConfigError, SimConfig, generate_trace
+from snapdetect.simulate import (
+    MAX_MESSAGE_ATTEMPTS,
+    MAX_ROOMS,
+    MAX_TRAJECTORY_STAYS,
+    ConfigError,
+    SimConfig,
+    generate_trace,
+)
 from snapdetect.tracefile import load_trace, save_trace
 
 FIXTURES = sorted((Path(snapdetect.__file__).parent / "fixtures").glob("scenario_*.jsonl"))
@@ -270,6 +277,24 @@ def test_trajectory_bound_names_the_users_at_its_edge():
     with pytest.raises(ConfigError, match="trajectory stays") as err:
         SimConfig(nodes=2, users=MAX_TRAJECTORY_STAYS + 1).validate()
     assert err.value.field == "users"
+
+
+def test_negative_users_are_rejected_by_name():
+    """``users=-5`` would generate the events of ``users=0`` while the records say -5."""
+    SimConfig(nodes=3, users=0).validate()
+    with pytest.raises(ConfigError, match="-5") as err:
+        SimConfig(nodes=3, users=-5).validate()
+    assert err.value.field == "users"
+
+
+def test_room_bound_names_the_rooms_at_its_edge():
+    """Validated only: a trace builds one name per room and scans them all per erroneous reading."""
+    SimConfig(nodes=2, rooms=2).validate()
+    SimConfig(nodes=2, rooms=MAX_ROOMS).validate()
+    for rooms in (1, MAX_ROOMS + 1):
+        with pytest.raises(ConfigError, match=f"2..{MAX_ROOMS}, got {rooms}") as err:
+            SimConfig(nodes=2, rooms=rooms).validate()
+        assert err.value.field == "rooms"
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,6 @@ def test_handed_columns_are_the_records_columns(corpus):
         assert_same_columns(trace.message_columns, rebuilt.message_columns, config)
         got, want = trace.reading_codes, rebuilt.reading_codes
         assert list(got.readings) == list(want.readings), config
-        assert got.kind.dtype == want.kind.dtype and np.array_equal(got.kind, want.kind), config
         assert_same_codes(got.user, want.user, config)
         assert_same_codes(got.place, want.place, config)
         assert_same_columns(trace.timeline, rebuilt.timeline, config)
@@ -75,4 +74,4 @@ def test_reading_codes_separate_every_value():
     rooms = {r.location: p for r, p in zip(codes.readings, codes.place.tolist())}
     assert len(set(users.values())) == len(users) > 1
     assert len(set(rooms.values())) == len(rooms) > 1
-    assert all(codes.kind == 1)
+    assert min(codes.user.min(), codes.place.min()) >= 0  # -1 marks an event with no reading

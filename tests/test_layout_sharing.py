@@ -153,7 +153,6 @@ def test_shared_columns_and_keys_are_read_only():
         layout.send,
         layout.receiver,
         *trace.event_columns,
-        codes.kind,
         codes.user,
         codes.place,
         trace.id_order,

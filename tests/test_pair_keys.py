@@ -9,7 +9,11 @@ one ids list must return a view that holds the frozensets' result.
 """
 import dataclasses
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from _corpora import scale_dense_corpus
 from _oracles import brute_force_overlap
+import snapdetect
 from snapdetect.detectors import EventId, PairKeys, pair_key
 from snapdetect.metrics import score
 from snapdetect.simulate import DetectorFamily, SimConfig, Trace, TraceEvent, generate_trace, ground_truth, run_trace
@@ -268,3 +273,24 @@ def test_set_operators_of_snapshot_and_vector_views_on_dense_traces():
         assert len(snapshot & vector) > 0 and len(snapshot - vector) > 0 and len(vector - snapshot) > 0
         assert_operators_match_frozensets(snapshot, vector)
         assert_operators_match_frozensets(vector, snapshot)
+
+
+def test_union_of_two_views_does_not_import_numpy_ma():
+    """``np.union1d`` imports ``numpy.ma``, about 1 MB of resident memory in a fresh process."""
+    code = (
+        "import sys\n"
+        "from snapdetect.simulate import DetectorFamily, SimConfig, generate_trace, run_trace\n"
+        "trace = generate_trace(SimConfig(nodes=3, events_per_process=6, message_delay_us=(1_000, 5_000), seed=3))\n"
+        "a = run_trace(trace, DetectorFamily.SNAPSHOT).detected_pairs\n"
+        "b = run_trace(trace, DetectorFamily.VECTOR).detected_pairs\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "union = a | b\n"
+        "print(before, 'numpy.ma' in sys.modules, type(union).__name__,"
+        " union == frozenset(a) | frozenset(b), len(a - b) > 0, len(b - a) > 0)\n"
+    )
+    src = str(Path(snapdetect.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False", "PairKeys", "True", "True", "True"]

@@ -211,19 +211,34 @@ def test_trailing_data_is_bad_json_naming_line(tmp_path):
 
 
 def _with_readings(tmp_path, first, second):
-    """A saved two-event trace whose events carry ``first`` and ``second``, in saved form."""
+    """A saved two-event trace whose events carry ``first`` and ``second``, in saved form.
+
+    Returns the path and the two event records' line numbers.
+    """
     trace = generate_trace(SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=1))
     path = tmp_path / "trace.jsonl"
     save_trace(trace, path)
     lines = path.read_text().splitlines()
     readings = iter([first, second])
+    at = []
     for k, l in enumerate(lines):
         record = json.loads(l)
         if record["type"] == "event":
             record["reading"] = next(readings)
             lines[k] = json.dumps(record, sort_keys=True)
+            at.append(k + 1)
     path.write_text("\n".join(lines) + "\n")
-    return path
+    return path, at
+
+
+def _rejected_on(path, line, key, value) -> None:
+    """Loading ``path`` fails on ``line``, naming the reading's ``key`` and its bad ``value``."""
+    with pytest.raises(TraceFormatError) as info:
+        load_trace(path)
+    want = f"{key} must be a {'bool' if key == 'erroneous' else 'str'}, got {value!r}"
+    assert str(info.value).startswith(f"{path}:{line}: event record: bad reading "), info.value
+    assert str(info.value).endswith(f": {want}"), info.value
+    assert isinstance(info.value.__cause__, TypeError)
 
 
 @pytest.mark.parametrize(
@@ -231,29 +246,38 @@ def _with_readings(tmp_path, first, second):
     [("erroneous", True, 1), ("erroneous", 1, True), ("user", -0.0, 0.0), ("user", 2, 2.0)],
 )
 def test_equal_readings_of_other_json_types_load_apart(tmp_path, key, first, second):
-    # 1 == True and 0.0 == -0.0, so a reading keyed on its values alone
-    # would come back as the earlier one and save other bytes.
+    # 1 == True and 0.0 == -0.0, but a reading's user is a string and its
+    # flag a boolean: the first record with another JSON type is rejected
+    # on its own line, whether or not an equal reading came before it.
     base = {"user": "u0", "location": "R101", "true_location": "R102", "erroneous": True}
-    path = _with_readings(tmp_path, {**base, key: first}, {**base, key: second})
-    loaded = load_trace(path)
-    got = [getattr(ev.reading, key) for ev in loaded.events]
-    assert [(v, type(v)) for v in got] == [(first, type(first)), (second, type(second))]
-    again = tmp_path / "again.jsonl"
-    save_trace(loaded, again)
-    assert again.read_bytes() == path.read_bytes()
+    path, lines = _with_readings(tmp_path, {**base, key: first}, {**base, key: second})
+    bad = 0 if type(first) is not type(base[key]) else 1
+    _rejected_on(path, lines[bad], key, (first, second)[bad])
+
+
+def test_equal_reading_of_another_type_after_a_cached_one_is_rejected(tmp_path):
+    """``"erroneous": 1`` equals the cached ``true`` reading before it, so a cache keyed by value alone would pass it."""
+    reading = {"user": "u0", "location": "R101", "true_location": "R102", "erroneous": True}
+    path, lines = _with_readings(tmp_path, reading, {**reading, "erroneous": 1})
+    _rejected_on(path, lines[1], "erroneous", 1)
 
 
 def test_equal_readings_are_shared(tmp_path):
     reading = {"user": "u0", "location": "R101", "true_location": "R101", "erroneous": False}
-    first, second = load_trace(_with_readings(tmp_path, reading, dict(reading))).events
+    path, _ = _with_readings(tmp_path, reading, dict(reading))
+    first, second = load_trace(path).events
     assert first.reading is second.reading
     assert first.reading == ContextReading(**reading)
 
 
 def test_unhashable_reading_value_loads_as_the_constructor_builds_it(tmp_path):
+    # The loader cannot cache a reading holding a list, so the constructor
+    # sees it, and rejects it as it rejects any user that is no string.
     reading = {"user": ["u0"], "location": "R101", "true_location": "R101", "erroneous": False}
-    events = load_trace(_with_readings(tmp_path, reading, reading)).events
-    assert [ev.reading for ev in events] == [ContextReading(**reading)] * 2
+    path, lines = _with_readings(tmp_path, reading, reading)
+    _rejected_on(path, lines[0], "user", ["u0"])
+    with pytest.raises(TypeError, match=r"user must be a str, got \['u0'\]"):
+        ContextReading(**reading)
 
 
 @pytest.mark.parametrize("dropped", ["x", -5, 1.5, True, None])
