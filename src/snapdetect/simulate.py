@@ -12,8 +12,11 @@ runs as columns over every attempt of a trace: send times and delays are
 read in bulk from their streams' MT19937 words, exactly as
 ``random.Random.randint`` reads them, and an array search over the
 receiver's events settles each attempt whose outcome no delay can change.
-A generated trace is handed the columns its records were built from, each
-through the check that a loaded trace's columns pass.
+A generated trace is handed the columns it was made from, each through the
+check that a loaded trace's columns pass.  Its ``messages`` is a read-only
+``MessageRecords`` view over the message columns, equal to the tuple of
+``TraceMessage`` records and built into that tuple on first read; the
+replays, ground truth and scores read only the columns and the length.
 
 Generation runs in two stages.  ``generate_layout`` draws everything that
 does not read ``message_delay_us``: the events, their readings and every
@@ -30,6 +33,7 @@ import hashlib
 import itertools
 import operator
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, get_type_hints
 
@@ -61,8 +65,7 @@ CHUNK_WORDS = 1 << 10
 #: (about a second of generation and tens of MB); a config that needs
 #: more is rejected rather than left to stall.
 MAX_TRAJECTORY_STAYS = 1 << 20
-#: Rooms a config may name: each trace builds one name per room, and each
-#: erroneous reading scans every room for a wrong one.
+#: Rooms a config may name: each trace builds one name and one code per room.
 MAX_ROOMS = 1 << 16
 #: Message attempts (events x peers messaged per event) one trace may make:
 #: each takes a few int64 column entries, so this bounds generation at a
@@ -257,20 +260,74 @@ class TraceMessage(NamedTuple):
     deliver_us: int
 
 
+class MessageRecords(Sequence):
+    """A generated trace's messages: a read-only view equal to their ``TraceMessage`` tuple.
+
+    It holds the trace's ``ids`` and its ``MessageColumns``.  ``len`` and
+    ``bool`` read the columns.  The first iteration, index or slice,
+    comparison, hash or repr builds the tuple of records, which the view
+    then keeps, and it compares, hashes and prints as that tuple.  Against
+    anything that is neither a tuple nor a view, ``==`` is
+    ``NotImplemented``.
+    """
+
+    __slots__ = ("_ids", "_columns", "_records")
+
+    def __init__(self, ids: list[EventId], columns: MessageColumns):
+        self._ids, self._columns, self._records = ids, columns, None
+
+    def _tuple(self) -> tuple[TraceMessage, ...]:
+        if self._records is None:
+            ids, (send_us, deliver_us, sender, receiver) = self._ids, self._columns
+            parts = zip(
+                map(ids.__getitem__, sender.tolist()),
+                map(ids.__getitem__, receiver.tolist()),
+                send_us.tolist(),
+                deliver_us.tolist(),
+            )
+            # tuple.__new__ skips the NamedTuple constructor's Python frame.
+            self._records = tuple(map(tuple.__new__, itertools.repeat(TraceMessage), parts))
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._columns.send_us)
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other):
+        if isinstance(other, MessageRecords):
+            other = other._tuple()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
 @dataclass(frozen=True)
 class Trace:
     events: tuple[TraceEvent, ...]
-    messages: tuple[TraceMessage, ...]
+    messages: Sequence[TraceMessage]
     config: SimConfig
     dropped_messages: int = 0
 
     @functools.cached_property
     def makespan_us(self) -> int:
-        """The last end or delivery time, computed on first use and kept with the trace."""
-        last = max(e.end_us for e in self.events)
-        if self.messages:
-            last = max(last, max(m.deliver_us for m in self.messages))
-        return last
+        """The last end or delivery time, computed on first use and kept with the trace.
+
+        It reads the checked event and message columns, so a generated
+        trace builds no message record for it.
+        """
+        last = self.event_columns.end_us.max()
+        return int(self.message_columns.deliver_us.max(initial=last))
 
     @functools.cached_property
     def event_columns(self) -> EventColumns:
@@ -653,9 +710,14 @@ class _Trajectories:
         i = bisect.bisect_right(self._starts[user], at_us) - 1
         return self._where[user][i]
 
-    def wrong_room(self, rng: random.Random, true_room: str) -> str:
-        others = [r for r in self.rooms if r != true_room]
-        return rng.choice(others)
+    def wrong_room(self, rng: random.Random, true_index: int) -> str:
+        """A room other than ``rooms[true_index]``, uniformly.
+
+        One ``randrange`` below the other rooms' count, skipping the true
+        room: the draw ``rng.choice`` makes from the list of the others.
+        """
+        k = rng.randrange(len(self.rooms) - 1)
+        return self.rooms[k + (k >= true_index)]
 
 
 class Layout(NamedTuple):
@@ -698,9 +760,10 @@ def layout_key(config: SimConfig) -> tuple:
 def generate_trace(config: SimConfig) -> Trace:
     """Deterministic workload for one (config, seed) point.
 
-    The trace is handed the columns its records were built from: its
-    event and message columns, each through the check that a loaded trace
-    gets, its reading codes and its ids.
+    The trace is handed the columns it was made from: its event and
+    message columns, each through the check that a loaded trace gets, its
+    reading codes and its ids.  Its ``messages`` is a ``MessageRecords``
+    view, built into records only when read.
     """
     return wire_trace(generate_layout(config), config)
 
@@ -749,7 +812,8 @@ def generate_layout(config: SimConfig) -> Layout:
         for s, (start, end) in enumerate(per_proc[p]):
             user = users[len(events)]
             true_loc = traj.location(user, start)
-            loc = traj.wrong_room(err_rng, true_loc) if err_rng.random() < config.error_rate else true_loc
+            wrong = err_rng.random() < config.error_rate
+            loc = traj.wrong_room(err_rng, room_code[true_loc]) if wrong else true_loc
             reading = shared.get((user, loc, true_loc))
             if reading is None:
                 reading = shared[user, loc, true_loc] = ContextReading(
@@ -804,7 +868,8 @@ def wire_trace(layout: Layout, config: SimConfig) -> Trace:
 
     ``layout`` must have been laid out for a config of ``config``'s
     ``layout_key``; only the delays stream is drawn here.  The trace is
-    handed the layout's caches and its own message columns.
+    handed the layout's caches and its own message columns, and its
+    ``messages`` is a ``MessageRecords`` view over those columns.
     """
     config.validate()
     if layout_key(config) != layout.key:
@@ -869,15 +934,7 @@ def wire_trace(layout: Layout, config: SimConfig) -> Trace:
     sent = MessageColumns(
         send[kept], deliver[kept], kept // layout.per_event, receiver[kept] * config.events_per_process + seq[kept]
     )
-    ids = layout.caches["ids"]
-    fields = zip(
-        map(ids.__getitem__, sent.sender.tolist()),
-        map(ids.__getitem__, sent.receiver.tolist()),
-        sent.send_us.tolist(),
-        sent.deliver_us.tolist(),
-    )
-    # tuple.__new__ skips the NamedTuple constructor's Python frame.
-    messages = tuple(map(tuple.__new__, itertools.repeat(TraceMessage), fields))
+    messages = MessageRecords(layout.caches["ids"], sent)
     trace = Trace(layout.events, messages, config, len(send) - len(kept))
     vars(trace).update(layout.caches)
     vars(trace)["message_columns"] = _checked_messages(trace, layout.caches["event_columns"], sent)
@@ -911,7 +968,8 @@ def _window_outcomes(
     """
     procs, per_proc = starts.shape
     seq = np.empty(len(low), dtype=np.intp)
-    by_receiver = np.argsort(receiver, kind="stable")
+    # Keys of 16 bits or fewer take numpy's O(n) radix sort, in the same order.
+    by_receiver = np.argsort(receiver.astype(np.min_scalar_type(procs - 1)), kind="stable")
     bounds = np.cumsum(np.bincount(receiver, minlength=procs))[:-1]
     for q, at in enumerate(np.split(by_receiver, bounds)):
         seq[at] = np.searchsorted(starts[q], low[at], "right") - 1
@@ -1259,7 +1317,7 @@ def _vector_rows(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a, b in zip(prior.tolist(), heard.tolist()):
         da, db = depth[a], depth[b]
         depth.append((da if da > db else db) + 1)
-    level = np.array(depth, dtype=np.int32)
+    level = np.array(depth, dtype=np.min_scalar_type(n_msgs))  # narrow keys take the radix sort
     span = procs + n_msgs
     order = np.argsort(level, kind="stable")  # each new row's replay-order row
     renum = np.empty(span, dtype=np.int32)
@@ -1297,7 +1355,7 @@ def _counts_and_rows(
     """
     n = len(process)
     row = np.where(deliver, procs + np.cumsum(deliver, dtype=np.int32) - 1, process).astype(np.int32)
-    order = np.argsort(process, kind="stable")
+    order = np.argsort(process.astype(np.min_scalar_type(procs - 1)), kind="stable")  # radix for narrow keys
     owner = process[order]
     head = np.empty(n, dtype=bool)  # each process's first point
     head[:1] = True

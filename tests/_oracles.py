@@ -533,6 +533,15 @@ def causal_closure(trace: Trace) -> dict:
     return {node: reachable_from(edges, node) for node in edges}
 
 
+def list_wrong_room(rng, rooms: list[str], true_room: str) -> str:
+    """A wrong room as a ``choice`` from the list of every other room.
+
+    The rule ``_Trajectories.wrong_room`` replaced with one ``randrange``
+    that skips the true room; kept as its reference.
+    """
+    return rng.choice([r for r in rooms if r != true_room])
+
+
 def randint_generate_trace(config: SimConfig, tally: Counter | None = None) -> Trace:
     """Trace generation with one ``randint`` call per layout, send and delay draw.
 
@@ -572,7 +581,7 @@ def randint_generate_trace(config: SimConfig, tally: Counter | None = None) -> T
             if err_rng.random() < config.error_rate:
                 reading = ContextReading(
                     user=f"u{user}",
-                    location=traj.wrong_room(err_rng, true_loc),
+                    location=list_wrong_room(err_rng, traj.rooms, true_loc),
                     true_location=true_loc,
                     erroneous=True,
                 )

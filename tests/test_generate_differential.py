@@ -164,3 +164,24 @@ def test_small_delay_chunks_match_reference(chunk_words):
         tally = assert_same_traces(configs)
     assert_every_path(tally)
     assert tally["window_events"] > 0 and tally["wide_events"] > 0
+
+
+@pytest.mark.parametrize("rooms", [2, 3, 8, 2**16])
+def test_wrong_rooms_match_the_list_rule(rooms):
+    """Half the readings erroneous: each wrong room is the draw ``_oracles.list_wrong_room`` makes.
+
+    Wrong rooms must fall on both sides of the true room, so the skip past
+    it is taken and not taken.
+    """
+    configs = [
+        SimConfig(nodes=3, instances_per_node=2, events_per_process=6, rooms=rooms, error_rate=0.5, seed=seed)
+        for seed in (1, 2, 3)
+    ]
+    assert_same_traces(configs)
+    sides = Counter()
+    for config in configs:
+        for ev in generate_trace(config).events:
+            r = ev.reading
+            if r.erroneous:
+                sides[int(r.location[1:]) > int(r.true_location[1:])] += 1
+    assert sides[True] > 0 and sides[False] > 0
