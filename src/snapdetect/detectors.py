@@ -462,10 +462,10 @@ def _on_keys(on_keys, fallback):
     return operator
 
 
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sorted union of two sorted columns of non-negative keys, each key once."""
-    keys = np.sort(np.concatenate((a, b)))
-    return keys[np.diff(keys, prepend=-1) != 0]  # np.union1d would import numpy.ma
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The non-negative ``keys``, sorted, each once (``np.unique`` and ``np.union1d`` would import ``numpy.ma``)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 class PairKeys(Set):
@@ -563,7 +563,7 @@ class PairKeys(Set):
         return frozenset(pairs)
 
     __and__ = _on_keys(lambda a, b: a[np.isin(a, b, assume_unique=True)], Set.__and__)
-    __or__ = _on_keys(_union, Set.__or__)
+    __or__ = _on_keys(lambda a, b: sorted_unique(np.concatenate((a, b))), Set.__or__)
     __sub__ = _on_keys(lambda a, b: a[np.isin(a, b, assume_unique=True, invert=True)], Set.__sub__)
     __xor__ = _on_keys(lambda a, b: np.setxor1d(a, b, assume_unique=True), Set.__xor__)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -387,6 +388,10 @@ class ResultsFormatError(ValueError):
 
 
 def read_results(csv_path: str | Path) -> list[dict]:
+    """A results.csv's rows, parsed; ``ResultsFormatError`` names the first malformed line.
+
+    Recall and precision must lie in [0, 1], and ``wall_ms`` and the axis number must be finite.
+    """
     path = Path(csv_path)
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -411,6 +416,12 @@ def read_results(csv_path: str | Path) -> list[dict]:
                 rec["axis_numeric"] = _axis_numeric(rec["axis_value"])
             except ValueError as exc:
                 raise ResultsFormatError(lineno, str(exc))
+            for key in ("recall", "precision"):
+                if not 0.0 <= rec[key] <= 1.0:
+                    raise ResultsFormatError(lineno, f"{key} {rec[key]} is not in [0, 1]")
+            for key, value in (("wall_ms", rec["wall_ms"]), ("axis_value", rec["axis_numeric"])):
+                if not math.isfinite(value):
+                    raise ResultsFormatError(lineno, f"{key} {value} is not finite")
             rows.append(rec)
     if not rows:
         raise ResultsFormatError(2, "no data rows")

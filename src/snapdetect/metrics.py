@@ -85,18 +85,10 @@ def _as_set(pairs):
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """Each value's rank from 0; tied values share the average of their rank positions."""
     arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(len(arr), dtype=float)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        # Tied values share the average of their rank positions.
-        ranks[order[i : j + 1]] = (i + j) / 2.0
-        i = j + 1
-    return ranks
+    s = np.sort(arr)
+    return (s.searchsorted(arr, "left") + s.searchsorted(arr, "right") - 1) / 2
 
 
 def trend(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -10,10 +10,12 @@ flows from one root seed through named per-stream derivations, so e.g.
 changing the error rate never perturbs the event layout.  Message wiring
 runs as columns over every attempt of a trace: send times and delays are
 read in bulk from their streams' MT19937 words, exactly as
-``random.Random.randint`` reads them, and an array search over the
-receiver's events settles each attempt whose outcome no delay can change.
-A generated trace is handed the columns it was made from, each through the
-check that a loaded trace's columns pass.  Its ``messages`` is a read-only
+``random.Random.randint`` reads them (an all-peers trace's sends through
+numpy word windows), and an array search over the receiver's events
+settles each attempt whose outcome no delay can change.  A generated trace
+is handed the columns it was made from, each through the check that a
+loaded trace's columns pass once its message endpoints are looked up in
+``Trace.id_index``.  A generated trace's ``messages`` is a read-only
 ``MessageRecords`` view over the message columns, equal to the tuple of
 ``TraceMessage`` records and built into that tuple on first read; the
 replays, ground truth and scores read only the columns and the length.
@@ -51,6 +53,7 @@ from .detectors import (
     lift_violations,
     overlap_columns,
     physical_detect,  # noqa: F401  (perfbench/tracing.py wraps it in this module)
+    sorted_unique,
     vector_detect,
     violation_filter,  # noqa: F401  (perfbench/tracing.py wraps it in this module)
 )
@@ -71,14 +74,6 @@ MAX_ROOMS = 1 << 16
 #: each takes a few int64 column entries, so this bounds generation at a
 #: few GB; a config that needs more is rejected before any allocation.
 MAX_MESSAGE_ATTEMPTS = 1 << 24
-#: Send draws per event from which ``_Words.below_each`` reads an all-peers
-#: event's words as a numpy window instead of through a C ``filter``.  Per
-#: event of a trace-sized call on 2 vCPUs (filter against window): 3.6
-#: against 4.4 us at 7 draws, 5.1 against 4.4 us at 12, 7.5 against 5.1 us
-#: at 19 and 12.1 against 5.9 us at 39.  The two cross between 9 and 12
-#: draws, within noise of each other there; 16 keeps the window where it
-#: clearly wins.
-WINDOW_ATTEMPTS = 16
 
 
 class ConfigError(ValueError):
@@ -321,13 +316,11 @@ class Trace:
 
     @functools.cached_property
     def makespan_us(self) -> int:
-        """The last end or delivery time, computed on first use and kept with the trace.
+        """The largest event end, computed on first use and kept with the trace.
 
-        It reads the checked event and message columns, so a generated
-        trace builds no message record for it.
+        No delivery is later: ``_checked_messages`` rejects one at or after its receiver's end.
         """
-        last = self.event_columns.end_us.max()
-        return int(self.message_columns.deliver_us.max(initial=last))
+        return int(self.event_columns.end_us.max())
 
     @functools.cached_property
     def event_columns(self) -> EventColumns:
@@ -609,19 +602,19 @@ class _Words(random.Random):
     def below_each(self, spans: list[int], count: int) -> np.ndarray:
         """``count`` draws of ``randint(0, n - 1)`` for each n of ``spans`` in turn, as int64 values.
 
-        Each draw reads the words ``below`` reads.  From ``WINDOW_ATTEMPTS``
-        draws per span, each run of spans of at most 32 bits goes through
-        ``_window``; every other span goes through ``below``.
+        Each draw reads the words ``below`` reads.  Each run of spans of at
+        most 32 bits goes through ``_window``, whatever ``count`` is; each
+        wider span goes through ``below``, whose values need no shift.
         """
         parts = [np.empty(0, np.int64)]
-        for wide, run in itertools.groupby(spans, lambda n: count < WINDOW_ATTEMPTS or n.bit_length() > 32):
+        for wide, run in itertools.groupby(spans, lambda n: n.bit_length() > 32):
             if not wide:
                 parts.append(self._window(list(run), count))
                 continue
-            drawn, shifts = array.array("q"), array.array("q")
+            drawn = array.array("q")
             for n in run:
-                shifts.append(self.below(n, count, drawn))
-            parts.append(np.frombuffer(drawn, np.int64) >> np.repeat(np.frombuffer(shifts, np.int64), count))
+                self.below(n, count, drawn)
+            parts.append(np.frombuffer(drawn, np.int64))
         return np.concatenate(parts)
 
     def _window(self, spans: list[int], count: int) -> np.ndarray:
@@ -1046,10 +1039,7 @@ def _timeline(trace: Trace) -> Timeline:
     outside = np.flatnonzero((owner < 0) | (owner >= procs))
     if outside.size:
         i = int(outside[0])
-        ev = trace.events[i]
-        raise EventIdentityError(
-            i, f"event {tuple(ev.id)}: process {ev.process} is outside 0..{procs - 1}"
-        )
+        raise _event_error(trace.events, i, f"process {trace.events[i].process} is outside 0..{procs - 1}")
     sent, delivered, sender, receiver = trace.message_columns
     e, n = len(seq), len(sent)
     event = np.arange(e, dtype=np.int32)
@@ -1071,13 +1061,12 @@ def _message_columns(trace: Trace) -> MessageColumns:
     receiver that is no event of the trace gets the index -1, which the
     check names.
     """
-    messages, procs = trace.messages, trace.config.n_processes
-    columns = trace.event_columns
+    messages, columns = trace.messages, trace.event_columns
     read = MessageColumns(
         _column(messages, "send_us", np.int64, _message_error),
         _column(messages, "deliver_us", np.int64, _message_error),
-        _event_index(columns, procs, messages, "from_event"),
-        _event_index(columns, procs, messages, "to_event"),
+        _event_index(trace, "from_event"),
+        _event_index(trace, "to_event"),
     )
     return _checked_messages(trace, columns, read)
 
@@ -1132,32 +1121,16 @@ def _message_error(i: int, what: str) -> MessageError:
     return MessageError(i, f"message {i}: {what}")
 
 
-def _event_index(columns: EventColumns, procs: int, messages, role: str) -> np.ndarray:
-    """Where each message's ``role`` id is in the events, or -1 where no event has it.
+def _event_index(trace: Trace, role: str) -> np.ndarray:
+    """Where each message's ``role`` id is in ``trace.events``, or -1 where no event has it.
 
-    An id is keyed as ``process << 32`` plus its seq's low 32 bits.  Event
-    seqs are int32 and event processes lie in ``0..procs - 1``, so event
-    keys are unique and below the int64 maximum, which ends the search.
-    An id with a part past int64 is no event's, as one past int32 is.
+    The ids are looked up in ``trace.id_index``, the map every ``PairKeys``
+    of the trace shares, so an endpoint is found exactly when it equals an
+    event's id.  An event on a process outside the config is found too:
+    ``_timeline`` rejects it before it reads the messages.
     """
-
-    def key(process: np.ndarray, seq: np.ndarray) -> np.ndarray:
-        return process.astype(np.int64) << 32 | seq.astype(np.int64) & 0xFFFFFFFF
-
-    keys = key(columns.process, columns.seq)
-    order = np.argsort(keys)
-    ranked = np.append(keys[order], np.iinfo(np.int64).max)
-    ids, n = operator.attrgetter(role), len(messages)
-    try:
-        pairs = np.fromiter(itertools.chain.from_iterable(map(ids, messages)), np.int64, 2 * n)
-    except OverflowError:
-        refs = map(ids, messages)
-        pairs = np.array([r if -(2**63) <= min(r) and max(r) < 2**63 else (-1, 0) for r in refs], np.int64)
-    process, seq = pairs.reshape(n, 2).T
-    fits = (0 <= process) & (process < procs) & (-(2**31) <= seq) & (seq < 2**31)
-    want = np.where(fits, key(process, seq), -1)
-    at = np.searchsorted(ranked, want)
-    return np.where(ranked[at] == want, np.append(order, -1)[at], -1)
+    ends = map(operator.attrgetter(role), trace.messages)
+    return np.fromiter(map(trace.id_index.get, ends, itertools.repeat(-1)), np.intp, len(trace.messages))
 
 
 class SnapshotReplay(NamedTuple):
@@ -1236,8 +1209,7 @@ def _replay_snapshot(trace: Trace, counters: OpCounters) -> SnapshotReplay:
     hit = (np.array(lo, dtype=np.int64)[r] <= x) & (x < np.array(hi, dtype=np.int64)[r])
     order, rank = trace.id_order, np.argsort(trace.id_order)  # rank: each event's place in id order
     a, b = rank[r[hit]], rank[s[hit]]
-    keys = np.sort(np.minimum(a, b).astype(np.int64) * events + np.maximum(a, b))
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # each pair once (np.unique would import numpy.ma)
+    keys = sorted_unique(np.minimum(a, b).astype(np.int64) * events + np.maximum(a, b))
     clock = [max(c, peak[-1]) for c in clock]  # the last folds
     return SnapshotReplay(lo, hi, clock, order[keys // events], order[keys % events], n_msgs - len(queued))
 

@@ -217,7 +217,7 @@ def seeded_configs():
 
 
 def wide_fanout_configs():
-    """72 configs whose every event messages 17, 19 or 39 peers, at least ``WINDOW_ATTEMPTS``.
+    """72 configs whose every event messages all of its 16, 17 or 39 peers.
 
     Lifespans short, of 2**32 us or more, and on both sides of 2**32, with
     four delay spans; fan-out None, and one past the peers, which also

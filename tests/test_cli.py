@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -317,6 +318,25 @@ class TestReportCommand:
         result = CliRunner().invoke(main, ["report", str(broken)])
         assert result.exit_code == 2
         assert "line 3" in result.output
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [*itertools.product(("recall", "precision"), ("nan", "inf", "-0.5", "1.5")), ("axis_value", "nan")],
+    )
+    def test_out_of_range_value_exits_2_with_line(self, tmp_path, column, value):
+        what = f"{column} {float(value)} is not in [0, 1]"
+        if column == "axis_value":
+            what = "axis_value nan is not finite"
+        csv_path = self.make_results(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[experiment.CSV_COLUMNS.index(column)] = value
+        lines[2] = ",".join(fields)
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(main, ["report", str(broken)])
+        assert result.exit_code == 2
+        assert f"malformed results csv: line 3: {what}" in result.output
 
     @pytest.mark.parametrize(
         "axis, points, numeric",

@@ -6,7 +6,7 @@ must be identical on every spec config, on the benchmark's dense and long
 configs, on a seeded corpus that covers fan-out None/1/3, zero start
 jitter, delay spans from width 0 up to 2**32 and lifespans of 2**32 us and
 more (send draws of two words), and on a wide fan-out corpus whose events
-message 17 to 39 peers each, so that their sends are read through numpy
+message 16 to 39 peers each, so that their sends are read through numpy
 word windows, mixed with two-word draws.  Each corpus must reach every delivery
 outcome, or it shows nothing: a window inside one receiver event (certain
 first-try delivery), a window that meets no receiver event (certain drop,
@@ -23,7 +23,7 @@ import pytest
 from _corpora import benchmark_configs, seeded_configs, spec_configs, wide_fanout_configs
 from _oracles import randint_generate_trace
 from snapdetect import simulate
-from snapdetect.simulate import WINDOW_ATTEMPTS, ConfigError, SimConfig, generate_trace
+from snapdetect.simulate import ConfigError, SimConfig, generate_trace
 
 
 def assert_same_traces(configs) -> Counter:
@@ -34,8 +34,7 @@ def assert_same_traces(configs) -> Counter:
     windows the generator settles without trying a delay.
     ``window_events`` counts the events whose sends were read through
     word windows, and ``wide_events`` the events whose span needs more
-    than 32 bits, in traces where every event messages at least
-    ``WINDOW_ATTEMPTS`` peers.
+    than 32 bits, in traces where every event messages every peer.
     """
     tally = Counter()
     outcomes = simulate._window_outcomes
@@ -58,7 +57,7 @@ def assert_same_traces(configs) -> Counter:
             got = generate_trace(config)
         want = randint_generate_trace(config, tally)
         peers = config.n_processes - 1
-        if peers >= WINDOW_ATTEMPTS and (config.peer_fanout or peers) >= peers:
+        if (config.peer_fanout or peers) >= peers:
             tally["wide_events"] += sum((e.end_us - e.start_us).bit_length() > 32 for e in got.events)
         assert got.events == want.events, config
         assert got.messages == want.messages, config
@@ -85,21 +84,21 @@ def test_spec_configs_match_reference():
     tally = assert_same_traces(spec_configs())
     assert tally["configs"] == 390
     assert_every_path(tally)
-    # 10, 15 and 20 nodes of two instances: 19, 29 and 39 peers per event.
-    assert tally["window_events"] == 30 * 2 * 6 * (10 + 15 + 20)
+    # Every all-peers event of every spec config.
+    assert tally["window_events"] == 34_080
 
 
 def test_benchmark_configs_match_reference():
     tally = assert_same_traces(benchmark_configs())
     assert_every_path(tally)
-    assert tally["window_events"] == 2 * 20 * (10 + 20)  # the 19- and 39-peer dense traces
+    assert tally["window_events"] == 2 * 20 * (5 + 10 + 20)  # the 9-, 19- and 39-peer dense traces
 
 
 def test_wide_fanout_configs_match_reference():
     """Sends read through word windows, around and between two-word draws."""
     configs = list(wide_fanout_configs())
     assert len(configs) == 72
-    assert min(c.n_processes for c in configs) - 1 >= WINDOW_ATTEMPTS
+    assert {c.n_processes - 1 for c in configs} == {16, 17, 39}
     tally = assert_same_traces(configs)
     events = sum(c.n_processes * c.events_per_process for c in configs)
     assert tally["window_events"] + tally["wide_events"] == events

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from snapdetect import metrics
 from snapdetect.detectors import EventId, pair_key
@@ -107,6 +107,12 @@ def rank_correlation_reference(xs, ys):
     return cov / math.sqrt(vx * vy)
 
 
+#: Two equal-length lists over five values, -0.0 and 0.0 among them, so most values tie.
+TIE_HEAVY_SERIES = st.integers(3, 12).flatmap(
+    lambda n: st.tuples(*[st.lists(st.sampled_from([-0.0, 0.0, 0.1, 0.7, 0.9]), min_size=n, max_size=n)] * 2)
+)
+
+
 class TestTrend:
     def test_perfectly_decreasing(self):
         assert trend([1, 2, 3], [0.9, 0.8, 0.7]) == pytest.approx(-1.0)
@@ -117,9 +123,11 @@ class TestTrend:
     def test_constant_series_is_flat(self):
         assert trend([1, 2, 3], [0.5, 0.5, 0.5]) == 0.0
 
-    def test_ties_match_reference_ranks(self):
-        xs = [1, 2, 3, 4, 5, 6]
-        ys = [0.9, 0.7, 0.7, 0.4, 0.1, 0.1]
+    @given(TIE_HEAVY_SERIES)
+    @example(([1, 2, 3, 4, 5, 6], [0.9, 0.7, 0.7, 0.4, 0.1, 0.1]))
+    def test_ties_match_reference_ranks(self, series):
+        xs, ys = series
+        assume(len(set(xs)) > 1 and len(set(ys)) > 1)  # the reference divides by each side's spread
         assert trend(xs, ys) == pytest.approx(rank_correlation_reference(xs, ys))
 
     def test_input_validation(self):

@@ -9,7 +9,7 @@ gives for any mix of ``below``, ``sample`` and ``getrandbits`` calls, also
 when a draw of several words or a run of ``below`` draws straddles a
 refill, and at the edges of ``below``'s keep threshold
 ``n << (32 - n.bit_length())``.  ``_Words.below_each``, which reads the
-words of wide fan-out events as numpy windows, must give what ``below``
+words of all-peers events as numpy windows, must give what ``below``
 gives event by event, and leave the stream where ``below`` would.  If
 CPython changes how ``randint``, ``sample`` or ``getrandbits`` consume its
 stream, these fail first.  A guard also keeps ``numpy.random`` (and its memory) out of trace
@@ -29,7 +29,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import snapdetect
 from snapdetect import simulate
-from snapdetect.simulate import CHUNK_WORDS, WINDOW_ATTEMPTS, _randint, _randints, _Words
+from snapdetect.simulate import CHUNK_WORDS, _randint, _randints, _Words
 
 #: n = hi - lo + 1 of 1, 2**32 - 1, 2**32 and 2**32 + 1, and a spread between.
 SPAN_SIZES = st.sampled_from([1, 2, 3, 4_001, 2**31, 2**32 - 1, 2**32, 2**32 + 1])
@@ -165,7 +165,7 @@ EVENT_SPANS |= st.integers(1, 2**34)
     seed=SEEDS,
     before=st.lists(CALLS, max_size=3),
     spans=st.lists(EVENT_SPANS, max_size=30),
-    count=st.integers(WINDOW_ATTEMPTS, 64),
+    count=st.integers(1, 64),
     after=st.tuples(st.sampled_from([1, 32, 33, 64]), SPAN_SIZES, st.integers(1, 40)),
     chunk_words=st.sampled_from([1, 5, CHUNK_WORDS]),
 )
@@ -187,6 +187,7 @@ def test_window_draw_equals_below_per_event(seed, before, spans, count, after, c
                 assert words.sample(range(a), min(a, b)) == ref.sample(range(a), min(a, b))
             else:
                 assert words.getrandbits(a) == ref.getrandbits(a)
+        assert words.below_each([], count).tolist() == []  # and it reads no word: the draws below match
         got = words.below_each(spans, count)
         assert got.dtype == "int64" and len(got) == len(spans) * count
         assert got.tolist() == [ref.randint(0, n - 1) for n in spans for _ in range(count)]
@@ -195,18 +196,6 @@ def test_window_draw_equals_below_per_event(seed, before, spans, count, after, c
         assert below(words, n, k) == [ref.randint(0, n - 1) for _ in range(k)]
     narrow = [n for n in spans if n.bit_length() <= 32]
     assert [n for run in runs for n in run] == narrow  # every narrow span, and no wide one, went through a window
-
-
-def test_few_draws_per_span_skip_the_window():
-    """Below ``WINDOW_ATTEMPTS`` draws per event the C ``filter`` reads every span."""
-    words, ref = _Words(random.Random(3)), random.Random(3)
-    spans = [20_000, 45_001, 2**32 + 9, 7]
-    with window_runs() as runs:
-        for count in (1, WINDOW_ATTEMPTS - 1):
-            got = words.below_each(spans, count)
-            assert got.tolist() == [ref.randint(0, n - 1) for n in spans for _ in range(count)]
-    assert runs == []
-    assert words.below_each([], WINDOW_ATTEMPTS).tolist() == []
 
 
 def test_window_widens_when_it_holds_too_few(monkeypatch):
@@ -228,8 +217,8 @@ def test_window_widens_when_it_holds_too_few(monkeypatch):
         del draws[:]
         words, ref = _Words(random.Random(seed)), random.Random(seed)
         spans = [2**31, 2**20, 1] * 20
-        got = words.below_each(spans, WINDOW_ATTEMPTS)
-        assert got.tolist() == [ref.randint(0, n - 1) for n in spans for _ in range(WINDOW_ATTEMPTS)]
+        got = words.below_each(spans, 16)
+        assert got.tolist() == [ref.randint(0, n - 1) for n in spans for _ in range(16)]
         widened += len(draws) > 1
         assert words.getrandbits(32) == ref.getrandbits(32)
     assert widened > 0
@@ -240,21 +229,34 @@ def test_word_buffer_rejects_negative_width():
         _Words(random.Random(0)).getrandbits(-1)
 
 
-def test_generation_does_not_import_numpy_random():
-    """``numpy.random`` adds several MB of resident memory to every run."""
+def test_generation_does_not_import_numpy_random(tmp_path):
+    """A sweep's whole path, in a fresh interpreter, imports neither ``numpy.random`` nor ``numpy.ma``.
+
+    ``numpy.random`` adds several MB of resident memory to every run, and
+    ``numpy.ma`` about 1 MB.  The sweep generates each trace and runs
+    ground truth, all three families and ``score``; its rows are then
+    read back and summarized, as ``sweep_specs`` does.
+    """
     code = (
         "import sys\n"
-        "from snapdetect import simulate\n"
-        "simulate.generate_trace(simulate.SimConfig(nodes=3, message_delay_us=(1_000, 5_000)))\n"
-        "print('numpy.random' in sys.modules)\n"
+        "from snapdetect import experiment\n"
+        "spec = experiment.parse_spec({\n"
+        "    'base': {'nodes': 2, 'events_per_process': 5, 'message_delay_ms': [1, 5]},\n"
+        "    'sweep': {'axis': 'nodes', 'points': [2, 3, 4]},\n"
+        "    'seeds': [1],\n"
+        "    'detectors': ['snapshot', 'vector', 'physical'],\n"
+        "})\n"
+        "outcome = experiment.run_sweep(spec, sys.argv[1], jobs=1)\n"
+        "experiment.summarize(experiment.read_results(outcome.results_csv))\n"
+        "print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))\n"
     )
     src = str(Path(snapdetect.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -6,8 +6,8 @@ kind, process and sub, with events and messages listed in any order.  On
 the same traces both replays must match their references.  A trace with
 a message delivered before its send or at or after its receiver's end,
 sent outside its sender's span or to its own event, or naming an event
-the trace lacks, with an event on a process outside the config, or with
-a value that does not fit its column, raises one ``ValueError`` in both
+the trace lacks, with an event on a process outside the config (also one
+that a message names), or with a value that does not fit its column, raises one ``ValueError`` in both
 replaying families, and ``load_trace`` names the record's line.
 A delivery before its receiver starts is kept, and the snapshot family
 drops it.  A trace builds its timeline once, however many families
@@ -295,6 +295,19 @@ MALFORMED = {
         1,
         f"message 1: sender (0, {2**63}) is no event of the trace",
     ),
+    "receiver-seq-below-int64": (
+        malformed(message=TraceMessage(A, EventId(1, -(2**63) - 1), 20, 30)),
+        "message",
+        1,
+        f"message 1: receiver (1, {-(2**63) - 1}) is no event of the trace",
+    ),
+    # The message's receiver is an event of the trace; the event is rejected first.
+    "message-to-process-past-config": (
+        malformed(TraceEvent(EventId(2, 0), 2, 0, 50), message=TraceMessage(A, EventId(2, 0), 20, 30)),
+        "event",
+        2,
+        "event (2, 0): process 2 is outside 0..1",
+    ),
     "seq-past-int32": (
         malformed(TraceEvent(EventId(0, 2**31), 0, 200, 300)),
         "event",
@@ -332,6 +345,15 @@ MALFORMED = {
         "event (-1, 0): process -1 is outside 0..1",
     ),
 }
+
+def test_plain_tuple_endpoints_resolve_like_their_event_ids():
+    config = SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=0)
+    named = Trace(SPANS, (TraceMessage(B, A, 20, 30),), config)
+    plain = Trace(SPANS, (TraceMessage((1, 0), (0, 0), 20, 30),), config)
+    assert all(map(np.array_equal, plain.message_columns, named.message_columns))
+    for family in DetectorFamily:
+        assert run_trace(plain, family) == run_trace(named, family)
+
 
 REPLAYS = {
     "snapshot": lambda t: run_trace(t, DetectorFamily.SNAPSHOT),
