@@ -8,7 +8,8 @@ families replay it in one order, the columnar timeline that
   communicating pair (b, c) is reported as concurrent when the send stamp
   x of b's message lands inside c's final logical interval:
   ``c.lo <= x < c.hi``.  Its handlers state the clock rules one call at
-  a time; ``simulate._replay_snapshot`` applies them in one loop over lists.
+  a time; ``simulate._replay_snapshot`` applies them in one loop over the
+  announcements, then settles the deliveries in numpy.
 * ``vector_detect`` -- the vector-clock baseline: reports pairs whose
   interval endpoints are mutually ordered by happened-before (each start
   precedes the other's end).  It takes the stamps as int64 (m, n) arrays,

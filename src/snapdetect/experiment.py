@@ -387,10 +387,15 @@ class ResultsFormatError(ValueError):
         self.lineno = lineno
 
 
+#: The results.csv columns that count pairs or operations: ints, none below 0.
+_COUNT_COLUMNS = ("true_pairs", "detected_pairs", "clock_updates", "stamp_words_sent", "pair_checks")
+
+
 def read_results(csv_path: str | Path) -> list[dict]:
     """A results.csv's rows, parsed; ``ResultsFormatError`` names the first malformed line.
 
-    Recall and precision must lie in [0, 1], and ``wall_ms`` and the axis number must be finite.
+    Recall and precision must lie in [0, 1], no counter may be negative, and
+    ``wall_ms`` and the axis number must be finite.
     """
     path = Path(csv_path)
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -410,7 +415,7 @@ def read_results(csv_path: str | Path) -> list[dict]:
                 rec["recall"] = float(rec["recall"])
                 rec["precision"] = float(rec["precision"])
                 rec["seed"] = int(rec["seed"])
-                for key in ("true_pairs", "detected_pairs", "clock_updates", "stamp_words_sent", "pair_checks"):
+                for key in _COUNT_COLUMNS:
                     rec[key] = int(rec[key])
                 rec["wall_ms"] = float(rec["wall_ms"])
                 rec["axis_numeric"] = _axis_numeric(rec["axis_value"])
@@ -419,6 +424,9 @@ def read_results(csv_path: str | Path) -> list[dict]:
             for key in ("recall", "precision"):
                 if not 0.0 <= rec[key] <= 1.0:
                     raise ResultsFormatError(lineno, f"{key} {rec[key]} is not in [0, 1]")
+            for key in _COUNT_COLUMNS:
+                if rec[key] < 0:
+                    raise ResultsFormatError(lineno, f"{key} {rec[key]} is negative")
             for key, value in (("wall_ms", rec["wall_ms"]), ("axis_value", rec["axis_numeric"])):
                 if not math.isfinite(value):
                     raise ResultsFormatError(lineno, f"{key} {value} is not finite")

@@ -1151,15 +1151,24 @@ def _arrived(timeline: Timeline) -> np.ndarray:
 
 
 def _replay_snapshot(trace: Trace, counters: OpCounters) -> SnapshotReplay:
-    """Replay a trace's start, send and delivery points, every tick announced to every peer.
+    """Replay a trace's start and send points, each tick announced to every peer; then its deliveries.
 
-    Before p acts at point k it folds announcements ``cursor[p]`` to
-    ``arrived[k] - 1`` into its clock (their running max is ``peak``) and
-    steps past its own.  Event e is heard of, or started, at k when its
-    start's announcement index is below ``arrived[k]``.  A delivery from an
-    event not heard of is dropped unmerged, one to an event not started
-    after the merge; the rest queue in EE and pass when their stamp x lies
-    in the receiver's final ``[lo, hi)``.  A tick past
+    The loop visits the announcements only; the a-th is at ``arrived`` a.
+    Before p ticks there it folds announcements ``cursor[p]`` to ``a - 1``
+    into its clock (their max is ``peak``) and steps past its own.  The
+    folds a process would take at a delivery it takes at its next
+    announcement or in the final fold; ``peak`` only grows, so the clocks
+    and the fold count are the same.  A delivery's merge cannot move a
+    clock: ``_timeline`` puts every send before its delivery, so the
+    receiver has folded the send's stamp by then.
+
+    Event e is heard of, or started, at point k when its start's
+    announcement index is below ``arrived[k]``.  After the loop, a
+    delivery from an event not heard of is dropped unmerged, one to an
+    event not started after the merge; the rest queue in EE.  Each event's
+    ``hi`` is one more than the largest of its start stamp, its send stamps
+    and its queued deliveries' stamps, and a queued delivery passes when
+    its stamp x lies in its receiver's ``[lo, hi)``.  A tick past
     ``detectors.MAX_TICK`` (read at call time) raises ``StampOverflowError``.
     """
     procs, events, n_msgs = trace.config.n_processes, len(trace.events), len(trace.messages)
@@ -1167,51 +1176,46 @@ def _replay_snapshot(trace: Trace, counters: OpCounters) -> SnapshotReplay:
     arrived, start = _arrived(trace.timeline), kind == _START
     heard_at = arrived[start][np.argsort(item[start])]  # each event's start announcement
     _, _, sender, receiver = trace.message_columns
-    heard_at, senders, receivers = heard_at.tolist(), sender.tolist(), receiver.tolist()
-    lo, hi, stamp, clock, cursor = [0] * events, [0] * events, [0] * n_msgs, [0] * procs, [0] * procs
-    peak, queued, folds, unheard = [0], [], 0, 0  # peak[a]: the largest stamp of the first a announcements
-    live = kind != _END  # an end changes no snapshot state
-    for k, p, i, a in zip(kind[live].tolist(), process[live].tolist(), item[live].tolist(), arrived[live].tolist()):
+    lo, stamp, clock, cursor = [0] * events, [0] * n_msgs, [0] * procs, [0] * procs
+    peak, folds = 0, 0  # peak: the largest stamp announced so far
+    announce = kind <= _SEND
+    points = zip(kind[announce].tolist(), process[announce].tolist(), item[announce].tolist())
+    for a, (k, p, i) in enumerate(points):
         if a > cursor[p]:
             folds += a - cursor[p]
-            cursor[p] = a
-            if peak[a] > clock[p]:
-                clock[p] = peak[a]
-        if k == _DELIVER:
-            if heard_at[senders[i]] >= a:
-                unheard += 1
-                continue
-            x, r = stamp[i], receivers[i]
-            if x > clock[p]:
-                clock[p] = x
-            if heard_at[r] < a:
-                if x >= hi[r]:
-                    hi[r] = x + 1
-                queued.append(i)
-            continue
+            if peak > clock[p]:
+                clock[p] = peak
         x = clock[p] = clock[p] + 1
         if k == _START:
-            lo[i], hi[i] = x, x + 1
+            lo[i] = x
         else:
-            stamp[i], hi[senders[i]] = x, x + 1
-        peak.append(x if x > peak[-1] else peak[-1])
+            stamp[i] = x
+        if x > peak:
+            peak = x
         cursor[p] = a + 1
-    if peak[-1] > detectors.MAX_TICK:
+    if peak > detectors.MAX_TICK:
         raise StampOverflowError(f"tick out of range: {detectors.MAX_TICK + 1}")
-    announced = len(peak) - 1
+    deliver = np.flatnonzero(kind == _DELIVER)
+    at, msg = arrived[deliver], item[deliver]
+    heard = heard_at[sender[msg]] < at
+    queue = msg[heard & (heard_at[receiver[msg]] < at)]  # in replay order
+    announced, unheard = events + n_msgs, n_msgs - int(np.count_nonzero(heard))
     # The last folds; then a tick or a merge is one clock update, and a start announces one word, a send two.
     counters.clock_updates += folds + announced * procs - sum(cursor) + announced + n_msgs - unheard
     counters.events_processed += events + 2 * n_msgs
     counters.stamp_words_sent += events + 2 * n_msgs
-    counters.pair_checks += len(queued)
-    queue = np.array(queued, dtype=np.intp)
-    x, r, s = np.array(stamp, dtype=np.int64)[queue], receiver[queue], sender[queue]
-    hit = (np.array(lo, dtype=np.int64)[r] <= x) & (x < np.array(hi, dtype=np.int64)[r])
+    counters.pair_checks += len(queue)
+    stamp, lo = np.array(stamp, dtype=np.int64), np.array(lo, dtype=np.int64)
+    x, r, s = stamp[queue], receiver[queue], sender[queue]
+    hi = lo + 1
+    np.maximum.at(hi, np.concatenate((sender, r)), np.concatenate((stamp, x)) + 1)
+    hit = (lo[r] <= x) & (x < hi[r])
     order, rank = trace.id_order, np.argsort(trace.id_order)  # rank: each event's place in id order
     a, b = rank[r[hit]], rank[s[hit]]
     keys = sorted_unique(np.minimum(a, b).astype(np.int64) * events + np.maximum(a, b))
-    clock = [max(c, peak[-1]) for c in clock]  # the last folds
-    return SnapshotReplay(lo, hi, clock, order[keys // events], order[keys % events], n_msgs - len(queued))
+    clock = [max(c, peak) for c in clock]  # the last folds
+    first, second = order[keys // events], order[keys % events]
+    return SnapshotReplay(lo.tolist(), hi.tolist(), clock, first, second, n_msgs - len(queue))
 
 
 def snapshot_intervals(trace: Trace) -> dict[EventId, tuple[int, int]]:

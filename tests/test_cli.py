@@ -319,6 +319,17 @@ class TestReportCommand:
         assert result.exit_code == 2
         assert "line 3" in result.output
 
+    def report_edited(self, tmp_path, column, value):
+        """``snapdetect report`` on a results.csv whose line 3 has ``column`` set to ``value``."""
+        csv_path = self.make_results(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[experiment.CSV_COLUMNS.index(column)] = value
+        lines[2] = ",".join(fields)
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        return CliRunner().invoke(main, ["report", str(broken)])
+
     @pytest.mark.parametrize(
         "column, value",
         [*itertools.product(("recall", "precision"), ("nan", "inf", "-0.5", "1.5")), ("axis_value", "nan")],
@@ -327,16 +338,17 @@ class TestReportCommand:
         what = f"{column} {float(value)} is not in [0, 1]"
         if column == "axis_value":
             what = "axis_value nan is not finite"
-        csv_path = self.make_results(tmp_path)
-        lines = csv_path.read_text().splitlines()
-        fields = lines[2].split(",")
-        fields[experiment.CSV_COLUMNS.index(column)] = value
-        lines[2] = ",".join(fields)
-        broken = tmp_path / "broken.csv"
-        broken.write_text("\n".join(lines) + "\n")
-        result = CliRunner().invoke(main, ["report", str(broken)])
+        result = self.report_edited(tmp_path, column, value)
         assert result.exit_code == 2
         assert f"malformed results csv: line 3: {what}" in result.output
+
+    @pytest.mark.parametrize(
+        "column", ["true_pairs", "detected_pairs", "clock_updates", "stamp_words_sent", "pair_checks"]
+    )
+    def test_negative_counter_exits_2_with_line(self, tmp_path, column):
+        result = self.report_edited(tmp_path, column, "-1")
+        assert result.exit_code == 2
+        assert f"malformed results csv: line 3: {column} -1 is negative" in result.output
 
     @pytest.mark.parametrize(
         "axis, points, numeric",

@@ -15,7 +15,7 @@ fault on the same tick cap.  Four hand-built traces pin its outcome.
 import pytest
 from hypothesis import given, strategies as st
 
-from _corpora import drop_trace, scale_dense_corpus, snapshot_corpus, vector_corpus
+from _corpora import drop_trace, long_traces_corpus, scale_dense_corpus, snapshot_corpus, vector_corpus
 from _legacy_snapshot import LegacySnapshotDetector, MessageRecord, legacy_snapshot
 from _oracles import per_peer_replay_snapshot, readings_of, replay_order_snapshot
 from snapdetect import detectors, scenarios
@@ -148,13 +148,13 @@ def replay_outcome(replay, trace):
 
 def test_replay_matches_per_peer_driver():
     traces = pairs = drops = 0
-    for trace in (*snapshot_corpus(), *vector_corpus(), *scale_dense_corpus()):
+    for trace in (*snapshot_corpus(), *vector_corpus(), *scale_dense_corpus(), *long_traces_corpus()):
         want = replay_outcome(per_peer_replay_snapshot, trace)
         assert replay_outcome(_replay_snapshot, trace) == want, trace.config
         traces += 1
         pairs += len(want[0])
         drops += want[2]
-    assert traces == 664 + 540 + 3
+    assert traces == 664 + 540 + 3 + 4
     assert pairs > 0
     assert drops > 0
 

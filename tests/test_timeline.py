@@ -10,8 +10,9 @@ the trace lacks, with an event on a process outside the config (also one
 that a message names), or with a value that does not fit its column, raises one ``ValueError`` in both
 replaying families, and ``load_trace`` names the record's line.
 A delivery before its receiver starts is kept, and the snapshot family
-drops it.  A trace builds its timeline once, however many families
-replay it.
+drops it.  Every send is announced before its delivery, on every corpus
+and when both share a microsecond.  A trace builds its timeline once,
+however many families replay it.
 """
 import re
 
@@ -19,8 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _corpora import drop_trace, scale_dense_corpus
+from _corpora import drop_trace, long_traces_corpus, scale_dense_corpus, snapshot_corpus, vector_corpus
 from _oracles import (
+    DELIVER,
     SEND,
     START,
     keyed_columns,
@@ -144,6 +146,32 @@ def test_arrived_counts_the_announcements_before_each_point(trace):
 def test_arrived_counts_the_announcements_on_dense_traces():
     for trace in (*scale_dense_corpus(), drop_trace()):
         assert _arrived(trace.timeline).tolist() == counted_announcements(trace)
+
+
+def assert_sends_announced_before_deliveries(trace) -> int:
+    """Assert each delivery's send announcement is below ``_arrived`` at the delivery; return the deliveries."""
+    timeline = trace.timeline
+    arrived = _arrived(timeline)
+    sends, deliveries = np.flatnonzero(timeline.kind == SEND), np.flatnonzero(timeline.kind == DELIVER)
+    announced = np.empty(len(trace.messages), dtype=np.int64)  # each message's send announcement
+    announced[timeline.item[sends]] = arrived[sends]
+    assert (announced[timeline.item[deliveries]] < arrived[deliveries]).all(), trace.config
+    return len(deliveries)
+
+
+def test_every_send_is_announced_before_its_delivery():
+    """Why ``_replay_snapshot`` merges no delivery: its receiver has folded the send's stamp.
+
+    A delay that lets a delivery come before its send's announcement
+    reaches the receiver breaks this, and such deliveries must then merge
+    in the replay loop.
+    """
+    delivered = 0
+    for trace in (*snapshot_corpus(), *vector_corpus(), *scale_dense_corpus(), *long_traces_corpus()):
+        delivered += assert_sends_announced_before_deliveries(trace)
+    assert delivered > 0
+    same_us = late_trace(deliver_us=50)  # delivered at its send's microsecond
+    assert assert_sends_announced_before_deliveries(same_us) == 1
 
 
 def late_trace(deliver_us: int = 40) -> Trace:
