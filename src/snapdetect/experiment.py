@@ -394,8 +394,9 @@ _COUNT_COLUMNS = ("true_pairs", "detected_pairs", "clock_updates", "stamp_words_
 def read_results(csv_path: str | Path) -> list[dict]:
     """A results.csv's rows, parsed; ``ResultsFormatError`` names the first malformed line.
 
-    Recall and precision must lie in [0, 1], no counter may be negative, and
-    ``wall_ms`` and the axis number must be finite.
+    Recall and precision must lie in [0, 1], no counter may be negative, the
+    seed must be one ``SimConfig`` accepts (0..2**64 - 1), and ``wall_ms``
+    and the axis number must be finite.
     """
     path = Path(csv_path)
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -427,6 +428,8 @@ def read_results(csv_path: str | Path) -> list[dict]:
             for key in _COUNT_COLUMNS:
                 if rec[key] < 0:
                     raise ResultsFormatError(lineno, f"{key} {rec[key]} is negative")
+            if not 0 <= rec["seed"] < 2**64:
+                raise ResultsFormatError(lineno, f"seed {rec['seed']} is not in 0..2**64 - 1")
             for key, value in (("wall_ms", rec["wall_ms"]), ("axis_value", rec["axis_numeric"])):
                 if not math.isfinite(value):
                     raise ResultsFormatError(lineno, f"{key} {value} is not finite")

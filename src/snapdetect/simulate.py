@@ -1025,13 +1025,15 @@ class Timeline(NamedTuple):
 def _timeline(trace: Trace) -> Timeline:
     """Deterministic total replay order, as ``Trace.timeline`` keeps it.
 
-    Ties in wall time break by kind, then process, then ``sub``.  The four
-    keys are unique per point, so the order does not depend on how
-    ``trace.events`` and ``trace.messages`` are listed.  Both replays index
-    their state by process, so an event whose process is outside
-    ``0..n_processes - 1`` raises ``EventIdentityError``; the messages are
-    checked by ``_checked_messages``, once per trace, when
-    ``trace.message_columns`` is built or handed over.
+    Ties in wall time break by kind, then process, then ``sub``: an
+    event's seq, a message's index.  The four keys are unique per point,
+    so the order does not depend on how ``trace.events`` and
+    ``trace.messages`` are listed; ``_replay_order`` sorts them as one
+    packed int64 key where that fits.  Both replays index their state by
+    process, so an event whose process is outside ``0..n_processes - 1``
+    raises ``EventIdentityError``; the messages are checked by
+    ``_checked_messages``, once per trace, when ``trace.message_columns``
+    is built or handed over.
     """
     columns = trace.event_columns
     owner, seq = columns.process, columns.seq
@@ -1049,8 +1051,39 @@ def _timeline(trace: Trace) -> Timeline:
     process = np.concatenate((owner, owner, owner[sender], owner[receiver]))
     sub = np.concatenate((seq, seq, msg, msg))
     item = np.concatenate((event, event, msg, msg))
-    order = np.lexsort((sub, process, kind, time_us))
+    order = _replay_order(time_us, kind, process, sub, procs)
     return Timeline(kind[order], process[order], item[order])
+
+
+def _replay_order(
+    time_us: np.ndarray, kind: np.ndarray, process: np.ndarray, sub: np.ndarray, procs: int
+) -> np.ndarray:
+    """The order of ``np.lexsort((sub, process, kind, time_us))``, from one int64 key where it fits.
+
+    The key is ``((time_us * kinds + kind) * procs + process) * width + sub``.
+    A seq may be negative, so ``sub`` is first shifted up by its lowest
+    value where that is below 0; ``width`` is its span, which is
+    ``max(max seq + 1, messages)`` when no seq is negative.  Each point's
+    key is its own, so one unstable argsort gives the lexsort's order.
+    Whether every key fits int64 is checked in Python ints from the
+    smallest and largest time, as a loaded trace may hold negative or
+    near-2**63 times; a trace whose keys do not fit is lexsorted.
+    """
+    kinds = _END - _START + 1
+    low, high = int(sub.min(initial=0)), int(sub.max(initial=-1))
+    width = high - low + 1
+    stride = kinds * procs * width  # keys of one microsecond
+    first, last = int(time_us.min(initial=0)), int(time_us.max(initial=0))
+    bounds = np.iinfo(np.int64)
+    if not (bounds.min <= first * stride and last * stride + stride - 1 <= bounds.max):
+        return np.lexsort((sub, process, kind, time_us))
+    key = time_us * kinds
+    key += kind
+    key *= procs
+    key += process
+    key *= width
+    key += np.subtract(sub, low, dtype=np.int64)
+    return np.argsort(key)
 
 
 def _message_columns(trace: Trace) -> MessageColumns:
@@ -1264,8 +1297,10 @@ def _vector_rows(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts as p's zero clock; each delivery writes one row, the slot-wise
     max of the receiver's current row and the sender's row at the send,
     with the sender's slot raised to the send's count.  Every slot is some
-    process's count, so the largest count bounds them all and int64 is
-    exact.  The shortcut needs each process to own its slot.
+    process's count, so the largest count bounds them all, and ``known``
+    has the narrowest unsigned dtype that holds it (uint8 up to 255 points
+    on a process, uint16 up to 65,535); ``_stamps`` widens the rows it
+    reads to int64.  The shortcut needs each process to own its slot.
 
     A merge reads only rows of a lower causal level: a delivery's level is
     one more than the larger of its two inputs' levels, and row p's is 0
@@ -1300,7 +1335,7 @@ def _vector_rows(trace: Trace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     renum[order] = np.arange(span, dtype=np.int32)
     merge = order[procs:] - procs  # the deliveries, in new row order
     into, taken = renum[prior[merge]], renum[heard[merge]]
-    known = np.zeros((span, procs), dtype=np.int64)
+    known = np.zeros((span, procs), dtype=np.min_scalar_type(top))
     at = sent[merge]  # seed each delivery's row with the send's count in the sender's slot
     known[np.arange(procs, span), process[at]] = count[at]
     cuts = np.cumsum(np.bincount(level)[1:]).tolist()  # each level's end in ``merge``
@@ -1352,8 +1387,8 @@ def _counts_and_rows(
 
 
 def _stamps(known: np.ndarray, rows: np.ndarray, counts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Stamps of the points at ``rows`` of ``known``: each row with its owner's slot set to its count."""
-    out = known[rows]
+    """Stamps of the points at ``rows`` of ``known``: each row, as int64, with its owner's slot set to its count."""
+    out = known[rows].astype(np.int64)
     out[np.arange(len(rows)), owner] = counts
     return out
 

@@ -350,6 +350,12 @@ class TestReportCommand:
         assert result.exit_code == 2
         assert f"malformed results csv: line 3: {column} -1 is negative" in result.output
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_exits_2_with_line(self, tmp_path, seed):
+        result = self.report_edited(tmp_path, "seed", str(seed))
+        assert result.exit_code == 2
+        assert f"malformed results csv: line 3: seed {seed} is not in 0..2**64 - 1" in result.output
+
     @pytest.mark.parametrize(
         "axis, points, numeric",
         [

@@ -2,8 +2,10 @@
 
 ``simulate._timeline`` must give the order of ``_oracles.keyed_columns``
 (the keyed tuple sort) on small hand-built traces whose times tie across
-kind, process and sub, with events and messages listed in any order.  On
-the same traces both replays must match their references.  A trace with
+kind, process and sub, with events and messages listed in any order, also
+with seqs near int32's minimum or times so late that the packed sort key
+does not fit int64, and on each side of that bound.  On the same traces
+both replays must match their references.  A trace with
 a message delivered before its send or at or after its receiver's end,
 sent outside its sender's span or to its own event, or naming an event
 the trace lacks, with an event on a process outside the config (also one
@@ -91,6 +93,72 @@ def test_timeline_matches_keyed_sort_under_ties(trace):
     timeline = _timeline(trace)
     assert [c.dtype for c in timeline] == [np.int8, np.int32, np.int32]
     assert [c.tolist() for c in timeline] == keyed_columns(trace)
+
+
+FAR_US = 2**62 + 1  # times this late give keys past int64 on every tied trace with a point
+
+
+def shifted(trace: Trace, by_us: int) -> Trace:
+    """``trace`` with every event and message time moved by ``by_us``."""
+    events = tuple(e._replace(start_us=e.start_us + by_us, end_us=e.end_us + by_us) for e in trace.events)
+    messages = tuple(m._replace(send_us=m.send_us + by_us, deliver_us=m.deliver_us + by_us) for m in trace.messages)
+    return Trace(events, messages, trace.config)
+
+
+@given(tied_traces())
+def test_timeline_past_the_key_bound_matches_keyed_sort(trace):
+    far = shifted(trace, FAR_US)
+    assert [c.tolist() for c in _timeline(far)] == keyed_columns(far) == keyed_columns(trace)
+
+
+@given(tied_traces())
+def test_timeline_with_negative_seqs_matches_keyed_sort(trace):
+    """Seqs down at int32's minimum: the packed key shifts them up, and its width spans them."""
+
+    def moved(i: EventId) -> EventId:
+        return EventId(i.process, i.seq - 2**31)
+
+    events = tuple(e._replace(id=moved(e.id)) for e in trace.events)
+    messages = tuple(m._replace(from_event=moved(m.from_event), to_event=moved(m.to_event)) for m in trace.messages)
+    low = Trace(events, messages, trace.config)
+    assert [c.tolist() for c in _timeline(low)] == keyed_columns(low) == keyed_columns(trace)
+
+
+def spanning_trace(first_us: int, last_us: int, seq: int = 0) -> Trace:
+    """Process 0's event starts at ``first_us``, process 1's ends at ``last_us``; one message.
+
+    Both events have seq ``seq``, 0 or -1.  The timeline has 4 kinds and 2
+    processes, and its subs span 1 (seq 0) or 2 (seq -1, message 0), so a
+    microsecond spans ``stride`` = 8 or 16 keys: the smallest key is
+    ``first_us * stride`` and the largest ``last_us * stride + stride - 1``.
+    """
+    config = SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=0)
+    a, b = EventId(0, seq), EventId(1, seq)
+    events = (TraceEvent(a, 0, first_us, first_us + 20), TraceEvent(b, 1, first_us + 10, last_us))
+    return Trace(events, (TraceMessage(a, b, first_us + 15, first_us + 18),), config)
+
+
+@pytest.mark.parametrize(
+    "first_us, last_us, seq, lexsorted",
+    [
+        (0, 2**60 - 1, 0, False),
+        (0, 2**60, 0, True),
+        (-(2**60), 0, 0, False),
+        (-(2**60) - 1, 0, 0, True),
+        (-(2**59), 0, -1, False),
+        (-(2**59) - 1, 0, -1, True),
+    ],
+    ids=["last-fits", "last-past", "first-fits", "first-past", "first-fits-seq-below-0", "first-past-seq-below-0"],
+)
+def test_timeline_on_each_side_of_the_key_bound_matches_keyed_sort(first_us, last_us, seq, lexsorted, monkeypatch):
+    """A trace whose keys fit is ordered by the packed key, one whose keys do not by ``np.lexsort``."""
+    trace = spanning_trace(first_us, last_us, seq)
+    trace.message_columns  # built and checked before the lexsort calls are counted
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+    assert [c.tolist() for c in _timeline(trace)] == keyed_columns(trace)
+    assert len(calls) == lexsorted
 
 
 def replay_state(trace, replay, counters):

@@ -5,9 +5,10 @@ and ``vector_merge`` that ``simulate._replay_vector`` replaced.  The ids
 and the ``lo``/``hi`` stamp arrays (against ``vector_arrays`` of the
 reference's intervals), the four counters and every point's stamp (the
 rows of ``vector_point_stamps``) must be identical on seeded traces, on
-dense traces and on the scenario fixtures; both must fault on the same
-slot overflow.  On the same corpus, ``simulate._timeline``'s sorted
-columns must give the order of the keyed tuple sort they replaced.
+dense traces and on the scenario fixtures, and on traces whose ``known``
+rows are uint8, uint16 and uint32; both must fault on the same slot
+overflow.  On the same corpus, ``simulate._timeline``'s sorted columns
+must give the order of the keyed tuple sort they replaced.
 """
 import numpy as np
 import pytest
@@ -161,13 +162,33 @@ def test_timeline_matches_keyed_sort():
 def chain_trace(messages: int) -> Trace:
     """Process 0 sends ``messages`` messages to process 1 within one event each.
 
-    Each process then has ``messages + 2`` replay points.
+    Each process then has ``messages + 2`` replay points.  The events last
+    1 ms, or longer where the sends need it.
     """
     config = SimConfig(nodes=2, instances_per_node=1, events_per_process=1, seed=0)
     a, b = EventId(0, 0), EventId(1, 0)
-    events = (TraceEvent(a, 0, 0, 1_000), TraceEvent(b, 1, 0, 1_000))
+    end_us = max(1_000, 10 * messages + 10)
+    events = (TraceEvent(a, 0, 0, end_us), TraceEvent(b, 1, 0, end_us))
     sends = tuple(TraceMessage(a, b, 10 * k + 1, 10 * k + 5) for k in range(messages))
     return Trace(events, sends, config)
+
+
+ROW_WIDTHS = {
+    # 70,002 points per process: past uint16.
+    "chain-70000": (lambda: chain_trace(70_000), np.uint32),
+    "scenario-a": (lambda: scenarios.build_scenario("a"), np.uint8),
+    # The benchmark's 20-node trace: its largest count is 1,342.
+    "scale-dense-20": (lambda: scale_dense_corpus()[-1], np.uint16),
+}
+
+
+@pytest.mark.parametrize("case", ROW_WIDTHS)
+def test_rows_take_the_width_of_their_largest_count(case):
+    """``known`` is as narrow as its counts allow, and the stamps read from it are the reference's int64 ones."""
+    build, dtype = ROW_WIDTHS[case]
+    trace = build()
+    assert simulate._vector_rows(trace)[0].dtype == dtype
+    assert_matches_reference(trace)
 
 
 def overflow_corpus():
