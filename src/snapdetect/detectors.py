@@ -314,20 +314,20 @@ def vector_detect(
     The candidates come from each process's own slot.  Let a_j be
     ``lo[j, p_j]``.  For j on process q, ``lo_j <= hi_i`` needs
     a_j <= ``hi[i, q]``, which holds on a prefix of q's events, ending at
-    K[i, q].  ``lo_i <= hi_j`` needs i < K[j, p_i], which holds on a
-    suffix of q's events, from L[i, q]: the first where the running max
+    K[i, q]: the contract keeps q's a values sorted, so K is one search of
+    them per process.  ``lo_i <= hi_j`` needs i < K[j, p_i], which holds on
+    a suffix of q's events, from L[i, q]: the first where the running max
     of K[j, p_i] along q's events passes i.  So row i's candidates on q
     are j in [max(L, i + 1), K).  Both bounds are necessary, so the result
     is exact.  For a vector replay whose events do not nest on any process
     they are also sufficient: the candidates are the pairs found.  When
     they nest, ends leave seq order and a few extra candidates fail the
-    predicate.  The full predicate runs on the
-    candidates in chunks of at most ``VECTOR_SCAN_BLOCK_CELLS`` slot
-    comparisons; a row's candidates may span several chunks, and only when
-    n alone exceeds the block does a chunk hold one candidate over it.
-    The searches key run
-    indices, row indices and ranks, never raw stamps, so no key can
-    overflow.  O(m n log m + candidates n).
+    predicate.  The candidates are numbered once, in row order, and the
+    full predicate runs on slices of ``VECTOR_SCAN_BLOCK_CELLS // n`` of
+    them (one, if n alone exceeds the block), so a row's candidates may
+    span several slices.  The K search compares stamps and does no
+    arithmetic on them; the L search keys run and row indices only, so no
+    key can overflow.  O(m n log m + candidates (n + log m)).
     """
     m, n = lo.shape
     if counters is not None:
@@ -336,17 +336,11 @@ def vector_detect(
     starts = first.nonzero()[0]
     run = first.cumsum() - 1
     runs, width = len(starts), m + 1
-    # upper[c, i] = K[i, q], q the process of run c.  a_j <= h iff
-    # rank(a_j) <= rank(h), ranks counting the a values at or below, so
-    # K is a prefix count of run c's a ranks, read off a (run, rank) table.
-    ordered = np.sort(own)
-    table = np.bincount(run * width + ordered.searchsorted(own, "right"), minlength=runs * width)
-    table[::width] += starts
-    table = table.reshape(runs, width).cumsum(axis=1, dtype=np.int32).ravel()
-    rank = ordered.searchsorted(hi[:, proc[starts]].T, "right")
-    rank += np.arange(0, runs * width, width)[:, None]
-    upper = table[rank]
-    del ordered, table, rank
+    # upper[c, i] = K[i, q], q the process of run c: one search of the
+    # run's own start slots, which the contract keeps sorted.
+    upper = np.empty((runs, m), dtype=np.int32)
+    for c, (s, e) in enumerate(zip(starts, [*starts[1:], m])):
+        upper[c] = s + own[s:e].searchsorted(hi[:, proc[s]], "right")
     # Cells (i, c) with room for a candidate, in row order.
     i, c = (upper.T > np.maximum(np.arange(1, m + 1)[:, None], starts)).nonzero()
     if not len(i):
@@ -362,35 +356,25 @@ def vector_detect(
     start -= home * m
     np.maximum(start, i + 1, out=start)
     count = upper[c, i] - start
-    del most, upper, home, c  # the chunks need only the candidate cells
-    keep = count > 0
-    i, start, count = i[keep], start[keep], count[keep]
-    del keep
-    # Cells of more than ``per`` candidates are split into pieces of at
-    # most ``per``, then runs of pieces are chunked, each of at most
+    del most, upper, home, c  # the slices need only the candidate cells
+    # Candidates numbered in cell order: candidate k of cell x is column
+    # base[x] + k.  Slices of ``per`` candidates hold at most
     # VECTOR_SCAN_BLOCK_CELLS slot comparisons (or one candidate, if n
     # alone exceeds it).
-    per = max(1, VECTOR_SCAN_BLOCK_CELLS // n)
-    pieces = (count - 1) // per + 1
-    if (pieces > 1).any():
-        cell = np.repeat(np.arange(len(count)), pieces)
-        skip = (np.arange(len(cell)) - np.repeat(pieces.cumsum() - pieces, pieces)) * per
-        i, start, count = i[cell], start[cell] + skip, np.minimum(count[cell] - skip, per)
-        del cell, skip
-    del pieces
-    spent = np.concatenate(([0], (count * n).cumsum()))
+    np.maximum(count, 0, out=count)
+    ends = count.cumsum()
+    base = start + count - ends
+    del start, count
+    per, total = max(1, VECTOR_SCAN_BLOCK_CELLS // n), int(ends[-1])
     first, second = [i[:0]], [i[:0]]
-    a, last = 0, len(count)
-    while a < last:
-        e = max(a + 1, int(spent.searchsorted(spent[a] + VECTOR_SCAN_BLOCK_CELLS, "right")) - 1)
-        k = count[a:e]
-        row = np.repeat(i[a:e], k)
-        col = np.repeat(start[a:e] - k.cumsum() + k, k) + np.arange(len(row))
+    for a in range(0, total, per):
+        k = np.arange(a, min(a + per, total))
+        cell = ends.searchsorted(k, "right")
+        row, col = i[cell], base[cell] + k
         hit = _strictly_below(lo[row], hi[col])
         hit &= _strictly_below(lo[col], hi[row])
         first.append(row[hit])
         second.append(col[hit])
-        a = e
     return np.concatenate(first), np.concatenate(second)
 
 

@@ -86,10 +86,17 @@ def spec_value(key: str, value):
     convert = _ms_to_us if f.name.endswith("_us") else (lambda v: v)
     if not is_range(f):
         return convert(value)
-    bounds = value if isinstance(value, (list, tuple)) else (value, value)
+    bounds = _as_written(key, value)
     if len(bounds) != 2:
         raise ValueError(f"expected [lo, hi], got {value!r}")
     return tuple(map(convert, bounds))
+
+
+def _as_written(key: str, value):
+    """Spec value ``value`` before any unit conversion, a range as a tuple and one number v as (v, v)."""
+    if not is_range(AXIS_FIELDS[key]):
+        return value
+    return tuple(value) if isinstance(value, (list, tuple)) else (value, value)
 
 
 def _checked_spec_value(key: str, value):
@@ -164,6 +171,7 @@ def parse_spec(data: dict) -> ExperimentSpec:
     if not isinstance(seeds, list) or not seeds:
         raise SpecError("seeds", "must be a non-empty list or {count, base}")
     check_seeds(base, seeds)
+    _reject_repeats("seeds", "seed", seeds, seeds)
     for point in points:
         try:
             if point is None:  # peer_fanout takes null, but results.csv needs a number
@@ -174,6 +182,7 @@ def parse_spec(data: dict) -> ExperimentSpec:
             raise SpecError("sweep.points", f"bad point {point!r}: {_spec_terms(exc, axis)[1]}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError("sweep.points", f"bad point {point!r}: {exc}") from exc
+    _reject_repeats("sweep.points", "point", points, [_as_written(axis, p) for p in points])
 
     det_names = data.get("detectors", ["snapshot", "vector"])
     if not isinstance(det_names, list) or not det_names:
@@ -184,6 +193,22 @@ def parse_spec(data: dict) -> ExperimentSpec:
         raise SpecError("detectors", str(exc)) from exc
 
     return ExperimentSpec(base=base, axis=axis, points=tuple(points), seeds=tuple(seeds), detectors=detectors)
+
+
+def _reject_repeats(field: str, noun: str, given: Sequence, values: Sequence) -> None:
+    """Raise ``SpecError(field)`` at the first of ``given`` whose value is an earlier one's.
+
+    A repeated seed would run its cells twice, and two points of one
+    value would be one config under two axis values.  Points compare as
+    written, so 1 and 1.0, or 2 and [2, 2], are one value; points that
+    differ only below a microsecond stay two.
+    """
+    seen = {}
+    for k, value in enumerate(values):
+        j = seen.setdefault(value, k)
+        if j != k:
+            earlier = "" if repr(given[j]) == repr(given[k]) else f" {noun} {given[j]!r}"
+            raise SpecError(field, f"{noun} {given[k]!r} repeats{earlier}")
 
 
 def check_seeds(base: SimConfig, seeds: Sequence[int]) -> None:

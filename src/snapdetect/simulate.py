@@ -475,12 +475,14 @@ def _checked_events(events, columns: EventColumns, named: np.ndarray) -> EventCo
     ``named`` is each event's ``id.process``.  Raises
     ``EventIdentityError`` naming the first event whose ``id.process`` is
     not its ``process``, then the first whose id repeats, then the first
-    that starts before an event of its process with a lower seq.  The
-    snapshot replay's heard-of test reads a process's latest start as its
-    highest seq, so the last is as wrong as the others.  ``events`` is
-    read only to name an offender.
+    that starts before an event of its process with a lower seq, then the
+    first that does not end after it starts.  The snapshot replay's
+    heard-of test reads a process's latest start as its highest seq, so
+    the third is as wrong as the others; an empty span has no point at
+    which to hold its reading.  ``events`` is read only to name an
+    offender.
     """
-    process, seq, start, _ = columns
+    process, seq, start, end = columns
     foreign = np.flatnonzero(named != process)
     if foreign.size:
         i = int(foreign[0])
@@ -500,6 +502,11 @@ def _checked_events(events, columns: EventColumns, named: np.ndarray) -> EventCo
         a, b = events[later[k]], events[earlier[k]]
         what = f"starts at {a.start_us} us, before event {tuple(b.id)} at {b.start_us} us"
         raise _event_error(events, int(later[k]), what)
+    empty = np.flatnonzero(end <= start)
+    if empty.size:
+        i = int(empty[0])
+        what = f"ends at {events[i].end_us} us, not after its start at {events[i].start_us} us"
+        raise _event_error(events, i, what)
     return columns
 
 

@@ -259,6 +259,38 @@ def test_spec_errors_name_the_key_the_spec_wrote(data, field, message):
     assert "_us" not in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "data, field, message",
+    [
+        (dict(spec(nodes=2), seeds=[1, 1, 2]), "seeds", "seeds: seed 1 repeats"),
+        (dict(spec(nodes=2), seeds=[3, 2, 5, 2]), "seeds", "seeds: seed 2 repeats"),
+        (dict(spec(nodes=2), sweep={"axis": "nodes", "points": [2, 2, 3, 4]}), "sweep.points", "point 2 repeats"),
+        (
+            dict(spec(nodes=2), sweep={"axis": "delay_ms", "points": [1, 1.0]}),
+            "sweep.points",
+            "sweep.points: point 1.0 repeats point 1",
+        ),
+        (
+            dict(spec(nodes=2), sweep={"axis": "delay_ms", "points": [[1, 2], 3, [1.0, 2]]}),
+            "sweep.points",
+            "sweep.points: point [1.0, 2] repeats point [1, 2]",
+        ),
+        (
+            dict(spec(nodes=2), sweep={"axis": "message_delay_ms", "points": [2, [2, 2]]}),
+            "sweep.points",
+            "sweep.points: point [2, 2] repeats point 2",
+        ),
+    ],
+    ids=["seed", "seed-later", "point", "point-int-float", "point-range", "point-scalar-range"],
+)
+def test_spec_rejects_repeated_seeds_and_points(data, field, message):
+    """A repeated seed runs its cells twice; two equal points are one config under two axis values."""
+    with pytest.raises(SpecError) as err:
+        parse_spec(data)
+    assert err.value.field == field
+    assert str(err.value).endswith(message)
+
+
 def test_trajectory_stall_is_rejected_at_once():
     # About 5.8e10 room stays per user: generation would not return.
     config = SimConfig(

@@ -3,9 +3,11 @@
 An id that repeats, an ``id.process`` that is not the event's process,
 or a process whose seqs are out of start order would make the families
 disagree: the snapshot replay reads a process's latest start as its
-highest seq.  ``Trace.event_columns`` raises one ``ValueError`` naming
-the event, and ground truth and every family read it first;
-``load_trace`` raises it with the event's line number.
+highest seq.  An event that does not end after it starts has no span
+for ground truth to overlap, yet the replays would take it silently.
+``Trace.event_columns`` raises one ``ValueError`` naming the event, and
+ground truth and every family read it first; ``load_trace`` raises it
+with the event's line number.
 """
 import re
 
@@ -53,6 +55,17 @@ def foreign_id() -> Trace:
     return Trace(events, (TraceMessage(EventId(0, 0), EventId(0, 1), 15, 20),), CONFIG)
 
 
+def span_of(start: int, end: int, *extra: TraceEvent) -> Trace:
+    """(1, 1) on [start, end), after events that a message joins, and ``extra``."""
+    events = (
+        TraceEvent(EventId(0, 0), 0, 0, 300_000),
+        TraceEvent(EventId(1, 0), 1, 0, 100_000),
+        TraceEvent(EventId(1, 1), 1, start, end),
+        *extra,
+    )
+    return Trace(events, (TraceMessage(EventId(0, 0), EventId(1, 0), 10, 50),), CONFIG)
+
+
 # (trace, index of the named event, message)
 MALFORMED = {
     "seq-out-of-start-order": (
@@ -62,6 +75,16 @@ MALFORMED = {
     ),
     "repeated-id": (repeated_id, 1, "event (0, 0): id repeats"),
     "foreign-id": (foreign_id, 1, "event (0, 1): id names process 0, but it runs on 1"),
+    "zero-span": (
+        lambda: span_of(200_000, 200_000),
+        2,
+        "event (1, 1): ends at 200000 us, not after its start at 200000 us",
+    ),
+    "negative-span": (
+        lambda: span_of(200_000, 150_000),
+        2,
+        "event (1, 1): ends at 150000 us, not after its start at 200000 us",
+    ),
 }
 
 READERS = {
@@ -99,6 +122,15 @@ def test_equal_starts_in_seq_order_are_accepted():
     )
     trace = Trace(events, (), CONFIG)
     assert len(ground_truth(trace).concurrent_pairs) == 3
+
+
+def test_an_empty_span_is_checked_last():
+    """Alone it is named; beside an earlier fault, that fault's message stands."""
+    with pytest.raises(ValueError, match=re.escape("event (1, 1): ends at 200000 us, not after")):
+        run_trace(span_of(200_000, 200_000), DetectorFamily.VECTOR)
+    repeat = TraceEvent(EventId(0, 0), 0, 5, 20)
+    with pytest.raises(ValueError, match=f"^{re.escape('event (0, 0): id repeats')}$"):
+        run_trace(span_of(200_000, 200_000, repeat), DetectorFamily.VECTOR)
 
 
 def count_calls(monkeypatch, name: str) -> list:
