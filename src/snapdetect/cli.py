@@ -122,6 +122,9 @@ def cmd_report(results_csv: Path, summary_path: Path | None) -> None:
     except FileNotFoundError:
         click.echo(f"no such file: {results_csv}", err=True)
         sys.exit(2)
+    except (OSError, UnicodeDecodeError) as exc:
+        click.echo(f"cannot read {results_csv}: {exc}", err=True)
+        sys.exit(2)
     except ResultsFormatError as exc:
         click.echo(f"malformed results csv: {exc}", err=True)
         sys.exit(2)

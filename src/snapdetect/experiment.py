@@ -14,8 +14,9 @@ import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .metrics import complexity_fit, score, trend
@@ -86,17 +87,10 @@ def spec_value(key: str, value):
     convert = _ms_to_us if f.name.endswith("_us") else (lambda v: v)
     if not is_range(f):
         return convert(value)
-    bounds = _as_written(key, value)
+    bounds = tuple(value) if isinstance(value, (list, tuple)) else (value, value)
     if len(bounds) != 2:
         raise ValueError(f"expected [lo, hi], got {value!r}")
     return tuple(map(convert, bounds))
-
-
-def _as_written(key: str, value):
-    """Spec value ``value`` before any unit conversion, a range as a tuple and one number v as (v, v)."""
-    if not is_range(AXIS_FIELDS[key]):
-        return value
-    return tuple(value) if isinstance(value, (list, tuple)) else (value, value)
 
 
 def _checked_spec_value(key: str, value):
@@ -172,17 +166,18 @@ def parse_spec(data: dict) -> ExperimentSpec:
         raise SpecError("seeds", "must be a non-empty list or {count, base}")
     check_seeds(base, seeds)
     _reject_repeats("seeds", "seed", seeds, seeds)
+    values = []
     for point in points:
         try:
             if point is None:  # peer_fanout takes null, but results.csv needs a number
                 raise TypeError("a point must be a number")
-            _checked_spec_value(axis, point)
+            values.append(_checked_spec_value(axis, point))
             config_for_point(base, axis, point, seeds[0]).validate()
         except ConfigError as exc:
             raise SpecError("sweep.points", f"bad point {point!r}: {_spec_terms(exc, axis)[1]}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError("sweep.points", f"bad point {point!r}: {exc}") from exc
-    _reject_repeats("sweep.points", "point", points, [_as_written(axis, p) for p in points])
+    _reject_repeats("sweep.points", "point", points, values)
 
     det_names = data.get("detectors", ["snapshot", "vector"])
     if not isinstance(det_names, list) or not det_names:
@@ -199,9 +194,10 @@ def _reject_repeats(field: str, noun: str, given: Sequence, values: Sequence) ->
     """Raise ``SpecError(field)`` at the first of ``given`` whose value is an earlier one's.
 
     A repeated seed would run its cells twice, and two points of one
-    value would be one config under two axis values.  Points compare as
-    written, so 1 and 1.0, or 2 and [2, 2], are one value; points that
-    differ only below a microsecond stay two.
+    value would be one config under two axis values.  Points compare by
+    the ``SimConfig`` field value they give, so 1 and 1.0, 2 and [2, 2]
+    on a range axis, or two times that round to one microsecond, are one
+    value.
     """
     seen = {}
     for k, value in enumerate(values):
@@ -223,8 +219,8 @@ def check_seeds(base: SimConfig, seeds: Sequence[int]) -> None:
 def load_spec(path: str | Path) -> ExperimentSpec:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise SpecError("spec", f"file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError("spec", f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise SpecError("spec", f"bad JSON in {path}: {exc}")
     return parse_spec(data)
@@ -237,19 +233,13 @@ def config_for_point(base: SimConfig, axis: str, point, seed: int) -> SimConfig:
 class _Layouts:
     """The layouts of one serial sweep, each held while a later cell shares its ``layout_key``.
 
-    ``left`` counts each key's cells still to run; a cell with no config
-    or key is not counted, and reports its error when it runs.  A layout
-    is dropped when the last cell of its key starts.
+    ``left`` counts each key's cells still to run, from every cell's
+    config.  A layout is dropped when the last cell of its key starts.
     """
 
-    def __init__(self, job_args: Sequence[tuple]):
-        self.left: Counter = Counter()
+    def __init__(self, configs: Iterable[SimConfig]):
+        self.left = Counter(map(layout_key, configs))
         self.held: dict[tuple, Layout] = {}
-        for base, axis, point, seed, _ in job_args:
-            try:
-                self.left[layout_key(config_for_point(base, axis, point, seed))] += 1
-            except Exception:  # noqa: BLE001 - the cell reports it
-                continue
 
     def trace(self, config: SimConfig) -> Trace:
         """``generate_trace(config)``, wired from the held layout of its key if there is one."""
@@ -271,13 +261,12 @@ class _Layouts:
 
 
 def _job(args: tuple, layouts: Optional[_Layouts] = None) -> list[dict]:
-    """One (point, seed) cell: generate once, run every detector.
+    """One cell, ``(config, point, det_values)``: generate once, run every detector.
 
     With ``layouts`` the trace is wired from a layout shared with the
     sweep's other cells of its ``layout_key``.
     """
-    base, axis, point, seed, det_values = args
-    config = config_for_point(base, axis, point, seed)
+    config, point, det_values = args
     trace = generate_trace(config) if layouts is None else layouts.trace(config)
     truth = ground_truth(trace)
     wall_ms = f"{trace.makespan_us / 1000.0:.3f}"
@@ -289,7 +278,7 @@ def _job(args: tuple, layouts: Optional[_Layouts] = None) -> list[dict]:
         rows.append(
             {
                 "axis_value": _axis_repr(point),
-                "seed": seed,
+                "seed": config.seed,
                 "detector": family.value,
                 "recall": f"{report.recall:.6f}",
                 "precision": f"{report.precision:.6f}",
@@ -335,39 +324,36 @@ def run_sweep(
     process, and a value below 1 raises ``ValueError``.  In this process,
     cells whose configs share a ``layout_key`` share one layout, held for
     this call only and dropped after the last of them; a worker runs each
-    cell on its own.
+    cell on its own.  Each cell's config is built once, before ``out_dir``
+    is made, so a point that cannot be converted raises and writes nothing.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = (seed_override,) if seed_override is not None else spec.seeds
     det_values = tuple(d.value for d in spec.detectors)
     job_args = [
-        (spec.base, spec.axis, point, seed, det_values)
+        (config_for_point(spec.base, spec.axis, point, seed), point, det_values)
         for point in spec.points
         for seed in seeds
     ]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    results: list[Optional[list[dict]]] = []
-    errors: list[str] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_job, args) for args in job_args]
-            for args, future in zip(job_args, futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:  # noqa: BLE001 - partial failure is reported
-                    results.append(None)
-                    errors.append(f"point={args[2]} seed={args[3]}: {exc}")
+        runs = [future.result for future in futures]
     else:
-        layouts = _Layouts(job_args)
-        for args in job_args:
-            try:
-                results.append(_job(args, layouts))
-            except Exception as exc:  # noqa: BLE001 - partial failure is reported
-                results.append(None)
-                errors.append(f"point={args[2]} seed={args[3]}: {exc}")
+        layouts = _Layouts(config for config, _, _ in job_args)
+        runs = [partial(_job, args, layouts) for args in job_args]
+    results: list[Optional[list[dict]]] = []
+    errors: list[str] = []
+    for args, run in zip(job_args, runs):
+        try:
+            results.append(run())
+        except Exception as exc:  # noqa: BLE001 - partial failure is reported
+            results.append(None)
+            errors.append(f"point={args[1]} seed={args[0].seed}: {exc}")
 
     csv_path = out_dir / "results.csv"
     rows_written = 0
@@ -496,23 +482,20 @@ def summarize(rows: list[dict]) -> dict:
     itself, so they do not count.
     """
     detectors = sorted({r["detector"] for r in rows})
-    axis_values: list[str] = []
+    # Rows by axis value, in first-seen order, then by detector.
+    groups: dict[str, dict[str, list[dict]]] = {}
     for r in rows:
-        if r["axis_value"] not in axis_values:
-            axis_values.append(r["axis_value"])
+        groups.setdefault(r["axis_value"], {}).setdefault(r["detector"], []).append(r)
 
     points = []
     # Per detector, (axis_numeric, point) in axis order: the cells the
     # trend and growth fits run over.
     cells_by_det: dict[str, list[tuple[float, dict]]] = {det: [] for det in detectors}
-    by_cell: dict[tuple[str, str], list[dict]] = {}
-    for r in rows:
-        by_cell.setdefault((r["axis_value"], r["detector"]), []).append(r)
-    for value in axis_values:
-        for det in detectors:
-            cell = by_cell.get((value, det), [])
-            if not cell:
-                continue
+    per_point = []
+    for value, by_det in groups.items():
+        stats = {}
+        for det in sorted(by_det):
+            cell = by_det[det]
             recalls = [r["recall"] for r in cell]
             precisions = [r["precision"] for r in cell]
             point = {
@@ -528,6 +511,17 @@ def summarize(rows: list[dict]) -> dict:
             }
             points.append(point)
             cells_by_det[det].append((cell[0]["axis_numeric"], point))
+            stats[det] = point
+        snap, vec = stats.get("snapshot"), stats.get("vector")
+        if snap and vec:
+            per_point.append(
+                {
+                    "axis_value": value,
+                    "snapshot_mean_recall": snap["mean_recall"],
+                    "vector_mean_recall": vec["mean_recall"],
+                    "snapshot_ge_vector": snap["mean_recall"] >= vec["mean_recall"],
+                }
+            )
 
     trends = {}
     for det, cells in cells_by_det.items():
@@ -537,19 +531,6 @@ def summarize(rows: list[dict]) -> dict:
 
     dominance = None
     if "snapshot" in detectors and "vector" in detectors:
-        per_point = []
-        for value in axis_values:
-            snap = [p for p in points if p["axis_value"] == value and p["detector"] == "snapshot"]
-            vec = [p for p in points if p["axis_value"] == value and p["detector"] == "vector"]
-            if snap and vec:
-                per_point.append(
-                    {
-                        "axis_value": value,
-                        "snapshot_mean_recall": snap[0]["mean_recall"],
-                        "vector_mean_recall": vec[0]["mean_recall"],
-                        "snapshot_ge_vector": snap[0]["mean_recall"] >= vec[0]["mean_recall"],
-                    }
-                )
         dominance = {
             "per_point": per_point,
             "snapshot_ge_vector_everywhere": all(p["snapshot_ge_vector"] for p in per_point),

@@ -476,11 +476,10 @@ def _checked_events(events, columns: EventColumns, named: np.ndarray) -> EventCo
     ``EventIdentityError`` naming the first event whose ``id.process`` is
     not its ``process``, then the first whose id repeats, then the first
     that starts before an event of its process with a lower seq, then the
-    first that does not end after it starts.  The snapshot replay's
-    heard-of test reads a process's latest start as its highest seq, so
-    the third is as wrong as the others; an empty span has no point at
-    which to hold its reading.  ``events`` is read only to name an
-    offender.
+    first that does not end after it starts.  ``vector_detect`` needs
+    each process's start stamps to rise with seq, so the third is as
+    wrong as the others; an empty span has no point at which to hold its
+    reading.  ``events`` is read only to name an offender.
     """
     process, seq, start, end = columns
     foreign = np.flatnonzero(named != process)

@@ -165,52 +165,56 @@ def load_trace(path: str | Path) -> Trace:
     message_lines: list[int] = []
     readings: dict = {}
     dropped = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+        raise TraceFormatError(f"{path}: cannot read: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec, stop = _decode(line)
+            if stop < len(line):  # the error json.loads raises
+                at = len(line) - len(line[stop:].lstrip(" \t\n\r"))
+                raise json.JSONDecodeError("Extra data", line, at)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise TraceFormatError(f"{path}:{lineno}: record is not a JSON object")
+        kind = rec.get("type")
+        if kind == "event":
+            event_lines.append(lineno)
+            events.append(_event(rec, readings, path, lineno))
+        elif kind == "message":
+            message_lines.append(lineno)
+            messages.append(_message(rec, path, lineno))
+        elif kind == "config":
+            if config_line is not None:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: second config record (the first is on line {config_line})"
+                )
+            config_line = lineno
+            del rec["type"]
             try:
-                rec, stop = _decode(line)
-                if stop < len(line):  # the error json.loads raises
-                    at = len(line) - len(line[stop:].lstrip(" \t\n\r"))
-                    raise json.JSONDecodeError("Extra data", line, at)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise TraceFormatError(f"{path}:{lineno}: record is not a JSON object")
-            kind = rec.get("type")
-            if kind == "event":
-                event_lines.append(lineno)
-                events.append(_event(rec, readings, path, lineno))
-            elif kind == "message":
-                message_lines.append(lineno)
-                messages.append(_message(rec, path, lineno))
-            elif kind == "config":
-                if config_line is not None:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: second config record (the first is on line {config_line})"
-                    )
-                config_line = lineno
-                del rec["type"]
-                try:
-                    config = config_from_record(rec)
-                except ConfigError as exc:
-                    raise TraceFormatError(f"{path}:{lineno}: config {exc}") from exc
-            elif kind == "meta":
-                if meta_line is not None:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: second meta record (the first is on line {meta_line})"
-                    )
-                meta_line = lineno
-                dropped = rec.get("dropped_messages", 0)
-                if type(dropped) is not int or dropped < 0:
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: meta record: 'dropped_messages' must be"
-                        f" a non-negative int, got {dropped!r}"
-                    )
-            else:
-                raise TraceFormatError(f"{path}:{lineno}: unknown record type {kind!r}")
+                config = config_from_record(rec)
+            except ConfigError as exc:
+                raise TraceFormatError(f"{path}:{lineno}: config {exc}") from exc
+        elif kind == "meta":
+            if meta_line is not None:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: second meta record (the first is on line {meta_line})"
+                )
+            meta_line = lineno
+            dropped = rec.get("dropped_messages", 0)
+            if type(dropped) is not int or dropped < 0:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: meta record: 'dropped_messages' must be"
+                    f" a non-negative int, got {dropped!r}"
+                )
+        else:
+            raise TraceFormatError(f"{path}:{lineno}: unknown record type {kind!r}")
     if config is None:
         raise TraceFormatError(f"{path}: missing config record")
     if not events:

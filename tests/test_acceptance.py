@@ -4,6 +4,7 @@ Each test prints a single pass/fail line (bypassing capture) so the
 suite's acceptance status is readable straight from the pytest run.
 """
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -61,6 +62,14 @@ PINNED = {
         "aac7c7201a6468cf7cc44ef6cbc09164c06e7a1b140ca240adb781ebad2161cc",
         "458b545aa73774104eeb9b816f85183c0a2ccb56c1f3cdfd9d6f0faf9129ab09",
     ),
+}
+
+#: sha256 of each sweep's summary as ``json.dumps(indent=2, sort_keys=True)``
+#: writes it, less ``trends`` and ``growth``: those come from numpy fits,
+#: whose last bits may differ between machines.
+SUMMARY_PINNED = {
+    "node_sweep": "c54f7c3d57d77b6196a248b438ec32251676327f483c13c18e25062d9bf48ffa",
+    "delay_sweep": "42e00f5bfc82e48219bdfc4734ec472e2bb249eb32bd0959e7b4cfe79f590405",
 }
 
 
@@ -277,6 +286,20 @@ def test_node_sweep_bytes_are_pinned(node_sweep):
 
 def test_delay_sweep_bytes_are_pinned(delay_sweep):
     _assert_pinned(delay_sweep, "delay_sweep")
+
+
+def _summary_digest(outcome) -> str:
+    summary = summarize(read_results(outcome.results_csv))
+    kept = {key: summary[key] for key in ("points", "dominance", "vacuous", "detectors")}
+    return hashlib.sha256(json.dumps(kept, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+def test_node_sweep_summary_is_pinned(node_sweep):
+    assert _summary_digest(node_sweep[0]) == SUMMARY_PINNED["node_sweep"]
+
+
+def test_delay_sweep_summary_is_pinned(delay_sweep):
+    assert _summary_digest(delay_sweep) == SUMMARY_PINNED["delay_sweep"]
 
 
 def test_criterion_7_error_rate_calibration():

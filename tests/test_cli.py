@@ -51,6 +51,20 @@ class TestScenariosCommand:
         assert result.exit_code == 2
         assert "scenario_a" in result.output
 
+    @pytest.mark.parametrize("kind", ["directory", "utf-16", "bad-byte"])
+    def test_unreadable_fixture_exits_2_naming_it(self, tmp_path, kind):
+        scenarios.write_fixtures(tmp_path)
+        path = tmp_path / "scenario_b.jsonl"
+        if kind == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            text = path.read_text()
+            path.write_bytes(text.encode("utf-16") if kind == "utf-16" else text.encode() + b"\xff\n")
+        result = CliRunner().invoke(main, ["scenarios", "--fixtures", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert str(path) in result.output
+
     def test_corrupted_fixture_exits_1_naming_scenario(self, tmp_path):
         scenarios.write_fixtures(tmp_path)
         path = tmp_path / "scenario_b.jsonl"
@@ -156,6 +170,17 @@ class TestSweepCommand:
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             run_sweep(parse_spec(SMALL_SPEC), out, jobs=jobs)
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "utf-16"])
+    def test_unreadable_spec_exits_2_naming_it(self, tmp_path, kind):
+        path = tmp_path / "spec.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(json.dumps(SMALL_SPEC).encode("utf-16"))
+        result = CliRunner().invoke(main, ["sweep", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "invalid spec" in result.output and str(path) in result.output
 
     def test_invalid_spec_field_exits_2(self, tmp_path):
         bad = dict(SMALL_SPEC, sweep={"axis": "volume", "points": [1]})
@@ -303,6 +328,18 @@ class TestReportCommand:
         assert set(summary["trends"]) == {"snapshot", "vector"}
         assert f"vacuous (no detecting family found a true pair): {summary['vacuous']}" in result.output
 
+    @pytest.mark.parametrize("kind", ["directory", "utf-16"])
+    def test_unreadable_csv_exits_2_naming_it(self, tmp_path, kind):
+        csv_path = self.make_results(tmp_path)
+        if kind == "directory":
+            csv_path.unlink()
+            csv_path.mkdir()
+        else:
+            csv_path.write_bytes(csv_path.read_text().encode("utf-16"))
+        result = CliRunner().invoke(main, ["report", str(csv_path)])
+        assert result.exit_code == 2, result.output
+        assert str(csv_path) in result.output
+
     def test_empty_csv_exits_2(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -380,7 +417,7 @@ class TestReportCommand:
         [
             ("stay_mean_ms", [1234567.0, 1234568.0]),
             ("error_rate", [0.1234567, 0.1234568]),
-            ("delay_ms", [[0.1234567, 0.1234568], [0.1234567, 0.1234569]]),
+            ("delay_ms", [[1234.567, 1234.568], [1234.567, 1234.569]]),
         ],
         ids=["large", "small", "range"],
     )

@@ -291,6 +291,32 @@ def test_spec_rejects_repeated_seeds_and_points(data, field, message):
     assert str(err.value).endswith(message)
 
 
+def test_points_of_one_config_are_one_point():
+    """Two delay points that round to one microsecond range run one config."""
+    points = [[0.1234567, 0.1234568], [0.1234567, 0.1234569]]
+    data = dict(spec(nodes=2), sweep={"axis": "delay_ms", "points": points})
+    assert config_for_point(SimConfig(nodes=2), "delay_ms", points[0], 1) == config_for_point(
+        SimConfig(nodes=2), "delay_ms", points[1], 1
+    )
+    with pytest.raises(SpecError) as err:
+        parse_spec(data)
+    assert err.value.field == "sweep.points"
+    assert str(err.value).endswith("point [0.1234567, 0.1234569] repeats point [0.1234567, 0.1234568]")
+
+
+@pytest.mark.parametrize("kind", ["directory", "utf-16"])
+def test_an_unreadable_spec_file_is_a_spec_error(tmp_path, kind):
+    path = tmp_path / "spec.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(json.dumps(spec(nodes=2)).encode("utf-16"))
+    with pytest.raises(SpecError) as err:
+        load_spec(path)
+    assert err.value.field == "spec"
+    assert str(path) in str(err.value)
+
+
 def test_trajectory_stall_is_rejected_at_once():
     # About 5.8e10 room stays per user: generation would not return.
     config = SimConfig(

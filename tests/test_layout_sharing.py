@@ -11,6 +11,7 @@ cell, in row order, on its own trace.
 """
 import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from _corpora import spec_configs
 from snapdetect import experiment, simulate
-from snapdetect.experiment import config_for_point, parse_spec, run_sweep
+from snapdetect.experiment import ExperimentSpec, config_for_point, load_spec, parse_spec, run_sweep
 from snapdetect.simulate import (
     CONFIG_FIELDS,
     DetectorFamily,
@@ -33,6 +34,8 @@ from snapdetect.simulate import (
     wire_trace,
     with_caches,
 )
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 #: The donor delay: seconds, longer than any spec point, so few messages land.
 OTHER_DELAY_US = (9_000_000, 10_000_000)
@@ -237,7 +240,7 @@ def _unshared_rows(spec, cells):
     det_values = tuple(d.value for d in spec.detectors)
     rows = []
     for point, seed in cells:
-        for row in experiment._job((spec.base, spec.axis, point, seed, det_values)):
+        for row in experiment._job((config_for_point(spec.base, spec.axis, point, seed), point, det_values)):
             rows.append({k: str(v) for k, v in row.items()})
     return rows
 
@@ -335,3 +338,26 @@ def test_a_layout_stage_that_raises_is_not_kept(tmp_path, spy, monkeypatch):
     assert sorted(layouts) == [1, 2, 3]  # seed 2's second point laid out again
     cells = [cell for cell in _cells(spec) if cell != (1, 2)]
     assert _rows(outcome.results_csv) == _unshared_rows(spec, cells)
+
+
+def test_a_serial_sweep_builds_each_cell_config_once(tmp_path, monkeypatch):
+    spec = load_spec(SPECS / "delay_sweep.json")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return config_for_point(*args)
+
+    monkeypatch.setattr(experiment, "config_for_point", counted)
+    outcome = run_sweep(spec, tmp_path)
+    assert outcome.completed_jobs == len(spec.points) * len(spec.seeds) == 240
+    assert len(calls) == 240
+
+
+def test_a_point_that_cannot_convert_raises_before_any_file(tmp_path):
+    base = parse_spec(DELAY_SPEC).base
+    spec = ExperimentSpec(base, "delay_ms", (1, "x"), (1,), (DetectorFamily.SNAPSHOT,))
+    out = tmp_path / "out"
+    with pytest.raises(TypeError, match="expected milliseconds, got 'x'"):
+        run_sweep(spec, out)
+    assert not out.exists()

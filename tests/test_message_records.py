@@ -98,7 +98,7 @@ def test_runs_build_no_record(monkeypatch):
             run_trace(trace, family)
         assert len(trace.messages) == len(trace.message_columns.deliver_us)
         assert trace.makespan_us > 0
-        assert experiment._job((config, "nodes", config.nodes, config.seed, detectors))
+        assert experiment._job((config, config.nodes, detectors))
 
 
 def record_makespan(trace: Trace) -> int:

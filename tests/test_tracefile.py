@@ -34,6 +34,29 @@ def test_long_traces_save_the_same_bytes_after_a_round_trip(tmp_path):
         assert second.read_bytes() == first.read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["directory", "utf-16", "bad-byte"])
+def test_an_unreadable_trace_file_names_the_file(tmp_path, kind):
+    path = tmp_path / "trace.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        save_trace(generate_trace(SimConfig(nodes=2, events_per_process=2)), path)
+        text = path.read_text()
+        path.write_bytes(text.encode("utf-16") if kind == "utf-16" else text.encode() + b"\xff\n")
+    with pytest.raises(TraceFormatError) as err:
+        load_trace(path)
+    assert str(err.value).startswith(f"{path}: cannot read")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_a_trace_file_with_other_line_ends_loads_the_same(tmp_path, newline):
+    trace = generate_trace(SimConfig(nodes=2, instances_per_node=2, events_per_process=3, seed=4))
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    assert load_trace(path) == trace
+
+
 def test_missing_config_record(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"type": "meta", "dropped_messages": 0}\n')
