@@ -7,6 +7,7 @@ in spec order so reruns with the same spec are byte-identical.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -233,12 +234,18 @@ def config_for_point(base: SimConfig, axis: str, point, seed: int) -> SimConfig:
 class _Layouts:
     """The layouts of one serial sweep, each held while a later cell shares its ``layout_key``.
 
-    ``left`` counts each key's cells still to run, from every cell's
-    config.  A layout is dropped when the last cell of its key starts.
+    ``left`` counts each key's cells still to run, from every valid cell
+    config; an invalid one, whose key may not even hash, fails its cell
+    before any lookup.  A layout is dropped when the last cell of its key
+    starts.
     """
 
     def __init__(self, configs: Iterable[SimConfig]):
-        self.left = Counter(map(layout_key, configs))
+        self.left = Counter()
+        for config in configs:
+            with contextlib.suppress(ConfigError):
+                config.validate()
+                self.left[layout_key(config)] += 1
         self.held: dict[tuple, Layout] = {}
 
     def trace(self, config: SimConfig) -> Trace:
@@ -325,7 +332,8 @@ def run_sweep(
     cells whose configs share a ``layout_key`` share one layout, held for
     this call only and dropped after the last of them; a worker runs each
     cell on its own.  Each cell's config is built once, before ``out_dir``
-    is made, so a point that cannot be converted raises and writes nothing.
+    is made, so a point that cannot be converted raises and writes nothing;
+    one whose config is invalid fails its own cell, whatever ``jobs`` is.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -396,6 +404,10 @@ class ResultsFormatError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+        self.reason = message
+
+    def __reduce__(self):
+        return type(self), (self.lineno, self.reason)
 
 
 #: The results.csv columns that count pairs or operations: ints, none below 0.

@@ -7,11 +7,11 @@ of the three detector families.
 
 All times are integer microseconds since trace start; all randomness
 flows from one root seed through named per-stream derivations, so e.g.
-changing the error rate never perturbs the event layout.  Message wiring
-runs as columns over every attempt of a trace: send times and delays are
-read in bulk from their streams' MT19937 words, exactly as
-``random.Random.randint`` reads them (an all-peers trace's sends through
-numpy word windows), and an array search over the receiver's events
+changing the error rate never perturbs the event layout.  Each event's
+user, an all-peers trace's send times and every delay are read in bulk by
+``_draws`` from their streams' MT19937 words, exactly as
+``random.Random.randint`` reads them.  Message wiring runs as columns over
+every attempt of a trace, and an array search over the receiver's events
 settles each attempt whose outcome no delay can change.  A generated trace
 is handed the columns it was made from, each through the check that a
 loaded trace's columns pass once its message endpoints are looked up in
@@ -61,8 +61,9 @@ from .metrics import OpCounters
 
 #: Delay resamples tried per message before it is dropped at generation.
 MESSAGE_RETRIES = 3
-#: 32-bit words one bulk draw takes from a stream: enough to amortise the
-#: draw, few enough that a stream's unread words stay a few KB.
+#: 32-bit words ``_draws`` adds to its local array when a wide draw runs
+#: short (a lone narrow span's chunks take at most 64 times as many): enough
+#: to amortise the draw, few enough that the unread words stay a few KB.
 CHUNK_WORDS = 1 << 10
 #: Room stays the user trajectories may need over the worst-case horizon
 #: (about a second of generation and tens of MB); a config that needs
@@ -83,6 +84,9 @@ class ConfigError(ValueError):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
         self.reason = message
+
+    def __reduce__(self):
+        return type(self), (self.field, self.reason)
 
 
 @dataclass(frozen=True)
@@ -426,26 +430,29 @@ class MessageColumns(NamedTuple):
     receiver: np.ndarray
 
 
-class EventIdentityError(ValueError):
+class _IndexedError(ValueError):
+    """An error about the record at ``index`` of a trace."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+    def __reduce__(self):
+        return type(self), (self.index, *self.args)
+
+
+class EventIdentityError(_IndexedError):
     """An event identity the replays cannot trust.
 
     ``index`` is the event's place in ``trace.events``.
     """
 
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
 
-
-class MessageError(ValueError):
+class MessageError(_IndexedError):
     """A message the replays cannot trust.
 
     ``index`` is the message's place in ``trace.messages``.
     """
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
 
 
 def _event_columns(events) -> EventColumns:
@@ -547,144 +554,77 @@ def _randint(bits, lo: int, hi: int) -> int:
     return lo + r
 
 
-class _Words(random.Random):
-    """One stream's MT19937 words, drawn ``CHUNK_WORDS`` at a time and read in order.
-
-    ``source.getrandbits(32 * c)`` is the stream's next ``c`` words, least
-    significant first.  They are read through one iterator over the current
-    chunk, refilled when it runs dry.  ``getrandbits`` reads them as
-    CPython's does: for ``k <= 32`` one word shifted right by ``32 - k``;
-    for wider ``k``, ``ceil(k / 32)`` words, least significant first, the
-    last shifted right to fit.  So ``sample``, ``randint`` and every other
-    ``random.Random`` method, all of which draw through ``getrandbits``,
-    give what they give on ``source``, and they interleave with ``below``
-    exactly as on ``source``.
-    """
-
-    def __init__(self, source: random.Random):
-        super().__init__(0)  # the inherited generator state is never read
-        self._source = source
-        self._words = iter(())
-
-    def _refill(self) -> None:
-        """Replace the words, all read, with the source's next ``CHUNK_WORDS``."""
-        self._words = iter(_chunk(self._source, CHUNK_WORDS).tolist())
-
-    def getrandbits(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("number of bits must be non-negative")
-        value = 0
-        for i in range((k + 31) // 32):
-            word = next(self._words, None)
-            if word is None:
-                self._refill()
-                word = next(self._words)
-            value |= word >> max(0, 32 * (i + 1) - k) << 32 * i
-        return value
-
-    def below(self, n: int, count: int, out: array.array) -> int:
-        """Append the next ``count`` draws of ``randint(0, n - 1)`` to ``out``; return their shift.
-
-        For ``k = n.bit_length() <= 32``, randint keeps a word exactly
-        when ``word >> (32 - k) < n``, that is when ``word < n << (32 - k)``.
-        So the kept words are a C-level ``filter`` over the word iterator,
-        and ``out`` gets the words themselves: each value is its word
-        shifted right by the returned ``32 - k``, which the caller applies.
-        Wider draws take several words each; they go one at a time through
-        ``getrandbits``, and ``out`` gets the values, with shift 0.
-        """
-        k = n.bit_length()
-        if k > 32:
-            out.extend(_randint(self.getrandbits, 0, n - 1) for _ in range(count))
-            return 0
-        kept = (n << 32 - k).__gt__
-        want = len(out) + count
-        out.extend(itertools.islice(filter(kept, self._words), count))
-        while len(out) < want:
-            self._refill()
-            out.extend(itertools.islice(filter(kept, self._words), want - len(out)))
-        return 32 - k
-
-    def below_each(self, spans: list[int], count: int) -> np.ndarray:
-        """``count`` draws of ``randint(0, n - 1)`` for each n of ``spans`` in turn, as int64 values.
-
-        Each draw reads the words ``below`` reads.  Each run of spans of at
-        most 32 bits goes through ``_window``, whatever ``count`` is; each
-        wider span goes through ``below``, whose values need no shift.
-        """
-        parts = [np.empty(0, np.int64)]
-        for wide, run in itertools.groupby(spans, lambda n: n.bit_length() > 32):
-            if not wide:
-                parts.append(self._window(list(run), count))
-                continue
-            drawn = array.array("q")
-            for n in run:
-                self.below(n, count, drawn)
-            parts.append(np.frombuffer(drawn, np.int64))
-        return np.concatenate(parts)
-
-    def _window(self, spans: list[int], count: int) -> np.ndarray:
-        """``below_each`` for ``spans`` of at most 32 bits each, over the words as one numpy column.
-
-        The unread words of the chunk and as many of the source's as the
-        spans are expected to need form one uint32 column.  For each span a
-        cursor moves past its ``count``-th word below the span's threshold
-        ``n << (32 - k)``: one compare and one ``flatnonzero`` over a window
-        of ``4 * count`` words, widened in the rare case that it holds
-        fewer (each word is kept with probability above 1/2).  One mask,
-        each word against its own span's threshold, then keeps exactly the
-        words ``below`` keeps, in order.  The words past the cursor go back
-        to the buffer unread.
-        """
-        widths = [n.bit_length() for n in spans]
-        thresholds = np.array([n << 32 - k for n, k in zip(spans, widths)], np.uint32)
-        words = np.fromiter(self._words, np.uint32)
-        expected = int(count * (2.0**32 / thresholds).sum()) + 4 * count
-        words = np.concatenate((words, _chunk(self._source, max(0, expected - len(words)))))
-        ends = []
-        at, last = 0, count - 1
-        for t in thresholds:  # uint32 scalars, so each compare stays uint32
-            width = 4 * count
-            hits = (words[at : at + width] < t).nonzero()[0]
-            while len(hits) <= last:
-                width *= 2
-                if at + width > len(words):
-                    words = np.concatenate((words, _chunk(self._source, at + width - len(words))))
-                hits = (words[at : at + width] < t).nonzero()[0]
-            at += int(hits[last]) + 1
-            ends.append(at)
-        self._words = iter(words[at:].tolist())
-        words = words[:at]
-        words = words[words < np.repeat(thresholds, np.diff(ends, prepend=0))]
-        return words.astype(np.int64) >> np.repeat(32 - np.array(widths, np.int64), count)
-
-
 def _chunk(rng: random.Random, words: int) -> np.ndarray:
     """The next ``words`` 32-bit words of ``rng``, in the order its draws read them."""
     return np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4")
 
 
-def _randints(rng: random.Random, n: int, count: int) -> np.ndarray:
-    """The next ``count`` values of ``rng.randint(0, n - 1)``, as an array.
+def _draws(rng: random.Random, spans: Sequence[int], count: int) -> np.ndarray:
+    """``count`` successive values of ``rng.randint(0, n - 1)`` for each n of ``spans`` in turn, as int64.
 
-    For ``k = n.bit_length() <= 32`` a draw is one word shifted right by
-    ``32 - k`` and kept when below ``n``, so the values kept from each
-    chunk of at most ``CHUNK_WORDS << 6`` words are randint's rejection
-    loop over it, and they are uint32.  Wider draws take several words
-    each; they go one at a time and are Python ints in an object array, so
-    no span is too wide.  Words drawn past the last value kept are lost,
-    so ``rng`` must serve no later draw.
+    Each n is at most 2**63 and ``count`` at least 1.  ``randint`` draws
+    ``k = n.bit_length()`` bits until they are below n; for ``k <= 32``
+    that is one word shifted right by ``32 - k``, kept exactly when the
+    word is below the span's threshold ``n << (32 - k)``.  The stream's
+    words are read in bulk, and those drawn past the last value read are
+    lost, so ``rng`` must serve no later draw.
+
+    A lone span of at most 32 bits keeps the values of chunks of at most
+    ``CHUNK_WORDS << 6`` words.  Any other ``spans`` read the words in
+    order from one local array.  A wider span takes ``ceil(k / 32)`` words
+    per draw, least significant first, the last shifted right to fit, as
+    ``getrandbits`` reads them, one draw at a time.  A run of narrow spans
+    reads them as one numpy column, extended by as many words as the run
+    is expected to need.  For each span a cursor moves past its
+    ``count``-th word below the threshold: one compare and one
+    ``flatnonzero`` over a window of ``4 * count`` words, widened in the
+    rare case that it holds fewer (each word is kept with probability
+    above 1/2).  One mask, each word against its own span's threshold,
+    then keeps the run's words, in order.
     """
-    k = n.bit_length()
-    if k > 32:
-        bits = rng.getrandbits
-        return np.array([_randint(bits, 0, n - 1) for _ in range(count)], dtype=object)
-    parts = [np.empty(0, np.uint32)]
-    while count:
-        drawn = _chunk(rng, min(CHUNK_WORDS << 6, (count << k) // n + 1)) >> (32 - k)
-        kept = drawn[drawn < n][:count]
-        parts.append(kept)
-        count -= len(kept)
+    parts = [np.empty(0, np.int64)]
+    if len(spans) == 1 and spans[0].bit_length() <= 32:
+        n, k = spans[0], spans[0].bit_length()
+        while count:
+            drawn = _chunk(rng, min(CHUNK_WORDS << 6, (count << k) // n + 1)) >> (32 - k)
+            kept = drawn[drawn < n][:count]
+            parts.append(kept)
+            count -= len(kept)
+        return np.concatenate(parts)
+    words, at = np.empty(0, np.uint32), 0  # the stream's words drawn so far; words[at] is the next unread
+
+    def bits(k: int) -> int:
+        nonlocal words, at
+        size = (k + 31) // 32
+        if at + size > len(words):
+            words, at = np.concatenate((words[at:], _chunk(rng, max(CHUNK_WORDS, size)))), 0
+        read = words[at : at + size].tolist()
+        at += size
+        return sum(word >> max(0, 32 * (i + 1) - k) << 32 * i for i, word in enumerate(read))
+
+    for wide, run in itertools.groupby(spans, lambda n: n.bit_length() > 32):
+        if wide:
+            parts.append(np.array([_randint(bits, 0, n - 1) for n in run for _ in range(count)], np.int64))
+            continue
+        run = list(run)
+        shifts = np.array([32 - n.bit_length() for n in run], np.int64)
+        thresholds = (np.array(run, np.int64) << shifts).astype(np.uint32)
+        expected = int(count * (2.0**32 / thresholds).sum()) + 4 * count
+        words = np.concatenate((words[at:], _chunk(rng, max(0, expected - (len(words) - at)))))
+        ends, at = [], 0
+        for t in thresholds:  # uint32 scalars, so each compare stays uint32
+            width = 4 * count
+            hits = (words[at : at + width] < t).nonzero()[0]
+            while len(hits) < count:
+                width *= 2
+                if at + width > len(words):
+                    words = np.concatenate((words, _chunk(rng, at + width - len(words))))
+                hits = (words[at : at + width] < t).nonzero()[0]
+            at += int(hits[count - 1]) + 1
+            ends.append(at)
+        read = words[:at]
+        read = read[read < np.repeat(thresholds, np.diff(ends, prepend=0))]
+        parts.append(read.astype(np.int64) >> np.repeat(shifts, count))
     return np.concatenate(parts)
 
 
@@ -800,7 +740,7 @@ def generate_layout(config: SimConfig) -> Layout:
     traj = _Trajectories(user_rng, config.n_users, config.rooms, config.stay_mean_us, horizon)
 
     # The users stream serves the trajectories, then one user per event.
-    user_codes = _randints(user_rng, config.n_users, procs * per_proc_events)
+    user_codes = _draws(user_rng, [config.n_users], procs * per_proc_events)
     users = user_codes.tolist()
     room_code = {room: i for i, room in enumerate(traj.rooms)}
     shared: dict[tuple[int, str, str], ContextReading] = {}  # one reading per distinct value
@@ -835,25 +775,21 @@ def generate_layout(config: SimConfig) -> Layout:
     # Every message attempt as a column entry, in the order the attempts
     # are made: event by event, each event's peers in ascending order.
     # Peer j of an event on process p is process j, or j + 1 from p on.
-    words = _Words(msg_rng)
     spans = (columns.end_us - columns.start_us).tolist()
     fanout = config.peer_fanout
     if fanout is None or fanout >= procs - 1:
         per_event = procs - 1
         peer = np.tile(np.arange(per_event), len(events))
-        offset = words.below_each(spans, per_event)
+        offset = _draws(msg_rng, spans, per_event)
     else:
         # The peer sample reads the message stream between events' sends.
         per_event = fanout
-        picked = array.array("q")
-        drawn = array.array("q")  # each send time less its event's start, shifted left
-        shifts = array.array("q")  # per event, the right shift that undoes it
-        population = range(procs - 1)
+        picked, drawn = array.array("q"), array.array("q")  # each attempt's peer, and its send less its start
+        bits, population = msg_rng.getrandbits, range(procs - 1)
         for n in spans:
-            picked.extend(sorted(words.sample(population, fanout)))
-            shifts.append(words.below(n, fanout, drawn))
-        peer = np.frombuffer(picked, dtype=np.int64)
-        offset = np.frombuffer(drawn, dtype=np.int64) >> np.repeat(np.frombuffer(shifts, dtype=np.int64), fanout)
+            picked.extend(sorted(msg_rng.sample(population, fanout)))
+            drawn.extend(_randint(bits, 0, n - 1) for _ in range(fanout))
+        peer, offset = np.frombuffer(picked, dtype=np.int64), np.frombuffer(drawn, dtype=np.int64)
     receiver = peer + (peer >= np.repeat(process, per_event))
     send = offset + np.repeat(columns.start_us, per_event)
     _read_only(*columns, receiver, send, *codes[1:])
@@ -893,7 +829,7 @@ def wire_trace(layout: Layout, config: SimConfig) -> Trace:
     # tried, one delay at a time, and each one that lands early moves the
     # first delay of every later attempt back.
     used = np.where(inside, 1, MESSAGE_RETRIES)
-    delays = _randints(delay_rng, delay_hi - delay_lo + 1, int(used.sum()))
+    delays = _draws(delay_rng, [delay_hi - delay_lo + 1], int(used.sum()))
     first = np.cumsum(used) - used
     landed: list[int] = []
     landed_us: list[int] = []
@@ -905,9 +841,8 @@ def wire_trace(layout: Layout, config: SimConfig) -> Trace:
     )
     starts_by_proc, ends_by_proc = starts.tolist(), ends.tolist()
     # Tried attempts read their delays through one view of the array, with
-    # no numpy slice per attempt.  Delays over a span of 2**32 or more are
-    # Python ints; they are below the span, so they fit int64.
-    window = memoryview(delays.astype(np.int64) if delays.dtype == object else delays)
+    # no numpy slice per attempt.
+    window = memoryview(delays)
     for i, at, send_us, q in tried:
         at -= saved
         q_starts, q_ends = starts_by_proc[q], ends_by_proc[q]

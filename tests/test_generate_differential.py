@@ -5,13 +5,15 @@
 must be identical on every spec config, on the benchmark's dense and long
 configs, on a seeded corpus that covers fan-out None/1/3, zero start
 jitter, delay spans from width 0 up to 2**32 and lifespans of 2**32 us and
-more (send draws of two words), and on a wide fan-out corpus whose events
-message 16 to 39 peers each, so that their sends are read through numpy
-word windows, mixed with two-word draws.  Each corpus must reach every delivery
-outcome, or it shows nothing: a window inside one receiver event (certain
-first-try delivery), a window that meets no receiver event (certain drop,
-hopeless attempts among them), and windows whose outcome the delays decide,
-landing on the first, second and third try or missing all three.
+more (send draws of two words, which a ``peer_fanout`` trace interleaves
+with its peer samples on the messages stream), and on a wide fan-out corpus
+whose events message 16 to 39 peers each, so that ``simulate._draws`` reads
+their sends through numpy word windows, mixed with two-word draws.  Each
+corpus must reach every delivery outcome, or it shows nothing: a window
+inside one receiver event (certain first-try delivery), a window that
+meets no receiver event (certain drop, hopeless attempts among them), and
+windows whose outcome the delays decide, landing on the first, second and
+third try or missing all three.
 """
 import itertools
 from collections import Counter
@@ -32,13 +34,15 @@ def assert_same_traces(configs) -> Counter:
     The reference counts ``hopeless``, ``hit_try_1`` to ``hit_try_3`` and
     ``dropped`` attempts; ``certain_hit`` and ``certain_miss`` count the
     windows the generator settles without trying a delay.
-    ``window_events`` counts the events whose sends were read through
-    word windows, and ``wide_events`` the events whose span needs more
-    than 32 bits, in traces where every event messages every peer.
+    ``window_events`` counts the narrow spans of ``_draws`` calls of
+    several spans: the events whose sends it reads through its word
+    windows.  ``wide_events`` and ``fanout_wide_events`` count the events
+    whose span needs more than 32 bits, in traces where every event
+    messages every peer and in ``peer_fanout`` traces.
     """
     tally = Counter()
     outcomes = simulate._window_outcomes
-    window = simulate._Words._window
+    draws = simulate._draws
 
     def counted(*args):
         seq, inside, missed = outcomes(*args)
@@ -46,19 +50,18 @@ def assert_same_traces(configs) -> Counter:
         tally["certain_miss"] += int(missed.sum())
         return seq, inside, missed
 
-    def windowed(self, spans, count):
-        tally["window_events"] += len(spans)
-        return window(self, spans, count)
+    def windowed(rng, spans, count):
+        if len(spans) > 1:
+            tally["window_events"] += sum(n.bit_length() <= 32 for n in spans)
+        return draws(rng, spans, count)
 
     for config in configs:
-        with mock.patch.object(simulate, "_window_outcomes", counted), mock.patch.object(
-            simulate._Words, "_window", windowed
-        ):
+        with mock.patch.object(simulate, "_window_outcomes", counted), mock.patch.object(simulate, "_draws", windowed):
             got = generate_trace(config)
         want = randint_generate_trace(config, tally)
         peers = config.n_processes - 1
-        if (config.peer_fanout or peers) >= peers:
-            tally["wide_events"] += sum((e.end_us - e.start_us).bit_length() > 32 for e in got.events)
+        wide = sum((e.end_us - e.start_us).bit_length() > 32 for e in got.events)
+        tally["wide_events" if (config.peer_fanout or peers) >= peers else "fanout_wide_events"] += wide
         assert got.events == want.events, config
         assert got.messages == want.messages, config
         assert got.dropped_messages == want.dropped_messages, config
@@ -114,6 +117,7 @@ def test_seeded_corpus_matches_reference():
     assert {c.event_lifespan_us[0] for c in configs} == {2_000, 2**32}
     tally = assert_same_traces(configs)
     assert tally["configs"] >= 600
+    assert tally["fanout_wide_events"] > 0  # peer samples and two-word sends share the messages stream
     assert_every_path(tally)
 
 
@@ -152,9 +156,9 @@ def test_delays_past_int64_are_rejected(delay):
 def test_small_delay_chunks_match_reference(chunk_words):
     """One-word chunks, and five-word chunks that leave a ragged tail.
 
-    Both the message stream's word buffer and the bulk delay draw read
-    their streams in chunks of ``CHUNK_WORDS`` words; word windows start
-    from what the buffer's chunk has left.
+    ``_draws`` sizes its chunks from ``CHUNK_WORDS``: a lone narrow span's
+    (the users and most delays) and the wide draws', whose unread words
+    the next word window starts from.
     """
     configs = list(itertools.islice(seeded_configs(), 0, None, 3))
     configs += itertools.islice(wide_fanout_configs(), 0, None, 4)

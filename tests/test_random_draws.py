@@ -1,21 +1,19 @@
 """The generator's random draws against ``random.Random``.
 
-``simulate._randint`` and the bulk delay draw ``simulate._randints`` must
-give exactly the successive ``randint(lo, hi)`` values of a fresh
-``random.Random`` with the same seed: for spans around 2**32 words, with
-one-word chunks and with chunks that leave a ragged tail.  The message
-stream's word buffer ``simulate._Words`` must give what the stream itself
-gives for any mix of ``below``, ``sample`` and ``getrandbits`` calls, also
-when a draw of several words or a run of ``below`` draws straddles a
-refill, and at the edges of ``below``'s keep threshold
-``n << (32 - n.bit_length())``.  ``_Words.below_each``, which reads the
-words of all-peers events as numpy windows, must give what ``below``
-gives event by event, and leave the stream where ``below`` would.  If
-CPython changes how ``randint``, ``sample`` or ``getrandbits`` consume its
-stream, these fail first.  A guard also keeps ``numpy.random`` (and its memory) out of trace
+``simulate._randint`` and the bulk draw ``simulate._draws`` must give
+exactly the successive ``randint`` values of a fresh ``random.Random``
+with the same seed.  ``_draws`` is checked on lone spans, narrow and
+wide, with one-word chunks, with chunks that leave a ragged tail and with
+the default; on runs of narrow spans broken by wide ones, none of them
+drawn one at a time, and one-span narrow runs between wide spans among
+them, whose words must come from the same local array as the wide draws
+around them; at the edges of the keep threshold
+``n << (32 - n.bit_length())``; when a window holds too few kept words
+and widens; and on no span at all.  If CPython changes how
+``randint`` or ``getrandbits`` consume its stream, these fail first.  A
+guard also keeps ``numpy.random`` (and its memory) out of trace
 generation.
 """
-import array
 import contextlib
 import os
 import random
@@ -29,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import snapdetect
 from snapdetect import simulate
-from snapdetect.simulate import CHUNK_WORDS, _randint, _randints, _Words
+from snapdetect.simulate import CHUNK_WORDS, _draws, _randint
 
 #: n = hi - lo + 1 of 1, 2**32 - 1, 2**32 and 2**32 + 1, and a spread between.
 SPAN_SIZES = st.sampled_from([1, 2, 3, 4_001, 2**31, 2**32 - 1, 2**32, 2**32 + 1])
@@ -51,106 +49,47 @@ def test_randint_matches_random_randint(seed, lo, n, count):
     assert rng.getstate() == ref.getstate()
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=SEEDS, lo=st.integers(0, 2**40), n=SPAN_SIZES, wanted=st.integers(0, 300), chunk_words=CHUNKS)
-@example(seed=0, lo=0, n=1, wanted=10, chunk_words=1)
-@example(seed=1, lo=250_000, n=2**32 - 1, wanted=23, chunk_words=5)
-@example(seed=2, lo=0, n=2**32, wanted=23, chunk_words=5)
-@example(seed=3, lo=1, n=2**32 + 1, wanted=23, chunk_words=7)
-@example(seed=4, lo=1_000, n=2**31 + 1, wanted=200, chunk_words=CHUNK_WORDS)
-def test_delay_chunks_match_random_randint(seed, lo, n, wanted, chunk_words):
-    """Every value the chunks return, in order, is the next ``randint``."""
+def draws(seed: int, spans: list[int], count: int, chunk_words: int = CHUNK_WORDS) -> list[int]:
+    """``_draws`` on a fresh stream of ``seed``, checked for its dtype and length, as a list."""
+    with mock.patch.object(simulate, "CHUNK_WORDS", chunk_words):
+        got = _draws(random.Random(seed), spans, count)
+    assert got.dtype == "int64" and len(got) == len(spans) * count
+    return got.tolist()
+
+
+def randints(seed: int, spans: list[int], count: int) -> list[int]:
+    """The reference: ``count`` calls of ``randint(0, n - 1)`` per span in turn, on a fresh stream."""
     ref = random.Random(seed)
-    with mock.patch.object(simulate, "CHUNK_WORDS", chunk_words):
-        got = _randints(random.Random(seed), n, wanted)
-    assert len(got) == wanted
-    assert got.dtype == (object if n.bit_length() > 32 else "uint32")
-    assert all(type(v) is int for v in got.tolist())
-    assert [lo + v for v in got.tolist()] == [ref.randint(lo, lo + n - 1) for _ in range(wanted)]
-
-
-#: One call on the word buffer: ``below(n, count)``, ``sample(range(m), k)``
-#: with ``k <= m``, or ``getrandbits(k)`` for widths of 0 to 3 words.
-CALLS = st.one_of(
-    st.tuples(st.just("below"), SPAN_SIZES, st.integers(0, 40)),
-    st.tuples(st.just("sample"), st.integers(1, 60), st.integers(0, 60)),
-    st.tuples(st.just("getrandbits"), st.sampled_from([0, 1, 31, 32, 33, 64, 65, 96]), st.just(0)),
-)
-
-
-def below(words: _Words, n: int, count: int) -> list[int]:
-    """``words.below(n, count)`` as values: each appended entry shifted right by the returned shift."""
-    out = array.array("q", [-1])  # below appends after what is there
-    shift = words.below(n, count, out)
-    assert out[0] == -1 and len(out) == 1 + count
-    return [v >> shift for v in out[1:]]
-
-
-def check_calls(seed, calls, chunk_words):
-    """Each call on a word buffer gives what the same call gives on its stream."""
-    words, ref = _Words(random.Random(seed)), random.Random(seed)
-    with mock.patch.object(simulate, "CHUNK_WORDS", chunk_words):
-        for name, a, b in calls:
-            if name == "below":
-                assert below(words, a, b) == [ref.randint(0, a - 1) for _ in range(b)], (a, b)
-            elif name == "sample":
-                k = min(a, b)
-                assert words.sample(range(a), k) == ref.sample(range(a), k)
-            else:
-                assert words.getrandbits(a) == ref.getrandbits(a)
+    return [ref.randint(0, n - 1) for n in spans for _ in range(count)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=SEEDS, calls=st.lists(CALLS, min_size=1, max_size=12), chunk_words=CHUNKS)
-@example(seed=5, calls=[("getrandbits", 65, 0), ("below", 2**32 + 1, 3), ("sample", 7, 3)], chunk_words=1)
-@example(seed=6, calls=[("below", 30_001, 39), ("sample", 39, 4), ("below", 2**33, 2)], chunk_words=5)
-def test_word_buffer_matches_its_stream(seed, calls, chunk_words):
-    """Sends and peer samples read the message stream's words as the stream's own draws do."""
-    check_calls(seed, calls, chunk_words)
-
-
-#: n = 2**k - 1, 2**k and 2**k + 1 for k in 1, 31 and 32: the largest n of
-#: a width, its smallest and the one after (2**32 and 2**32 + 1 take two words).
-THRESHOLD_EDGES = sorted({2**k + d for k in (1, 31, 32) for d in (-1, 0, 1)})
-
-
-@pytest.mark.parametrize("n", THRESHOLD_EDGES)
-def test_below_at_threshold_edges(n):
-    """``word < n << (32 - k)`` keeps the words randint keeps, at each edge of a width."""
-    for seed in range(4):
-        check_calls(seed, [("below", n, 200), ("getrandbits", 32, 0), ("below", n, 7)], CHUNK_WORDS)
-
-
-@pytest.mark.parametrize("chunk_words", [1, 5, 7])
-def test_below_straddles_refills_between_samples(chunk_words):
-    """A run of draws longer than a chunk refills mid-run; samples read on from where it stopped."""
-    calls = [("sample", 39, 5), ("below", 3_001, 3 * chunk_words + 2), ("sample", 12, 12)]
-    calls += [("below", 2**31 + 1, 2 * chunk_words + 1), ("sample", 7, 1), ("below", 1, 4)]
-    for seed in range(6):
-        check_calls(seed, calls, chunk_words)
-
-
-@pytest.mark.parametrize("chunk_words", [1, 5, 7])
-def test_wide_below_straddles_refills(chunk_words):
-    """Draws of two words each, across refills, with one-word draws between."""
-    calls = [("below", 1_000, 2), ("below", 2**32 + 50_001, 2 * chunk_words + 1), ("below", 7, 3)]
-    calls += [("below", 2**62 + 3, chunk_words + 1), ("sample", 9, 2)]
-    for seed in range(6):
-        check_calls(seed, calls, chunk_words)
+@given(seed=SEEDS, n=SPAN_SIZES | st.integers(1, 2**63), count=st.integers(1, 300), chunk_words=CHUNKS)
+@example(seed=0, n=1, count=10, chunk_words=1)
+@example(seed=1, n=2**32 - 1, count=23, chunk_words=5)
+@example(seed=2, n=2**32, count=23, chunk_words=5)
+@example(seed=3, n=2**32 + 1, count=23, chunk_words=7)
+@example(seed=4, n=2**31 + 1, count=200, chunk_words=CHUNK_WORDS)
+@example(seed=5, n=2**63, count=3, chunk_words=1)
+@example(seed=6, n=4_001, count=1, chunk_words=7)
+@example(seed=7, n=2**40, count=1, chunk_words=1)
+def test_delay_chunks_match_random_randint(seed, n, count, chunk_words):
+    """One span, as the delays and users draw: narrow (the chunks) or wide (one draw at a time), up to 2**63."""
+    assert draws(seed, [n], count, chunk_words) == randints(seed, [n], count)
 
 
 @contextlib.contextmanager
-def window_runs():
-    """The spans of every ``_Words._window`` call inside the block."""
-    runs = []
-    window = _Words._window
+def one_at_a_time():
+    """The span of every draw ``_draws`` makes one at a time, through ``simulate._randint``, inside the block."""
+    spans = []
+    randint = simulate._randint
 
-    def counted(self, spans, count):
-        runs.append(list(spans))
-        return window(self, spans, count)
+    def counted(bits, lo, hi):
+        spans.append(hi - lo + 1)
+        return randint(bits, lo, hi)
 
-    with mock.patch.object(_Words, "_window", counted):
-        yield runs
+    with mock.patch.object(simulate, "_randint", counted):
+        yield spans
 
 
 #: Event spans as the generator draws sends over them: narrow ones of every
@@ -160,73 +99,89 @@ EVENT_SPANS = st.sampled_from([1, 2, 3, 20_000, 2**31, 2**31 + 1, 2**32 - 1, 2**
 EVENT_SPANS |= st.integers(1, 2**34)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     seed=SEEDS,
-    before=st.lists(CALLS, max_size=3),
-    spans=st.lists(EVENT_SPANS, max_size=30),
+    spans=st.lists(EVENT_SPANS, min_size=2, max_size=30),
     count=st.integers(1, 64),
-    after=st.tuples(st.sampled_from([1, 32, 33, 64]), SPAN_SIZES, st.integers(1, 40)),
-    chunk_words=st.sampled_from([1, 5, CHUNK_WORDS]),
+    chunk_words=CHUNKS,
 )
-@example(seed=0, before=[], spans=[2**31] * 40, count=16, after=(32, 7, 3), chunk_words=1)
-@example(
-    seed=1, before=[("below", 9, 2)], spans=[2**32 + 5, 40_000, 2**33, 3], count=39, after=(33, 2**32 + 1, 2), chunk_words=5
-)
-def test_window_draw_equals_below_per_event(seed, before, spans, count, after, chunk_words):
-    """``below_each`` gives each span's ``count`` draws; a later ``getrandbits`` and ``below`` read on.
+@example(seed=0, spans=[2**31] * 40, count=16, chunk_words=1)
+@example(seed=1, spans=[2**32 + 5, 40_000, 2**33, 3], count=39, chunk_words=5)
+@example(seed=2, spans=[2**33, 7, 2**33], count=1, chunk_words=1)
+@example(seed=3, spans=[2**32, 20_000, 2**62 + 3, 2**31, 2**32 + 1], count=5, chunk_words=7)
+def test_window_draw_equals_below_per_event(seed, spans, count, chunk_words):
+    """Several spans: each narrow run goes through the word window, each wide span one draw at a time.
 
-    The calls before it leave a part-read chunk in the buffer.
+    Every narrow span, however short its run, reads its words from where
+    the draw before it stopped, so the draws after it read on in order.
     """
-    words, ref = _Words(random.Random(seed)), random.Random(seed)
-    with mock.patch.object(simulate, "CHUNK_WORDS", chunk_words), window_runs() as runs:
-        for name, a, b in before:
-            if name == "below":
-                assert below(words, a, b) == [ref.randint(0, a - 1) for _ in range(b)]
-            elif name == "sample":
-                assert words.sample(range(a), min(a, b)) == ref.sample(range(a), min(a, b))
-            else:
-                assert words.getrandbits(a) == ref.getrandbits(a)
-        assert words.below_each([], count).tolist() == []  # and it reads no word: the draws below match
-        got = words.below_each(spans, count)
-        assert got.dtype == "int64" and len(got) == len(spans) * count
-        assert got.tolist() == [ref.randint(0, n - 1) for n in spans for _ in range(count)]
-        bits, n, k = after
-        assert words.getrandbits(bits) == ref.getrandbits(bits)
-        assert below(words, n, k) == [ref.randint(0, n - 1) for _ in range(k)]
-    narrow = [n for n in spans if n.bit_length() <= 32]
-    assert [n for run in runs for n in run] == narrow  # every narrow span, and no wide one, went through a window
+    with one_at_a_time() as single:
+        got = draws(seed, spans, count, chunk_words)
+    assert got == randints(seed, spans, count)
+    assert set(single) == {n for n in spans if n.bit_length() > 32}  # no narrow span went one draw at a time
+
+
+#: Wide spans with narrow runs of one span between them, at and around 32 bits.
+BETWEEN_WIDE = [[2**33, 5, 2**33], [2**32, 2**31, 2**32 + 1], [5, 2**40, 9, 2**40, 2**20], [2**62 + 3, 1, 2**32]]
+
+
+@pytest.mark.parametrize("chunk_words", [1, 5, 7, CHUNK_WORDS])
+def test_wide_below_straddles_refills(chunk_words):
+    """Wide draws refill the local words across chunks; a one-span narrow run between them takes the window.
+
+    A lone span's chunks drop the words they draw past their last value,
+    so the wide span after such a run would read other words.
+    """
+    for spans in BETWEEN_WIDE:
+        for seed in range(6):
+            for count in (1, 3, 2 * chunk_words + 1):
+                assert draws(seed, spans, count, chunk_words) == randints(seed, spans, count)
+
+
+#: n = 2**k - 1, 2**k and 2**k + 1 for k in 1, 31 and 32: the largest n of
+#: a width, its smallest and the one after (2**32 and 2**32 + 1 take two words).
+THRESHOLD_EDGES = sorted({2**k + d for k in (1, 31, 32) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("n", THRESHOLD_EDGES)
+def test_below_at_threshold_edges(n):
+    """``word < n << (32 - k)`` keeps the words randint keeps, at each edge of a width, alone and in a run."""
+    for seed in range(4):
+        for spans in ([n], [n, n], [n, 3, n]):
+            assert draws(seed, spans, 200) == randints(seed, spans, 200)
 
 
 def test_window_widens_when_it_holds_too_few(monkeypatch):
     """Spans that keep each word with probability 1/2 outrun some windows and the words drawn for them.
 
-    The source is then read again, past the expected words, and the
+    The stream is then read again, past the expected words, and the
     draws still match.
     """
-    draws = []
+    reads = []
     chunk = simulate._chunk
 
     def counted(rng, n):
-        draws.append(n)
+        reads.append(n)
         return chunk(rng, n)
 
     monkeypatch.setattr(simulate, "_chunk", counted)
     widened = 0
+    spans = [2**31, 2**20, 1] * 20
     for seed in range(40):
-        del draws[:]
-        words, ref = _Words(random.Random(seed)), random.Random(seed)
-        spans = [2**31, 2**20, 1] * 20
-        got = words.below_each(spans, 16)
-        assert got.tolist() == [ref.randint(0, n - 1) for n in spans for _ in range(16)]
-        widened += len(draws) > 1
-        assert words.getrandbits(32) == ref.getrandbits(32)
+        del reads[:]
+        assert draws(seed, spans, 16) == randints(seed, spans, 16)
+        widened += len(reads) > 1
     assert widened > 0
 
 
-def test_word_buffer_rejects_negative_width():
-    with pytest.raises(ValueError, match="non-negative"):
-        _Words(random.Random(0)).getrandbits(-1)
+@pytest.mark.parametrize("count", [1, 7])
+def test_no_span_draws_nothing(count):
+    rng = random.Random(3)
+    state = rng.getstate()
+    got = _draws(rng, [], count)
+    assert got.dtype == "int64" and got.tolist() == []
+    assert rng.getstate() == state  # no word drawn
 
 
 def test_generation_does_not_import_numpy_random(tmp_path):
